@@ -84,7 +84,9 @@ class Emitter:
         self.subcommand = subcommand
         self.out_dir = Path(out_dir) if out_dir else None
         self.fmt = fmt
-        self.config = config
+        # the handler and the output location are not part of what is run,
+        # and the handler's repr carries a per-process address
+        self.config = {k: v for k, v in config.items() if k not in ("func", "out")}
         self.header: Optional[list] = None
         self.rows: list = []
         self.report: dict = {}

@@ -18,6 +18,7 @@ the walk and census machinery here.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -169,24 +170,51 @@ class NormSpec:
         return m
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised norm of an (n, dim) int array; returns int64 array."""
+        """Vectorised norm of an (n, dim) int array; returns int64 array.
+
+        Works one coordinate column at a time, so it takes a row-major
+        (n, dim) array as well as the transposed view of a (dim, n) block,
+        whose columns are contiguous.
+        """
         pts = np.asarray(points)
         if pts.ndim == 1:
             pts = pts[None, :]
         if pts.shape[1] != self.dim:
             raise UsageError(f"points have dim {pts.shape[1]}, norm expects {self.dim}")
-        y = pts.astype(np.int64)
-        if self.transform is not None:
-            y = y @ self.transform.T.astype(np.int64)
-        a = np.abs(y)
-        if self.family == "l1":
-            return a.sum(axis=1)
-        if self.family == "w1":
-            return a @ self.weights
-        m = a.max(axis=1)
+        if pts.dtype != np.int64:
+            pts = pts.astype(np.int64)
+        out = self._abs_coordinate(pts, 0)
+        for i in range(1, self.dim):
+            a = self._abs_coordinate(pts, i)
+            if self.family == "l1":
+                out += a
+            elif self.family == "w1":
+                a *= i + 1
+                out += a
+            else:
+                np.maximum(out, a, out=out)
         if self.family == "scaled_max":
-            return self.factor * m
-        return m
+            out *= self.factor
+        return out
+
+    def _abs_coordinate(self, pts: np.ndarray, i: int) -> np.ndarray:
+        """|(A x)^i| for every row x of pts, as a new int64 array."""
+        if self.transform is None:
+            return np.abs(pts[:, i])
+        acc = None
+        for j, a in enumerate(self.transform[i].tolist()):
+            if a == 0:
+                continue
+            col = pts[:, j]
+            if acc is None:
+                acc = col * a
+            elif a == 1:
+                acc += col
+            elif a == -1:
+                acc -= col
+            else:
+                acc += col * a
+        return np.abs(acc, out=acc)
 
     def value_real(self, x: Sequence[float]) -> float:
         """Norm of a real vector (positively homogeneous extension)."""
@@ -241,28 +269,32 @@ class NormSpec:
         return base * row_sum
 
     def euclid_range_on_unit_sphere(self) -> tuple[float, float]:
-        """(min, max) Euclidean length over the unit ball boundary.
+        """(min, max) Euclidean length over the unit sphere, in closed form.
 
-        Cheap norm-equivalence certificate used in truncation-bias bounds.
-        For the built-in untransformed families these are exact.
+        The unit ball is the polytope A^{-1} B, with B the base family's
+        unit ball and A the transform (identity when absent).  The Euclidean
+        length is convex, so its maximum sits at a vertex: hi = max |A^{-1} v|
+        over the vertices v of B.  The ball is cut out by the half-spaces
+        <A^T c, x> <= 1, c over the vertices of the dual ball, so its
+        inradius is lo = 1 / max |A^T c|.  scaled_max divides both by factor.
+        Used as the norm-equivalence certificate of truncation-bias bounds.
         """
         d = self.dim
-        if self.transform is not None:
-            # conservative: estimate from sampled lattice directions
-            rng = np.random.default_rng(0)
-            dirs = rng.integers(-3, 4, size=(512, d))
-            dirs = dirs[np.any(dirs != 0, axis=1)]
-            nv = self.values(dirs).astype(float)
-            ev = np.sqrt((dirs.astype(float) ** 2).sum(axis=1))
-            r = ev / nv
-            return float(r.min()), float(r.max())
-        if self.family in ("max", "scaled_max"):
-            lo, hi = 1.0, float(np.sqrt(d))
-            return lo / self.factor, hi / self.factor
+        eye = np.eye(d, dtype=np.int64)
+        axes = np.vstack([eye, -eye])
+        corners = np.array(list(itertools.product((-1, 1), repeat=d)), dtype=np.int64)
         if self.family == "l1":
-            return 1.0 / np.sqrt(d), 1.0
-        # w1: euclid minimised at e_d/d, maximised at e_1
-        return 1.0 / d, 1.0
+            vertices, dual = axes.astype(float), corners
+        elif self.family == "w1":
+            vertices, dual = axes / self.weights, corners * self.weights
+        else:
+            vertices, dual = corners.astype(float), axes
+        if self.transform is not None:
+            vertices = vertices @ integer_inverse(self.transform).T
+            dual = dual @ self.transform
+        hi = float(np.linalg.norm(vertices, axis=1).max())
+        lo = 1.0 / float(np.linalg.norm(dual, axis=1).max())
+        return lo / self.factor, hi / self.factor
 
     # -- serialisation ----------------------------------------------------
 

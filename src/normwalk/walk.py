@@ -4,16 +4,25 @@ Each replica's path is a pure function of (master_seed, replica_index):
 streams come from counter-based Philox generators keyed by that pair, so
 results are bit-identical regardless of worker count or scheduling order.
 
-Paths are generated in vectorised chunks.  Observers consume (start index,
-positions, norms) blocks instead of single steps; a block is never emitted
-past the stopping time.
+Every walk is stepped by one kernel, `_blocks`, in structure-of-arrays
+layout: a block holds the positions S_{n0}, ..., S_{n0+m-1} as a (d, m)
+int64 array, one contiguous row per coordinate, so norm evaluation and
+site matching run along contiguous rows.
+A block is drawn with one call of the replica's generator and cut at the
+first step whose norm reaches the stop radius; nothing past the stopping
+time is emitted.  Chunking never changes the stream: the draws are
+chunk-invariant, so any chunk size gives the same path, bit for bit.
+
+Observers consume (start index, positions, norms) blocks instead of single
+steps.  They see positions as an (m, d) array, the transposed view of the
+block, so observers written for row-major positions need no change.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -22,7 +31,6 @@ from .errors import UsageError
 from .norms import NormSpec
 
 DEFAULT_CHUNK = 1 << 15
-DEFAULT_SITE_BUDGET = 1 << 24
 DEFAULT_MAX_STEPS = 10 ** 8  # safety valve for stop_radius-only runs
 
 
@@ -92,21 +100,19 @@ class StepDistribution:
         p = self.probabilities
         return bool(np.all(p == p[0]))
 
+    def _index_sampler(self, rng: Generator) -> Callable[[int], np.ndarray]:
+        """Returns a function n -> (n,) int64 indices into the support."""
+        if self.uniform:
+            m = self.support.shape[0]
+            return lambda n: rng.integers(0, m, size=n)
+        cum = np.cumsum(self.probabilities)
+        cum[-1] = 1.0
+        return lambda n: np.searchsorted(cum, rng.random(n), side="right")
+
     def sampler(self, rng: Generator) -> Callable[[int], np.ndarray]:
         """Returns a function n -> (n, dim) int64 increments."""
-        sup = self.support
-        if self.uniform:
-            m = sup.shape[0]
-
-            def draw(n: int) -> np.ndarray:
-                return sup[rng.integers(0, m, size=n)]
-        else:
-            cum = np.cumsum(self.probabilities)
-            cum[-1] = 1.0
-
-            def draw(n: int) -> np.ndarray:
-                return sup[np.searchsorted(cum, rng.random(n), side="right")]
-        return draw
+        draw = self._index_sampler(rng)
+        return lambda n: self.support[draw(n)]
 
 
 def make_simple_walk(d: int) -> StepDistribution:
@@ -167,7 +173,6 @@ class LocalTimeRecord:
     n_effective: int
     truncated: bool                   # True when stop_radius fired first
     site_counts: Optional[dict] = None
-    site_window: Optional[tuple] = None  # (0, n) window actually tracked
 
     def level(self, k: int) -> int:
         if k < len(self.level_counts):
@@ -207,46 +212,61 @@ class PartialSumObserver:
         return self._total
 
 
+def _blocks(run: WalkRun, norm: NormSpec,
+            chunk: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, bool]]:
+    """The stepping kernel: yields (n0, cols, norms, exited) blocks.
+
+    cols is the (d, m) int64 block of positions S_{n0}, ..., S_{n0+m-1} and
+    norms their norms.  Each block draws min(chunk, steps left) increments;
+    the block that reaches stop_radius is cut just after that step, comes
+    with exited = True and is the last.  Otherwise the blocks end after
+    horizon (or max_steps) steps.
+    """
+    if norm.dim != run.step.dim:
+        raise UsageError("norm and step distribution dimensions differ")
+    step = run.step
+    draw = step._index_sampler(replica_rng(run.master_seed, run.replica_index))
+    limit = run.horizon if run.horizon is not None else run.max_steps
+    last = np.zeros(step.dim, dtype=np.int64)
+    n_done = 0
+    while n_done < limit:
+        steps = np.take(step.support, draw(min(chunk, limit - n_done)), axis=0)
+        steps[0] += last
+        # numpy (2.4) accumulates int64 about 3x faster along a strided axis
+        # than along a contiguous one, so the running sum reads the
+        # row-major steps and writes the (d, m) block through its transpose.
+        cols = np.empty((step.dim, len(steps)), dtype=np.int64)
+        np.cumsum(steps, axis=0, out=cols.T)
+        norms = norm.values(cols.T)
+        exited = False
+        if run.stop_radius is not None:
+            over = norms >= run.stop_radius
+            stop = int(over.argmax())
+            if over[stop]:
+                cols, norms, exited = cols[:, :stop + 1], norms[:stop + 1], True
+        yield n_done + 1, cols, norms, exited
+        if exited:
+            return
+        last = cols[:, -1]
+        n_done += len(norms)
+
+
 def simulate(run: WalkRun, norm: NormSpec,
              observers: Iterable = (),
              track_sites: bool = False,
-             site_budget: int = DEFAULT_SITE_BUDGET,
              chunk: int = DEFAULT_CHUNK) -> LocalTimeRecord:
     """Generate one replica path, streaming blocks to observers.
 
     Runs for `horizon` steps or until ||S_n|| >= stop_radius, whichever
     comes first.  Level counts satisfy sum_k counts[k] = n_effective.
     """
-    if norm.dim != run.step.dim:
-        raise UsageError("norm and step distribution dimensions differ")
-    rng = replica_rng(run.master_seed, run.replica_index)
-    draw = run.step.sampler(rng)
     observers = list(observers)
-
-    limit = run.horizon if run.horizon is not None else run.max_steps
     level_counts = np.zeros(64, dtype=np.int64)
     sites: Optional[dict] = {} if track_sites else None
-    site_window_end: Optional[int] = None
-
-    pos = np.zeros(run.step.dim, dtype=np.int64)
     n_done = 0
     truncated = False
 
-    while n_done < limit:
-        m = min(chunk, limit - n_done)
-        block = np.cumsum(draw(m), axis=0)
-        block += pos
-        norms = norm.values(block)
-
-        stop = m
-        if run.stop_radius is not None:
-            over = np.nonzero(norms >= run.stop_radius)[0]
-            if over.size:
-                stop = int(over[0]) + 1
-                truncated = True
-        block = block[:stop]
-        norms = norms[:stop]
-
+    for n0, cols, norms, truncated in _blocks(run, norm, chunk):
         top = int(norms.max(initial=0))
         if top >= len(level_counts):
             grown = np.zeros(max(top + 1, 2 * len(level_counts)), dtype=np.int64)
@@ -254,28 +274,18 @@ def simulate(run: WalkRun, norm: NormSpec,
             level_counts = grown
         level_counts += np.bincount(norms, minlength=len(level_counts))
 
-        if sites is not None and site_window_end is None:
-            uniq, cnt = np.unique(block, axis=0, return_counts=True)
-            for row, c in zip(uniq, cnt):
-                sites[tuple(int(v) for v in row)] = \
-                    sites.get(tuple(int(v) for v in row), 0) + int(c)
-            if len(sites) > site_budget:
-                site_window_end = n_done + stop
+        positions = cols.T
+        if sites is not None:
+            uniq, cnt = np.unique(positions, axis=0, return_counts=True)
+            for row, c in zip(map(tuple, uniq.tolist()), cnt.tolist()):
+                sites[row] = sites.get(row, 0) + c
 
         for obs in observers:
-            obs.observe(n_done + 1, block, norms)
+            obs.observe(n0, positions, norms)
+        n_done = n0 - 1 + len(norms)
 
-        pos = block[-1]
-        n_done += stop
-        if truncated:
-            break
-
-    window = None
-    if sites is not None:
-        window = (0, site_window_end if site_window_end is not None else n_done)
     return LocalTimeRecord(level_counts=level_counts, n_effective=n_done,
-                           truncated=truncated, site_counts=sites,
-                           site_window=window)
+                           truncated=truncated, site_counts=sites)
 
 
 def truncated_f_sum(run: WalkRun, norm: NormSpec,
@@ -384,23 +394,17 @@ def site_visit_samples(step: StepDistribution, norm: NormSpec,
     norm_x = norm.value([int(v) for v in target])
 
     def one(i: int) -> int:
-        rng = replica_rng(master_seed, i)
-        draw = step.sampler(rng)
-        pos = np.zeros(step.dim, dtype=np.int64)
+        run = WalkRun(step=step, master_seed=master_seed, replica_index=i,
+                      stop_radius=k_cut)
         visits = 0
-        done = 0
-        while done < DEFAULT_MAX_STEPS:
-            block = np.cumsum(draw(chunk), axis=0)
-            block += pos
-            norms = norm.values(block)
-            over = np.nonzero(norms >= k_cut)[0]
-            stop = int(over[0]) + 1 if over.size else chunk
+        for _, cols, _, exited in _blocks(run, norm, chunk):
             if norm_x < k_cut:  # a site at/past the cut is never reached pre-exit
-                visits += int(np.all(block[:stop] == target, axis=1).sum())
-            if over.size:
+                hit = cols[0] == target[0]
+                for row, v in zip(cols[1:], target[1:]):
+                    hit &= row == v
+                visits += int(np.count_nonzero(hit))
+            if exited:
                 return visits
-            pos = block[-1]
-            done += chunk
         raise UsageError("walk failed to exit k_cut within the step budget")
 
     return np.array(map_replicas(one, replicas, threads=threads), dtype=np.int64)

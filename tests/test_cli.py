@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from normwalk.cli import main
 
@@ -52,6 +55,20 @@ class TestOutputs:
         assert manifest["subcommand"] == "census"
         assert manifest["config"]["kmax"] == 8
         assert len(manifest["config_hash"]) == 64
+
+    def test_config_hash_equal_across_processes(self, tmp_path):
+        hashes = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-m", "normwalk.cli", "census",
+                            "--norm", "l1", "--dim", "3", "--kmax", "5",
+                            "--out", str(out)], check=True,
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert "func" not in manifest["config"]
+            assert "out" not in manifest["config"]
+            hashes.append(manifest["config_hash"])
+        assert hashes[0] == hashes[1]
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -18,6 +18,8 @@ from normwalk.norms import (
 )
 
 UNIMODULAR = [[1, -1, 0], [0, 1, -1], [1, -1, 1]]
+# entries 2 and -3 exercise the general integer row combination
+SHEAR = [[1, 2, 0], [0, 1, 0], [0, -3, 1]]
 
 
 def lattice_points(dim, radius=5):
@@ -57,6 +59,25 @@ class TestNormValues:
         spec = make_norm("w1", 4)
         assert spec.value([0, 0, 0, 0]) == 0
         assert spec.value([0, 0, 0, 1]) == 4
+
+
+@pytest.mark.parametrize("spec", [
+    make_norm("max", 3), make_norm("l1", 3), make_norm("w1", 4),
+    make_norm("scaled_max", 3, factor=2),
+    make_norm("l1", 3, transform=UNIMODULAR),
+    make_norm("w1", 3, transform=UNIMODULAR),
+    make_norm("max", 3, transform=SHEAR),
+], ids=lambda s: json.dumps(s.describe()))
+def test_values_equal_value_in_both_layouts(spec):
+    rng = np.random.default_rng(4)
+    rows = rng.integers(-50, 51, size=(300, spec.dim))
+    exact = [spec.value(p) for p in rows.tolist()]
+    cols = np.ascontiguousarray(rows.T)
+    for pts in (rows, cols.T, rows.astype(np.int32)):
+        got = spec.values(pts)
+        assert got.dtype == np.int64
+        assert got.tolist() == exact
+    assert spec.values(rows[0]).tolist() == [exact[0]]
 
 
 class TestUnimodular:
@@ -174,6 +195,29 @@ class TestSpherePointsAndCounts:
         spec = make_norm("scaled_max", 3, factor=2)
         assert sphere_points(spec, 3).shape[0] == 0
         assert sphere_points(spec, 4).shape[0] == 98
+
+
+class TestEuclidRange:
+    @pytest.mark.parametrize("spec,lo,hi", [
+        (make_norm("max", 3), 1.0, np.sqrt(3)),
+        (make_norm("l1", 3), 1 / np.sqrt(3), 1.0),
+        # the w1 sphere is nearest the origin along (1, 2, 3)
+        (make_norm("w1", 3), 1 / np.sqrt(14), 1.0),
+        (make_norm("scaled_max", 3, factor=2), 0.5, np.sqrt(3) / 2),
+        # A^T c over c = (+-1, +-2, +-3) peaks at A^T (1, -2, 3) = (4, -6, 5)
+        (make_norm("w1", 3, transform=UNIMODULAR), 1 / np.sqrt(77), np.sqrt(2)),
+        (make_norm("l1", 3, transform=UNIMODULAR), 1 / np.sqrt(17), np.sqrt(3)),
+        (make_norm("max", 3, transform=UNIMODULAR), 1 / np.sqrt(3), np.sqrt(17)),
+    ])
+    def test_exact_values_bound_dense_directions(self, spec, lo, hi):
+        got_lo, got_hi = spec.euclid_range_on_unit_sphere()
+        assert got_lo == pytest.approx(lo, rel=1e-12)
+        assert got_hi == pytest.approx(hi, rel=1e-12)
+        u = np.random.default_rng(6).normal(size=(200_000, spec.dim))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        r = 1.0 / spec.values_real(u)  # Euclidean length of u / ||u||
+        assert r.min() >= lo * (1 - 1e-12) and r.max() <= hi * (1 + 1e-12)
+        assert r.min() <= lo * 1.001 and r.max() >= hi * 0.98
 
 
 class TestSerialisation:

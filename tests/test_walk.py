@@ -4,6 +4,7 @@ import pytest
 from normwalk.errors import UsageError
 from normwalk.norms import make_norm
 from normwalk.walk import (
+    DEFAULT_CHUNK,
     PartialSumObserver,
     StepDistribution,
     WalkRun,
@@ -23,6 +24,50 @@ from normwalk.walk import (
 
 MAX3 = make_norm("max", 3)
 L13 = make_norm("l1", 3)
+UNIMODULAR = [[1, -1, 0], [0, 1, -1], [1, -1, 1]]
+
+
+# -- reference: the row-major stepping loop the kernel replaced ---------------
+
+def reference_simulate(run, norm, chunk):
+    """(level counts, site counts, n, truncated) from an (n, d) loop."""
+    draw = run.step.sampler(replica_rng(run.master_seed, run.replica_index))
+    limit = run.horizon if run.horizon is not None else run.max_steps
+    levels = np.zeros(64, dtype=np.int64)
+    sites = {}
+    pos = np.zeros(run.step.dim, dtype=np.int64)
+    n_done, truncated = 0, False
+    while n_done < limit:
+        m = min(chunk, limit - n_done)
+        block = np.cumsum(draw(m), axis=0) + pos
+        norms = np.array([norm.value(p) for p in block.tolist()], dtype=np.int64)
+        stop = m
+        if run.stop_radius is not None:
+            over = np.nonzero(norms >= run.stop_radius)[0]
+            if over.size:
+                stop, truncated = int(over[0]) + 1, True
+        block, norms = block[:stop], norms[:stop]
+        top = int(norms.max())
+        if top >= len(levels):
+            levels = np.concatenate([levels, np.zeros(
+                max(top + 1, 2 * len(levels)) - len(levels), dtype=np.int64)])
+        levels += np.bincount(norms, minlength=len(levels))
+        for row in map(tuple, block.tolist()):
+            sites[row] = sites.get(row, 0) + 1
+        pos = block[-1]
+        n_done += stop
+        if truncated:
+            break
+    return levels, sites, n_done, truncated
+
+
+def reference_site_visits(step, norm, x, replicas, master_seed, k_cut, chunk):
+    out = []
+    for i in range(replicas):
+        run = WalkRun(step=step, master_seed=master_seed, replica_index=i,
+                      stop_radius=k_cut)
+        out.append(reference_simulate(run, norm, chunk)[1].get(tuple(x), 0))
+    return np.array(out, dtype=np.int64)
 
 
 class TestStepDistribution:
@@ -84,6 +129,45 @@ class TestDeterminism:
                                  horizon=64), MAX3) for i in range(2)]
         assert not np.array_equal(runs[0].level_counts, runs[1].level_counts) \
             or runs[0].site_counts != runs[1].site_counts
+
+
+WALKS = {"simple": make_simple_walk(3), "lazy": make_lazy_walk(3)}
+KERNEL_NORMS = {"max": MAX3, "w1": make_norm("w1", 3),
+                "scaled_max": make_norm("scaled_max", 3, factor=2),
+                "l1_transformed": make_norm("l1", 3, transform=UNIMODULAR)}
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("norm", KERNEL_NORMS)
+class TestKernelBitIdentity:
+    """The (d, m) stepping kernel reproduces the row-major loop exactly.
+
+    The lazy walk's non-uniform law draws through searchsorted.
+    """
+
+    @pytest.mark.parametrize("stopping", [{"stop_radius": 12},
+                                          {"horizon": 3000},
+                                          {"horizon": 600, "stop_radius": 14}])
+    def test_simulate(self, walk, norm, stopping):
+        run = WalkRun(step=WALKS[walk], master_seed=29, replica_index=3,
+                      **stopping)
+        for chunk in (17, DEFAULT_CHUNK):
+            levels, sites, n, truncated = reference_simulate(run, KERNEL_NORMS[norm],
+                                                             chunk)
+            rec = simulate(run, KERNEL_NORMS[norm], track_sites=True, chunk=chunk)
+            assert np.array_equal(rec.level_counts, levels)
+            assert rec.site_counts == sites
+            assert (rec.n_effective, rec.truncated) == (n, truncated)
+
+    def test_site_visit_samples(self, walk, norm):
+        step, spec = WALKS[walk], KERNEL_NORMS[norm]
+        want = reference_site_visits(step, spec, (1, 0, 0), 12, 41, k_cut=10,
+                                     chunk=200)
+        assert want.any()
+        for chunk in (17, None):
+            got = site_visit_samples(step, spec, (1, 0, 0), replicas=12,
+                                     master_seed=41, k_cut=10, chunk=chunk)
+            assert np.array_equal(got, want)
 
 
 class TestCountingIdentities:
