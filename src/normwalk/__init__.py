@@ -8,7 +8,7 @@ subordinator counterexample lab.
 """
 
 from .errors import NormwalkError, ResourceError, UsageError, VerificationError
-from .norms import NormSpec, make_norm, sphere_points, validate_unimodular, verify_a1
+from .norms import NormSpec, make_norm, sphere_points, validate_unimodular
 from .census import (
     SphereCensus,
     asymptotic_constant,
@@ -42,7 +42,6 @@ from .green import (
     green_dp,
     green_mc,
     green_vs_hitting,
-    expected_sum_bracket,
     spitzer_asymptotic,
     spitzer_constant_isotropic,
 )
@@ -73,7 +72,6 @@ from .measures import (
     weak_convergence_report,
 )
 from .jeulin import (
-    StableSampler,
     bernoulli_non_unifiable,
     laplace_check,
     limit_jeulin_harness,

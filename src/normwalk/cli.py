@@ -19,8 +19,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .census import census_for, verify_oracle_equivalence
 from .errors import ResourceError, UsageError, VerificationError
@@ -33,6 +31,7 @@ from .jeulin import (
     shiga3_scenario,
     shiga5_run,
 )
+from .measures import invariance_surrogate
 from .norms import NormSpec, make_norm
 from .summability import PowerLaw, PowerLog, zero_one_experiment
 from .walk import (
@@ -89,20 +88,21 @@ class Emitter:
         self.config = {k: v for k, v in config.items() if k not in ("func", "out")}
         self.header: Optional[list] = None
         self.rows: list = []
-        self.report: dict = {}
+        self.report: dict = {}  # finish() puts schema_version first
 
     def csv_rows(self, header: Sequence[str], rows: Sequence[Sequence]) -> None:
         self.header = list(header)
         self.rows = [list(r) for r in rows]
 
     def finish(self) -> None:
+        report = {"schema_version": SCHEMA_VERSION, **self.report}
         if self.out_dir is None:
             if self.fmt in ("csv", "both") and self.header is not None:
                 w = csv.writer(sys.stdout)
                 w.writerow(self.header)
                 w.writerows(self.rows)
-            if self.fmt in ("json", "both") and self.report:
-                json.dump(self.report, sys.stdout, indent=2, default=str)
+            if self.fmt in ("json", "both"):
+                json.dump(report, sys.stdout, indent=2, default=str)
                 sys.stdout.write("\n")
             return
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -111,10 +111,9 @@ class Emitter:
                 w = csv.writer(fh)
                 w.writerow(self.header)
                 w.writerows(self.rows)
-        if self.report:
-            with (self.out_dir / f"{self.subcommand}.json").open("w") as fh:
-                json.dump(self.report, fh, indent=2, default=str)
-                fh.write("\n")
+        with (self.out_dir / f"{self.subcommand}.json").open("w") as fh:
+            json.dump(report, fh, indent=2, default=str)
+            fh.write("\n")
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "tool": "normwalk",
@@ -130,36 +129,32 @@ class Emitter:
 
 
 # -- subcommand implementations ---------------------------------------------
+# Each handler runs its library function and fills the Emitter's CSV rows
+# and report; main() writes them.
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args, em: Emitter) -> None:
     spec = _norm_from_args(args)
     _guard_degenerate(spec, args)
-    emitter = Emitter("census", args.out, args.format, vars(args).copy())
     method = "bruteforce" if args.bruteforce else "auto"
     cen = census_for(spec, args.kmax, method=method)
-    emitter.csv_rows(["k", "count", "method"],
-                     [(k, cen[k], cen.method) for k in range(cen.k_max + 1)])
-    emitter.report = {"schema_version": SCHEMA_VERSION,
-                      "spec": spec.describe(), "k_max": cen.k_max,
-                      "method": cen.method}
+    em.csv_rows(["k", "count", "method"],
+                [(k, cen[k], cen.method) for k in range(cen.k_max + 1)])
+    em.report = {"spec": spec.describe(), "k_max": cen.k_max,
+                 "method": cen.method}
     if args.verify:
         extra = [spec] if (spec.transform is not None or spec.degenerate) else []
         mismatches = verify_oracle_equivalence(
             dims=(spec.dim,), k_max=min(args.kmax, 15), extra_specs=extra)
-        emitter.report["verified"] = not mismatches
-        emitter.report["mismatches"] = mismatches
+        em.report["verified"] = not mismatches
+        em.report["mismatches"] = mismatches
         if mismatches:
-            emitter.finish()
             raise VerificationError(f"census oracle mismatch: {mismatches[0]}")
-    emitter.finish()
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, em: Emitter) -> None:
     spec = _norm_from_args(args)
     step = make_simple_walk(args.dim)
-    emitter = Emitter("simulate", args.out, args.format, vars(args).copy())
 
     def one(i: int):
         run = WalkRun(step=step, master_seed=args.seed, replica_index=i,
@@ -172,56 +167,42 @@ def _cmd_simulate(args) -> int:
         for k, c in enumerate(rec.level_counts):
             if c:
                 rows.append((i, k, int(c)))
-    emitter.csv_rows(["replica", "k", "count"], rows)
-    summary = [{"replica": i, "n_effective": rec.n_effective,
-                "truncated": rec.truncated} for i, rec in enumerate(recs)]
+    em.csv_rows(["replica", "k", "count"], rows)
     bias = None
     if args.stop_radius is not None:
         populated = [k for _, k, _ in rows if k < args.stop_radius]
         if populated:
             bias = truncation_bias_bound(spec, max(populated), args.stop_radius)
-    emitter.report = {"schema_version": SCHEMA_VERSION,
-                      "n_effective": [r["n_effective"] for r in summary],
-                      "truncated": [r["truncated"] for r in summary],
-                      "bias_bound": bias}
-    emitter.finish()
-    return 0
+    em.report = {"n_effective": [rec.n_effective for rec in recs],
+                 "truncated": [rec.truncated for rec in recs],
+                 "bias_bound": bias}
 
 
-def _cmd_green(args) -> int:
+def _cmd_green(args, em: Emitter) -> None:
     step = make_simple_walk(args.dim)
     x = tuple(int(v) for v in args.x.split(","))
     if len(x) != args.dim:
         raise UsageError("--x must have --dim coordinates")
-    emitter = Emitter("green", args.out, args.format, vars(args).copy())
     if args.method == "dp":
         est = green_dp(step, x, n_max=args.nmax, box_radius=args.box_radius)
+        value, bound = est.value, est.error_bound
     elif args.method == "mc":
         spec = make_norm("max", args.dim)
         est = green_mc(step, spec, x, replicas=args.replicas,
                        master_seed=args.seed, threads=args.threads)
+        value, bound = est.value, est.error_bound
     else:
         if all(v == 0 for v in x):
             raise UsageError("the asymptotic needs x != 0")
-        val = spitzer_asymptotic(step.covariance, x)
-        emitter.report = {"schema_version": SCHEMA_VERSION, "x": list(x),
-                          "value": val, "error_bound": None,
-                          "method": "asymptotic"}
-        emitter.csv_rows(["x", "value", "error_bound", "method"],
-                         [(" ".join(map(str, x)), val, "", "asymptotic")])
-        emitter.finish()
-        return 0
-    emitter.report = {"schema_version": SCHEMA_VERSION, "x": list(est.x),
-                      "value": est.value, "error_bound": est.error_bound,
-                      "method": est.method}
-    emitter.csv_rows(["x", "value", "error_bound", "method"],
-                     [(" ".join(map(str, est.x)), est.value,
-                       est.error_bound, est.method)])
-    emitter.finish()
-    return 0
+        value, bound = spitzer_asymptotic(step.covariance, x), None
+    em.report = {"x": list(x), "value": value, "error_bound": bound,
+                 "method": args.method}
+    em.csv_rows(["x", "value", "error_bound", "method"],
+                [(" ".join(map(str, x)), value,
+                  "" if bound is None else bound, args.method)])
 
 
-def _cmd_zero_one(args) -> int:
+def _cmd_zero_one(args, em: Emitter) -> None:
     spec = _norm_from_args(args)
     _guard_degenerate(spec, args)
     step = make_simple_walk(args.dim)
@@ -234,13 +215,11 @@ def _cmd_zero_one(args) -> int:
     rep = zero_one_experiment(step, spec, f, replicas=args.replicas,
                               horizons=horizons, master_seed=args.seed,
                               census=census, threads=args.threads)
-    emitter = Emitter("zero-one", args.out, args.format, vars(args).copy())
     rows = [(i, h, rep.partials[i, j])
             for i in range(args.replicas)
             for j, h in enumerate(rep.horizons)]
-    emitter.csv_rows(["replica", "horizon", "partial_sum"], rows)
-    emitter.report = {
-        "schema_version": SCHEMA_VERSION,
+    em.csv_rows(["replica", "horizon", "partial_sum"], rows)
+    em.report = {
         "f": f.label,
         "criterion_v": rep.criterion_v.value,
         "criterion_iv": rep.criterion_iv.value if rep.criterion_iv else None,
@@ -248,7 +227,6 @@ def _cmd_zero_one(args) -> int:
         "eps_abs": rep.eps_abs,
         "eps_rel": rep.eps_rel,
     }
-    emitter.finish()
     if args.verify and rep.criterion_v.value != "undecidable":
         expect_high = rep.criterion_v.value == "converges"
         ok = rep.stabilized_fraction >= 0.8 if expect_high \
@@ -257,104 +235,77 @@ def _cmd_zero_one(args) -> int:
             raise VerificationError(
                 f"stabilized fraction {rep.stabilized_fraction} contradicts "
                 f"the symbolic verdict {rep.criterion_v.value}")
-    return 0
 
 
-def _cmd_invariance(args) -> int:
+def _cmd_invariance(args, em: Emitter) -> None:
     spec = _norm_from_args(args)
     _guard_degenerate(spec, args)
-    step = make_simple_walk(args.dim)
-    ladder = _parse_int_list(args.k_ladder)
-    emitter = Emitter("invariance", args.out, args.format, vars(args).copy())
-    from .measures import scaled_samples
-    rows = []
-    sets = []
-    for j, k in enumerate(sorted(ladder)):
-        s = scaled_samples(step, spec, k, args.replicas,
-                           master_seed=args.seed + 7919 * j,
-                           threads=args.threads)
-        sets.append(s)
-        rows.extend((k, i, v) for i, v in enumerate(s.samples))
-    emitter.csv_rows(["k", "replica", "scaled_value"], rows)
-    from .measures import distributional_cauchy
-    ks_seq = [distributional_cauchy(a.samples, b.samples, seed=args.seed)
-              for a, b in zip(sets, sets[1:])]
-    emitter.report = {
-        "schema_version": SCHEMA_VERSION,
-        "k_ladder": sorted(ladder),
+    rep = invariance_surrogate(make_simple_walk(args.dim), spec,
+                               _parse_int_list(args.k_ladder), args.replicas,
+                               master_seed=args.seed, threads=args.threads)
+    em.csv_rows(["k", "replica", "scaled_value"],
+                [(k, i, v) for k, s in zip(rep.k_ladder, rep.samples)
+                 for i, v in enumerate(s)])
+    em.report = {
+        "k_ladder": list(rep.k_ladder),
         "ks_sequence": [{"statistic": c.statistic, "noise_band": c.noise_band}
-                        for c in ks_seq],
-        "zero_fraction": float(np.mean([s.zero_fraction for s in sets])),
-        "mean_sequence": [s.mean for s in sets],
+                        for c in rep.ks_sequence],
+        "zero_fraction": rep.zero_fraction,
+        "mean_sequence": list(rep.mean_sequence),
     }
-    emitter.finish()
-    return 0
 
 
-def _cmd_jeulin(args) -> int:
-    emitter = Emitter("jeulin", args.out, args.format, vars(args).copy())
+def _cmd_jeulin(args, em: Emitter) -> None:
     if args.scenario == "bernoulli":
         rep = bernoulli_non_unifiable()
-        emitter.report = {"schema_version": SCHEMA_VERSION, **rep.as_dict()}
-        emitter.csv_rows(["finiteness_probability", "series_diverges"],
-                         [(str(rep.finiteness_probability), rep.series_diverges)])
-        emitter.finish()
-        return 0
-    if args.scenario == "shiga3":
+        em.report = rep.as_dict()
+        em.csv_rows(["finiteness_probability", "series_diverges"],
+                    [(str(rep.finiteness_probability), rep.series_diverges)])
+    elif args.scenario == "shiga3":
         ladder = sorted({max(1, args.K // 100), max(1, args.K // 10), args.K})
         rep = shiga3_run(args.alpha, ladder, args.replicas, args.seed,
                          threads=args.threads)
-        emitter.csv_rows(["K", "target", "empirical", "z", "divergence_fraction"],
-                         [(row["K"], row["target"], row["empirical"], row["z"], fr)
-                          for row, fr in zip(rep.laplace_rows,
-                                             rep.divergence_fractions)])
-        emitter.report = {
-            "schema_version": SCHEMA_VERSION,
+        em.csv_rows(["K", "target", "empirical", "z", "divergence_fraction"],
+                    [(row["K"], row["target"], row["empirical"], row["z"], fr)
+                     for row, fr in zip(rep.laplace_rows,
+                                        rep.divergence_fractions)])
+        em.report = {
             "laplace_targets": [r["target"] for r in rep.laplace_rows],
             "laplace_empirical": [r["empirical"] for r in rep.laplace_rows],
             "z_scores": [r["z"] for r in rep.laplace_rows],
             "divergence_fractions": list(rep.divergence_fractions),
         }
-        emitter.finish()
-        return 0
-    if args.scenario == "shiga5":
+    elif args.scenario == "shiga5":
         rep = shiga5_run(args.alpha, args.levels, args.replicas, args.seed,
                          threads=args.threads)
-        emitter.csv_rows(["eps", "target", "empirical", "z"],
-                         [(r["eps"], r["target"], r["empirical"], r["z"])
-                          for r in rep.laplace_rows])
-        emitter.report = {
-            "schema_version": SCHEMA_VERSION,
+        em.csv_rows(["eps", "target", "empirical", "z"],
+                    [(r["eps"], r["target"], r["empirical"], r["z"])
+                     for r in rep.laplace_rows])
+        em.report = {
             "phi_integral": rep.phi_integral,
             "laplace_targets": [r["target"] for r in rep.laplace_rows],
             "laplace_empirical": [r["empirical"] for r in rep.laplace_rows],
             "z_scores": [r["z"] for r in rep.laplace_rows],
             "partial_medians": list(rep.partial_medians),
         }
-        emitter.finish()
-        return 0
-    if args.scenario == "harness":
+    else:  # harness; argparse choices admit no other scenario
         scen = shiga3_scenario(args.alpha) if args.alpha < 0.5 else route_a_scenario(2.0)
         fam = [PowerLaw(4.0), PowerLaw(2.5), PowerLaw(1.0 / args.alpha)] \
             if args.alpha < 0.5 else [PowerLaw(4.0), PowerLaw(2.5)]
         rep = limit_jeulin_harness(scen, fam, [args.K // 100, args.K],
                                    replicas=args.replicas,
                                    master_seed=args.seed, threads=args.threads)
-        emitter.csv_rows(["f", "series_verdict", "stabilized_fraction",
-                          "implication_violated", "converse_fails"],
-                         [(r.f_label, r.series_verdict.value,
-                           r.stabilized_fraction, r.implication_violated,
-                           r.converse_fails) for r in rep.rows])
-        emitter.report = {"schema_version": SCHEMA_VERSION,
-                          "scenario": rep.scenario,
-                          "implication_respected": rep.implication_respected,
-                          "exhibits_converse_failure": rep.exhibits_converse_failure}
-        emitter.finish()
+        em.csv_rows(["f", "series_verdict", "stabilized_fraction",
+                     "implication_violated", "converse_fails"],
+                    [(r.f_label, r.series_verdict.value,
+                      r.stabilized_fraction, r.implication_violated,
+                      r.converse_fails) for r in rep.rows])
+        em.report = {"scenario": rep.scenario,
+                     "implication_respected": rep.implication_respected,
+                     "exhibits_converse_failure": rep.exhibits_converse_failure}
         if not rep.implication_respected:
             raise VerificationError("harness saw finite-evidence rows with a "
                                     "divergent weighted series")
-        return 0
-    raise UsageError(f"unknown scenario {args.scenario!r}")
 
 
 # -- parser -------------------------------------------------------------------
@@ -467,11 +418,14 @@ def main(argv: Optional[list] = None) -> int:
     try:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
-        for name in ("seed", "threads", "replicas", "kmax", "horizon",
-                     "stop_radius", "dim", "K", "levels", "nmax"):
-            if hasattr(args, name) and isinstance(getattr(args, name), str):
-                setattr(args, name, int(float(getattr(args, name))))
-        return args.func(args)
+        em = Emitter(args.subcommand, args.out, args.format, vars(args))
+        try:
+            args.func(args, em)
+        except VerificationError:
+            em.finish()  # a failed check still leaves its evidence behind
+            raise
+        em.finish()
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -237,46 +237,3 @@ def green_vs_hitting(green_value: float, green_se: float,
     return ConsistencyReport(green_value=green_value, ratio_value=ratio,
                              gap=gap, combined_sigma=sigma, n_sigma=n_sigma,
                              passed=bool(gap <= n_sigma * sigma))
-
-
-@dataclass(frozen=True)
-class BracketReport:
-    ratios: dict                 # f label -> MC/census ratio
-    lower: float
-    upper: float
-
-    @property
-    def bounded(self) -> bool:
-        return self.lower > 0 and math.isfinite(self.upper)
-
-
-def expected_sum_bracket(step: StepDistribution, norm: NormSpec,
-                         functions: dict, census, replicas: int,
-                         horizon: int, master_seed: int,
-                         threads: int = 1) -> BracketReport:
-    """MC estimate of E[sum f(||S_n||)] against f(0) + sum k^{2-d} N(k) f(k).
-
-    `functions` maps labels to vectorised level functions.  Each ratio
-    should stay within fixed constants when the series side converges.
-    """
-    from .walk import WalkRun, truncated_f_sum, map_replicas
-
-    d = norm.dim
-    ks = np.arange(1, census.k_max + 1)
-    weights = ks.astype(float) ** (2 - d) * np.array(census.counts[1:], dtype=float)
-    ratios = {}
-    for label, f in functions.items():
-        f0 = float(np.asarray(f(np.zeros(1, dtype=np.int64)))[0])
-        denom = f0 + float(weights @ np.asarray(f(ks), dtype=float))
-        if denom == 0.0:
-            raise UsageError(f"series side vanishes for {label!r} (0/0 ratio)")
-
-        def one(i: int, f=f) -> float:
-            run = WalkRun(step=step, master_seed=master_seed, replica_index=i,
-                          horizon=horizon)
-            return truncated_f_sum(run, norm, f, [horizon])[horizon]
-
-        vals = map_replicas(one, replicas, threads=threads)
-        ratios[label] = float(np.mean(vals)) / denom
-    return BracketReport(ratios=ratios, lower=min(ratios.values()),
-                         upper=max(ratios.values()))

@@ -61,17 +61,6 @@ def sample_stable(alpha: float, t: float, rng: Generator,
     return t ** (1.0 / alpha) * (a / e) ** ((1.0 - alpha) / alpha)
 
 
-@dataclass(frozen=True)
-class StableSampler:
-    """Stream of one-sided alpha-stable draws at a fixed scale."""
-
-    alpha: float
-    t: float = 1.0
-
-    def draw(self, rng: Generator, size: int) -> np.ndarray:
-        return sample_stable(self.alpha, self.t, rng, size)
-
-
 def laplace_check(alpha: float, lambdas: Sequence[float], draws: int,
                   master_seed: int = 0) -> list[dict]:
     """Empirical E[e^{-lam V}] against e^{-lam^alpha} with z-scores."""

@@ -271,6 +271,7 @@ class InvarianceReport:
     ks_sequence: tuple        # CauchyCheck per consecutive pair
     zero_fraction: float
     mean_sequence: tuple
+    samples: tuple            # scaled samples per ladder level
 
     @property
     def ks_decreasing_within_noise(self) -> bool:
@@ -304,4 +305,5 @@ def invariance_surrogate(step: StepDistribution, spec: NormSpec,
     zero = float(np.mean([s.zero_fraction for s in sets]))
     return InvarianceReport(k_ladder=tuple(ladder), ks_sequence=ks_seq,
                             zero_fraction=zero,
-                            mean_sequence=tuple(s.mean for s in sets))
+                            mean_sequence=tuple(s.mean for s in sets),
+                            samples=tuple(s.samples for s in sets))

@@ -216,28 +216,13 @@ class NormSpec:
                 acc += col * a
         return np.abs(acc, out=acc)
 
-    def value_real(self, x: Sequence[float]) -> float:
-        """Norm of a real vector (positively homogeneous extension)."""
-        v = np.asarray(x, dtype=float)
-        if v.shape != (self.dim,):
-            raise UsageError(f"point has shape {v.shape}, norm expects ({self.dim},)")
-        if self.transform is not None:
-            v = self.transform.astype(float) @ v
-        a = np.abs(v)
-        if self.family == "l1":
-            return float(a.sum())
-        if self.family == "w1":
-            return float(a @ np.arange(1, self.dim + 1))
-        m = float(a.max()) if a.size else 0.0
-        if self.family == "scaled_max":
-            return self.factor * m
-        return m
-
     def values_real(self, points: np.ndarray) -> np.ndarray:
         """Vectorised real norm of an (n, dim) float array."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
+        if pts.shape[1] != self.dim:
+            raise UsageError(f"points have dim {pts.shape[1]}, norm expects {self.dim}")
         y = pts
         if self.transform is not None:
             y = y @ self.transform.T.astype(float)
@@ -327,25 +312,6 @@ def make_norm(family: str, dim: int, factor: int = 1,
               transform: Optional[Sequence[Sequence[int]]] = None) -> NormSpec:
     t = None if transform is None else np.asarray(transform)
     return NormSpec(family=family, dim=dim, factor=factor, transform=t)
-
-
-def verify_a1(spec: NormSpec, box_radius: int) -> tuple[bool, Optional[tuple]]:
-    """Check integer-valuedness on the cube of the given radius.
-
-    Returns (True, None) or (False, first offending point).  Trivially true
-    for the built-in families; the check matters once user matrices compose
-    (construction already rejects non-integer entries, so this doubles as a
-    regression guard).
-    """
-    if box_radius < 1:
-        raise UsageError("box_radius must be >= 1")
-    for slab in iter_box_slabs(spec.dim, box_radius):
-        real = spec.values_real(slab.astype(float))
-        exact = spec.values(slab).astype(float)
-        bad = np.nonzero(np.abs(real - exact) > 1e-9 * np.maximum(1.0, exact))[0]
-        if bad.size:
-            return False, tuple(int(v) for v in slab[bad[0]])
-    return True, None
 
 
 def iter_box_slabs(dim: int, radius: int, max_chunk: int = 1 << 20) -> Iterator[np.ndarray]:

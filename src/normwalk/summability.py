@@ -202,22 +202,21 @@ def _decide_weighted(f: LevelFunction, stride: int = 1) -> tuple[Verdict, str]:
     if isinstance(f, PowerLog):
         return _series_verdict(f.beta, f.gamma), "symbolic"
     if isinstance(f, ParityMasked):
-        if stride % 2 == 0 and self_parity_empty(f):
+        # every stride-2 sample of an odd-supported f vanishes
+        if stride % 2 == 0 and f.parity == 1:
             return Verdict.CONVERGES, "symbolic"
         inner, _ = _decide_weighted(f.inner, stride)
         return inner, "symbolic"
     if isinstance(f, TableFunction):
-        if f.tail == "zero":
+        power = isinstance(f.tail, tuple) and f.tail and f.tail[0] == "power"
+        # a power tail anchored at k = 0 or at a zero last entry vanishes
+        # past the table, as values() computes it
+        if f.tail == "zero" or (power and (len(f.table) == 1 or f.table[-1] == 0)):
             return Verdict.CONVERGES, "partial-sum"
-        if isinstance(f.tail, tuple) and f.tail and f.tail[0] == "power":
+        if power:
             return _series_verdict(float(f.tail[1])), "partial-sum"
         return Verdict.UNDECIDABLE, "partial-sum"
     return Verdict.UNDECIDABLE, "partial-sum"
-
-
-def self_parity_empty(f: ParityMasked) -> bool:
-    """True when every stride-2 sample of f vanishes (odd-supported f)."""
-    return f.parity == 1
 
 
 def decide_even_v(f: LevelFunction) -> CriterionVerdict:
@@ -285,6 +284,23 @@ def excursion_allowance(f: LevelFunction, factor: float = EXCURSION_ALLOWANCE_FA
     return factor * f.value_sum() + 1e-12
 
 
+def _replica_partials(step: StepDistribution, norm: NormSpec,
+                      f: LevelFunction, horizons: list, replicas: int,
+                      master_seed: int, threads: int) -> np.ndarray:
+    """(replicas, len(horizons)) partial sums of f(||S_n||), n <= horizon.
+
+    Replica i walks the (master_seed, i) path once, up to the last horizon.
+    """
+
+    def one(i: int) -> list:
+        run = WalkRun(step=step, master_seed=master_seed, replica_index=i,
+                      horizon=horizons[-1])
+        ps = truncated_f_sum(run, norm, f, horizons)
+        return [ps[h] for h in horizons]
+
+    return np.array(map_replicas(one, replicas, threads=threads), dtype=float)
+
+
 def zero_one_experiment(step: StepDistribution, norm: NormSpec,
                         f: LevelFunction, replicas: int,
                         horizons: Sequence[int], master_seed: int,
@@ -312,14 +328,8 @@ def zero_one_experiment(step: StepDistribution, norm: NormSpec,
         raise UsageError("need at least two horizons")
     if eps_abs is None:
         eps_abs = excursion_allowance(f)
-
-    def one(i: int) -> list:
-        run = WalkRun(step=step, master_seed=master_seed, replica_index=i,
-                      horizon=horizons[-1])
-        ps = truncated_f_sum(run, norm, f, horizons)
-        return [ps[h] for h in horizons]
-
-    rows = np.array(map_replicas(one, replicas, threads=threads), dtype=float)
+    rows = _replica_partials(step, norm, f, horizons, replicas, master_seed,
+                             threads)
     final = rows[:, -1]
     diff = rows[:, -1] - rows[:, -2]
     stab = diff < eps_abs + eps_rel * final
@@ -357,7 +367,9 @@ def expectation_vs_criterion(step: StepDistribution, norm: NormSpec,
 
     The census partial sum is cut at the diffusive reach 2 sqrt(sigma^2 N)
     for each horizon N, so convergent cases give a flat ratio trajectory
-    and divergent cases show both sides growing together.
+    and divergent cases show both sides growing together.  A row whose
+    census_cutoff equals census.k_max compares against the whole census
+    range, f(0) + sum_{k<=k_max} k^{2-d} N(k) f(k).
     """
     d = norm.dim
     horizons = sorted(int(h) for h in horizons)
@@ -368,14 +380,8 @@ def expectation_vs_criterion(step: StepDistribution, norm: NormSpec,
     terms = weights * f_ks
     if f0 == 0.0 and not np.any(terms > 0):
         raise UsageError("f vanishes on the census range (0/0 ratio)")
-
-    def one(i: int) -> list:
-        run = WalkRun(step=step, master_seed=master_seed, replica_index=i,
-                      horizon=horizons[-1])
-        ps = truncated_f_sum(run, norm, f, horizons)
-        return [ps[h] for h in horizons]
-
-    rows_mc = np.array(map_replicas(one, replicas, threads=threads), dtype=float)
+    rows_mc = _replica_partials(step, norm, f, horizons, replicas, master_seed,
+                                threads)
     out = []
     for j, h in enumerate(horizons):
         cutoff = min(census.k_max, max(1, int(2.0 * math.sqrt(step.sigma2 * h))))

@@ -1,9 +1,13 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 
 from normwalk.cli import main
+from normwalk.measures import invariance_surrogate
+from normwalk.norms import make_norm
+from normwalk.walk import make_simple_walk
 
 
 def run(argv):
@@ -155,6 +159,40 @@ class TestOutputs:
         assert run(["census", "--norm", "max", "--dim", "3", "--kmax", "4",
                     "--verify"]) == 2
         assert "verification failed" in capsys.readouterr().err
+
+    def test_verification_failure_still_writes_outputs(self, tmp_path,
+                                                       monkeypatch):
+        import normwalk.cli as cli
+        monkeypatch.setattr(cli, "verify_oracle_equivalence",
+                            lambda **kw: [({"family": "max"}, 1, 2, 3)])
+        out = tmp_path / "c"
+        assert run(["census", "--norm", "max", "--dim", "3", "--kmax", "4",
+                    "--verify", "--out", str(out)]) == 2
+        rep = json.loads((out / "census.json").read_text())
+        assert rep["verified"] is False
+        assert list(rep)[0] == "schema_version"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["subcommand"] == "census"
+        assert (out / "census.csv").exists()
+
+    def test_invariance_runs_the_library_surrogate(self, tmp_path):
+        out = tmp_path / "inv"
+        assert run(["invariance", "--norm", "max", "--dim", "3",
+                    "--k-ladder", "3,6,12", "--replicas", "120",
+                    "--seed", "2", "--out", str(out), "--format", "both"]) == 0
+        lib = invariance_surrogate(make_simple_walk(3), make_norm("max", 3),
+                                   [3, 6, 12], 120, master_seed=2)
+        rep = json.loads((out / "invariance.json").read_text())
+        assert rep["ks_sequence"] == [
+            {"statistic": c.statistic, "noise_band": c.noise_band}
+            for c in lib.ks_sequence]
+        assert rep["mean_sequence"] == list(lib.mean_sequence)
+        assert rep["zero_fraction"] == lib.zero_fraction
+        with (out / "invariance.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        want = [(k, i, v) for k, s in zip(lib.k_ladder, lib.samples)
+                for i, v in enumerate(s)]
+        assert [(int(k), int(i), float(v)) for k, i, v in rows] == want
 
 
 class TestConfigFile:

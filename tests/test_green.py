@@ -7,7 +7,6 @@ from normwalk.errors import ResourceError, UsageError
 from normwalk.green import (
     GreenField,
     clt_tail_estimate,
-    expected_sum_bracket,
     green_dp,
     green_mc,
     green_vs_hitting,
@@ -180,35 +179,3 @@ class TestGreenVsHitting:
     def test_p0_domain(self):
         with pytest.raises(UsageError):
             green_vs_hitting(1.0, 0.1, 0.3, 0.01, 1.0, 0.01)
-
-
-class TestExpectedSumBracket:
-    def test_indicator_ratio_in_band(self):
-        sw = make_simple_walk(3)
-        from normwalk.census import census_for
-        cen = census_for(MAX3, 64)
-        fns = {"ind<=5": lambda k: (np.asarray(k) <= 5).astype(float)}
-        rep = expected_sum_bracket(sw, MAX3, fns, cen, replicas=300,
-                                   horizon=20_000, master_seed=11)
-        assert 0.1 <= rep.ratios["ind<=5"] <= 10.0
-        assert rep.bounded
-
-    def test_zero_function_rejected(self):
-        sw = make_simple_walk(3)
-        from normwalk.census import census_for
-        cen = census_for(MAX3, 16)
-        with pytest.raises(UsageError):
-            expected_sum_bracket(sw, MAX3,
-                                 {"zero": lambda k: np.zeros(len(k))},
-                                 cen, replicas=4, horizon=100, master_seed=0)
-
-    def test_ratio_stable_when_horizon_doubles(self):
-        sw = make_simple_walk(3)
-        from normwalk.census import census_for
-        cen = census_for(MAX3, 64)
-        fns = {"p4": lambda k: (1.0 + np.asarray(k)) ** -4.0}
-        r1 = expected_sum_bracket(sw, MAX3, fns, cen, replicas=400,
-                                  horizon=10_000, master_seed=19)
-        r2 = expected_sum_bracket(sw, MAX3, fns, cen, replicas=400,
-                                  horizon=20_000, master_seed=20)
-        assert r2.ratios["p4"] == pytest.approx(r1.ratios["p4"], rel=0.2)

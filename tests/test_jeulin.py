@@ -7,7 +7,6 @@ from scipy import stats
 
 from normwalk.errors import UsageError
 from normwalk.jeulin import (
-    StableSampler,
     bernoulli_non_unifiable,
     bernoulli_scenario,
     harmonic,
@@ -70,11 +69,6 @@ class TestStableSampler:
                                        size=40_000, random_state=11)
         mine = sample_stable(alpha, 1.0, replica_rng(3, 0), 40_000)
         assert ks_statistic(oracle, mine) < 0.015
-
-    def test_sampler_object(self):
-        s = StableSampler(alpha=0.4, t=2.0)
-        v = s.draw(replica_rng(4, 0), 1000)
-        assert v.shape == (1000,) and (v > 0).all()
 
 
 class TestShiga3:

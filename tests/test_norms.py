@@ -14,7 +14,6 @@ from normwalk.norms import (
     make_norm,
     sphere_points,
     validate_unimodular,
-    verify_a1,
 )
 
 UNIMODULAR = [[1, -1, 0], [0, 1, -1], [1, -1, 1]]
@@ -41,19 +40,19 @@ class TestNormValues:
         assert spec.value([1, 1, 1]) == 1
 
     def test_l1_real(self):
-        assert make_norm("l1", 3).value_real([0.5, -0.5, 0.0]) == 1.0
+        assert make_norm("l1", 3).values_real([[0.5, -0.5, 0.0]])[0] == 1.0
 
     def test_max_real_zero(self):
-        assert make_norm("max", 3).value_real([0.0, 0.0, 0.0]) == 0.0
+        assert make_norm("max", 3).values_real([[0.0, 0.0, 0.0]])[0] == 0.0
 
     def test_scaled_max_real(self):
-        assert make_norm("scaled_max", 3, factor=2).value_real([1.0, 0, 0]) == 2.0
+        assert make_norm("scaled_max", 3, factor=2).values_real([[1.0, 0, 0]])[0] == 2.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
             make_norm("max", 3).value([1, 2])
         with pytest.raises(UsageError):
-            make_norm("max", 3).value_real([1.0, 2.0])
+            make_norm("max", 3).values_real([[1.0, 2.0]])
 
     def test_zero_iff_origin(self):
         spec = make_norm("w1", 4)
@@ -143,7 +142,7 @@ def test_transformed_axioms(x):
 def test_real_matches_exact_on_lattice(x):
     spec = make_norm("w1", 4)
     exact = spec.value(x)
-    real = spec.value_real([float(v) for v in x])
+    real = spec.values_real([[float(v) for v in x]])[0]
     assert abs(real - exact) <= 1e-9 * max(1, exact)
 
 
@@ -151,22 +150,9 @@ def test_positive_homogeneity_real():
     spec = make_norm("l1", 3, transform=UNIMODULAR)
     v = np.array([0.3, -1.2, 0.7])
     for lam in (0.0, 0.5, 2.5):
-        got = spec.value_real(lam * v)
-        want = lam * spec.value_real(v)
+        got = spec.values_real([lam * v])[0]
+        want = lam * spec.values_real([v])[0]
         assert abs(got - want) <= 1e-12 * max(1.0, want)
-
-
-class TestVerifyA1:
-    def test_builtin_families(self):
-        assert verify_a1(make_norm("max", 3), 5) == (True, None)
-        assert verify_a1(make_norm("w1", 4), 4) == (True, None)
-
-    def test_transformed(self):
-        assert verify_a1(make_norm("l1", 3, transform=UNIMODULAR), 4)[0]
-
-    def test_radius_gate(self):
-        with pytest.raises(UsageError):
-            verify_a1(make_norm("max", 3), 0)
 
 
 class TestSpherePointsAndCounts:
@@ -228,7 +214,7 @@ class TestSerialisation:
         pts = np.array([[1, 0, 0], [2, -1, 3], [-4, 5, -6]])
         assert (spec.values(pts) == clone.values(pts)).all()
         v = [0.25, -1.75, 3.5]
-        assert spec.value_real(v) == clone.value_real(v)
+        assert spec.values_real([v])[0] == clone.values_real([v])[0]
 
     def test_json_shape(self):
         spec = make_norm("scaled_max", 2, factor=3)

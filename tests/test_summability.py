@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,19 @@ class TestDecideV:
             == Verdict.DIVERGES
         v = decide_v(TableFunction((1.0, 0.5), tail=None))
         assert v.verdict == Verdict.UNDECIDABLE and v.method == "partial-sum"
+
+    def test_power_tail_anchored_at_zero_converges(self):
+        # values() is 0 past the table, so the sum is finite whatever beta
+        for f in (TableFunction((1.0,), tail=("power", 1.0)),
+                  TableFunction((1.0, 0.0), tail=("power", 1.0))):
+            assert (f(np.arange(2, 50)) == 0).all()
+            for decide in (decide_v, decide_even_v):
+                v = decide(f)
+                assert v.verdict == Verdict.CONVERGES
+                assert v.method == "partial-sum"
+        live = TableFunction((1.0, 2.0), tail=("power", 1.0))
+        assert decide_v(live).verdict == Verdict.DIVERGES
+        assert decide_even_v(live).verdict == Verdict.DIVERGES
 
     def test_opaque_function_undecidable(self):
         class Weird:
@@ -200,6 +215,35 @@ class TestExpectationVsCriterion:
         with pytest.raises(UsageError):
             expectation_vs_criterion(SW3, MAX3, zero, cen, replicas=4,
                                      horizons=[100], master_seed=0)
+
+    # With the diffusive cutoff at k_max a row's ratio is the whole-range
+    # bracket MC / (f(0) + sum_k k^{2-d} N(k) f(k)).
+
+    def test_indicator_ratio_in_band(self):
+        cen = census_for(MAX3, 64)
+
+        def ind(k):
+            return (np.asarray(k) <= 5).astype(float)
+
+        rep = expectation_vs_criterion(SW3, MAX3, ind, cen, replicas=300,
+                                       horizons=[20_000], master_seed=11)
+        row = rep.rows[0]
+        assert row["census_cutoff"] == cen.k_max
+        assert 0.1 <= row["ratio"] <= 10.0
+        assert row["ratio"] > 0 and math.isfinite(row["ratio"])
+
+    def test_ratio_stable_when_horizon_doubles(self):
+        cen = census_for(MAX3, 64)
+
+        def p4(k):
+            return (1.0 + np.asarray(k)) ** -4.0
+
+        r1 = expectation_vs_criterion(SW3, MAX3, p4, cen, replicas=400,
+                                      horizons=[10_000], master_seed=19).rows[0]
+        r2 = expectation_vs_criterion(SW3, MAX3, p4, cen, replicas=400,
+                                      horizons=[20_000], master_seed=20).rows[0]
+        assert r1["census_cutoff"] == r2["census_cutoff"] == cen.k_max
+        assert r2["ratio"] == pytest.approx(r1["ratio"], rel=0.2)
 
 
 class TestFunctionSpecs:
