@@ -128,7 +128,7 @@ def census_for(spec: NormSpec, k_max: int, method: str = "auto",
     """
     if method == "bruteforce":
         return count_bruteforce(spec, k_max, box_budget=box_budget)
-    if method not in ("auto", "fast"):
+    if method != "auto":
         raise UsageError(f"unknown census method {method!r}")
     if spec.family == "max":
         base = census_max_closed(spec.dim, k_max)

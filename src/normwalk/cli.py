@@ -187,8 +187,7 @@ def _cmd_green(args, em: Emitter) -> None:
         est = green_dp(step, x, n_max=args.nmax, box_radius=args.box_radius)
         value, bound = est.value, est.error_bound
     elif args.method == "mc":
-        spec = make_norm("max", args.dim)
-        est = green_mc(step, spec, x, replicas=args.replicas,
+        est = green_mc(step, _norm_from_args(args), x, replicas=args.replicas,
                        master_seed=args.seed, threads=args.threads)
         value, bound = est.value, est.error_bound
     else:

@@ -61,6 +61,17 @@ def sample_stable(alpha: float, t: float, rng: Generator,
     return t ** (1.0 / alpha) * (a / e) ** ((1.0 - alpha) / alpha)
 
 
+def _laplace_row(key: str, label, w: np.ndarray, target: float) -> dict:
+    """Sample mean of the Laplace weights w against its exact target.
+
+    The z-score is 0 when the weights are constant (zero standard error).
+    """
+    emp = float(w.mean())
+    se = float(w.std(ddof=1) / math.sqrt(len(w)))
+    z = (emp - target) / se if se > 0 else 0.0
+    return {key: label, "empirical": emp, "target": target, "z": float(z)}
+
+
 def laplace_check(alpha: float, lambdas: Sequence[float], draws: int,
                   master_seed: int = 0) -> list[dict]:
     """Empirical E[e^{-lam V}] against e^{-lam^alpha} with z-scores."""
@@ -72,13 +83,8 @@ def laplace_check(alpha: float, lambdas: Sequence[float], draws: int,
     for lam in lambdas:
         if lam < 0:
             raise UsageError("lambda must be nonnegative")
-        w = np.exp(-lam * v)
-        emp = float(w.mean())
-        target = math.exp(-lam ** alpha)
-        se = float(w.std(ddof=1) / math.sqrt(draws)) if lam > 0 else 0.0
-        z = (emp - target) / se if se > 0 else 0.0
-        out.append({"lambda": float(lam), "empirical": emp, "target": target,
-                    "z": float(z)})
+        out.append(_laplace_row("lambda", float(lam), np.exp(-lam * v),
+                                math.exp(-lam ** alpha)))
     return out
 
 
@@ -136,15 +142,9 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
 
     partials = np.array(map_replicas(one, replicas, threads=threads), dtype=float)
 
-    laplace_rows = []
-    for j, k in enumerate(ladder):
-        w = np.exp(-partials[:, j])
-        target = math.exp(-harmonic(k))
-        emp = float(w.mean())
-        se = float(w.std(ddof=1) / math.sqrt(replicas))
-        z = (emp - target) / se if se > 0 else 0.0
-        laplace_rows.append({"K": k, "empirical": emp, "target": target,
-                             "z": float(z)})
+    laplace_rows = [_laplace_row("K", k, np.exp(-partials[:, j]),
+                                 math.exp(-harmonic(k)))
+                    for j, k in enumerate(ladder)]
     fractions = tuple(float((partials[:, j] > threshold).mean())
                       for j in range(len(ladder)))
     exponent = 1.0 / alpha - 1.0
@@ -188,7 +188,7 @@ class Shiga5Report:
 
     @property
     def laplace_consistent(self) -> bool:
-        return all(abs(r["z"]) <= 3.0 for r in self.laplace_rows if r["z"] is not None)
+        return all(abs(r["z"]) <= 3.0 for r in self.laplace_rows)
 
     @property
     def partials_growing(self) -> bool:
@@ -241,15 +241,9 @@ def shiga5_run(alpha: float, levels: int, replicas: int, master_seed: int,
 
     rows = np.array(map_replicas(one, replicas, threads=threads), dtype=float)
 
-    laplace_rows = []
-    for j in range(levels):
-        w = np.exp(-rows[:, j])
-        target = math.exp(-exact_exponent(j))
-        emp = float(w.mean())
-        se = float(w.std(ddof=1) / math.sqrt(replicas))
-        z = (emp - target) / se if se > 0 else None
-        laplace_rows.append({"eps": edges[j + 1], "empirical": emp,
-                             "target": target, "z": z})
+    laplace_rows = [_laplace_row("eps", edges[j + 1], np.exp(-rows[:, j]),
+                                 math.exp(-exact_exponent(j)))
+                    for j in range(levels)]
 
     # phi-integral by quadrature in w = log(1/t): int w^{-1/alpha} dw
     phi_quad = quad(lambda w: w ** (-1.0 / alpha),

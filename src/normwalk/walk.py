@@ -12,17 +12,19 @@ A block is drawn with one call of the replica's generator and cut at the
 first step whose norm reaches the stop radius; nothing past the stopping
 time is emitted.  Chunking never changes the stream: the draws are
 chunk-invariant, so any chunk size gives the same path, bit for bit.
+The block size therefore follows from the run: about the diffusive exit
+time of the stop radius when there is one, DEFAULT_CHUNK otherwise.
 
-Observers consume (start index, positions, norms) blocks instead of single
-steps.  They see positions as an (m, d) array, the transposed view of the
-block, so observers written for row-major positions need no change.
+Every estimator here (level and site counts, partial sums of f(||S_n||),
+truncated total local times) reads the (n0, cols, norms, exited) blocks
+of `_blocks` directly.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -174,56 +176,33 @@ class LocalTimeRecord:
     truncated: bool                   # True when stop_radius fired first
     site_counts: Optional[dict] = None
 
-    def level(self, k: int) -> int:
-        if k < len(self.level_counts):
-            return int(self.level_counts[k])
-        return 0
-
     def site(self, x: Sequence[int]) -> int:
         if self.site_counts is None:
             raise UsageError("site tracking was not enabled for this run")
         return self.site_counts.get(tuple(int(v) for v in x), 0)
 
 
-class PartialSumObserver:
-    """Accumulates sum f(||S_n||) and records it at given checkpoints."""
-
-    def __init__(self, f: Callable[[np.ndarray], np.ndarray],
-                 checkpoints: Sequence[int]):
-        self.f = f
-        self.checkpoints = sorted(int(c) for c in checkpoints)
-        if self.checkpoints and self.checkpoints[0] < 1:
-            raise UsageError("checkpoints must be >= 1")
-        self.partials: dict[int, float] = {}
-        self._total = 0.0
-
-    def observe(self, n0: int, positions: np.ndarray, norms: np.ndarray) -> None:
-        vals = np.asarray(self.f(norms), dtype=float)
-        hits = [c for c in self.checkpoints
-                if n0 <= c < n0 + len(norms) and c not in self.partials]
-        if hits:
-            csum = np.cumsum(vals)
-            for c in hits:
-                self.partials[c] = self._total + float(csum[c - n0])
-        self._total += float(vals.sum())
-
-    @property
-    def total(self) -> float:
-        return self._total
+def _exit_scale_chunk(k_cut: int) -> int:
+    """Chunk sized to the diffusive exit time of radius k_cut."""
+    return int(min(max(2048, 2 * k_cut * k_cut), 1 << 17))
 
 
-def _blocks(run: WalkRun, norm: NormSpec,
-            chunk: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, bool]]:
+def _blocks(run: WalkRun, norm: NormSpec, chunk: Optional[int] = None
+            ) -> Iterator[tuple[int, np.ndarray, np.ndarray, bool]]:
     """The stepping kernel: yields (n0, cols, norms, exited) blocks.
 
     cols is the (d, m) int64 block of positions S_{n0}, ..., S_{n0+m-1} and
     norms their norms.  Each block draws min(chunk, steps left) increments;
     the block that reaches stop_radius is cut just after that step, comes
     with exited = True and is the last.  Otherwise the blocks end after
-    horizon (or max_steps) steps.
+    horizon (or max_steps) steps.  chunk defaults to the exit-time scale of
+    stop_radius, or DEFAULT_CHUNK for a run without one.
     """
     if norm.dim != run.step.dim:
         raise UsageError("norm and step distribution dimensions differ")
+    if chunk is None:
+        chunk = (DEFAULT_CHUNK if run.stop_radius is None
+                 else _exit_scale_chunk(run.stop_radius))
     step = run.step
     draw = step._index_sampler(replica_rng(run.master_seed, run.replica_index))
     limit = run.horizon if run.horizon is not None else run.max_steps
@@ -251,16 +230,13 @@ def _blocks(run: WalkRun, norm: NormSpec,
         n_done += len(norms)
 
 
-def simulate(run: WalkRun, norm: NormSpec,
-             observers: Iterable = (),
-             track_sites: bool = False,
-             chunk: int = DEFAULT_CHUNK) -> LocalTimeRecord:
-    """Generate one replica path, streaming blocks to observers.
+def simulate(run: WalkRun, norm: NormSpec, track_sites: bool = False,
+             chunk: Optional[int] = None) -> LocalTimeRecord:
+    """Generate one replica path and count its visits by level (and site).
 
     Runs for `horizon` steps or until ||S_n|| >= stop_radius, whichever
     comes first.  Level counts satisfy sum_k counts[k] = n_effective.
     """
-    observers = list(observers)
     level_counts = np.zeros(64, dtype=np.int64)
     sites: Optional[dict] = {} if track_sites else None
     n_done = 0
@@ -274,14 +250,10 @@ def simulate(run: WalkRun, norm: NormSpec,
             level_counts = grown
         level_counts += np.bincount(norms, minlength=len(level_counts))
 
-        positions = cols.T
         if sites is not None:
-            uniq, cnt = np.unique(positions, axis=0, return_counts=True)
+            uniq, cnt = np.unique(cols.T, axis=0, return_counts=True)
             for row, c in zip(map(tuple, uniq.tolist()), cnt.tolist()):
                 sites[row] = sites.get(row, 0) + c
-
-        for obs in observers:
-            obs.observe(n0, positions, norms)
         n_done = n0 - 1 + len(norms)
 
     return LocalTimeRecord(level_counts=level_counts, n_effective=n_done,
@@ -290,21 +262,25 @@ def simulate(run: WalkRun, norm: NormSpec,
 
 def truncated_f_sum(run: WalkRun, norm: NormSpec,
                     f: Callable[[np.ndarray], np.ndarray],
-                    checkpoints: Sequence[int],
-                    chunk: int = DEFAULT_CHUNK) -> dict[int, float]:
+                    checkpoints: Sequence[int]) -> dict[int, float]:
     """Partial sums sum_{n<=N} f(||S_n||) at each checkpoint N."""
     checkpoints = sorted(int(c) for c in checkpoints)
     if not checkpoints:
         raise UsageError("need at least one checkpoint")
-    obs = PartialSumObserver(f, checkpoints)
-    horizon = max(checkpoints)
-    run = WalkRun(step=run.step, master_seed=run.master_seed,
-                  replica_index=run.replica_index, horizon=horizon,
-                  stop_radius=run.stop_radius, max_steps=run.max_steps)
-    simulate(run, norm, observers=[obs], chunk=chunk)
-    out = dict(obs.partials)
+    if checkpoints[0] < 1:
+        raise UsageError("checkpoints must be >= 1")
+    out: dict[int, float] = {}
+    total = 0.0
+    for n0, _, norms, _ in _blocks(replace(run, horizon=checkpoints[-1]), norm):
+        vals = np.asarray(f(norms), dtype=float)
+        hits = [c for c in checkpoints if n0 <= c < n0 + len(norms)]
+        if hits:
+            csum = np.cumsum(vals)
+            for c in hits:
+                out[c] = total + float(csum[c - n0])
+        total += float(vals.sum())
     for c in checkpoints:  # checkpoints past an early stop hold the final sum
-        out.setdefault(c, obs.total)
+        out.setdefault(c, total)
     return out
 
 
@@ -343,16 +319,29 @@ class LevelLocalTimeSample:
         return float(self.samples.std(ddof=1) / np.sqrt(n)) if n > 1 else np.inf
 
 
-def _exit_scale_chunk(k_cut: int) -> int:
-    """Chunk sized to the diffusive exit time of radius k_cut."""
-    return int(min(max(2048, 2 * k_cut * k_cut), 1 << 17))
+def _exit_counts(step: StepDistribution, norm: NormSpec, k_cut: int,
+                 replicas: int, master_seed: int, threads: int,
+                 count: Callable[[np.ndarray, np.ndarray], int]) -> np.ndarray:
+    """Per replica, the sum of count(cols, norms) over its blocks up to and
+    including the step that exits norm-radius k_cut."""
+
+    def one(i: int) -> int:
+        run = WalkRun(step=step, master_seed=master_seed, replica_index=i,
+                      stop_radius=k_cut)
+        total = 0
+        for _, cols, norms, exited in _blocks(run, norm):
+            total += count(cols, norms)
+            if exited:
+                return total
+        raise UsageError("walk failed to exit k_cut within the step budget")
+
+    return np.array(map_replicas(one, replicas, threads=threads), dtype=np.int64)
 
 
 def total_level_local_time(step: StepDistribution, norm: NormSpec, k: int,
                            replicas: int, master_seed: int,
                            k_cut: Optional[int] = None,
-                           threads: int = 1,
-                           chunk: Optional[int] = None) -> LevelLocalTimeSample:
+                           threads: int = 1) -> LevelLocalTimeSample:
     """Visit counts to norm level k before first exceeding k_cut.
 
     Requires d >= 3 (transient regime) and k_cut >= 2k; default k_cut = 8k.
@@ -365,49 +354,32 @@ def total_level_local_time(step: StepDistribution, norm: NormSpec, k: int,
         k_cut = 8 * k
     if k_cut < 2 * k:
         raise UsageError(f"k_cut = {k_cut} < 2k leaves the truncation bias uncontrolled")
-    if chunk is None:
-        chunk = _exit_scale_chunk(k_cut)
-
-    def one(i: int) -> int:
-        run = WalkRun(step=step, master_seed=master_seed, replica_index=i,
-                      stop_radius=k_cut)
-        rec = simulate(run, norm, chunk=chunk)
-        return rec.level(k)
-
-    vals = np.array(map_replicas(one, replicas, threads=threads), dtype=np.int64)
+    vals = _exit_counts(step, norm, k_cut, replicas, master_seed, threads,
+                        lambda cols, norms: int(np.count_nonzero(norms == k)))
     return LevelLocalTimeSample(k=k, k_cut=k_cut, samples=vals,
                                 bias_bound=truncation_bias_bound(norm, k, k_cut))
 
 
 def site_visit_samples(step: StepDistribution, norm: NormSpec,
                        x: Sequence[int], replicas: int, master_seed: int,
-                       k_cut: int, threads: int = 1,
-                       chunk: Optional[int] = None) -> np.ndarray:
+                       k_cut: int, threads: int = 1) -> np.ndarray:
     """Per-replica visit counts to the site x before exiting k_cut."""
     if norm.dim < 3:
         raise UsageError("total local times require d >= 3 (transient walk)")
     target = np.asarray(x, dtype=np.int64)
     if target.shape != (step.dim,):
         raise UsageError("x must be a lattice point of the walk's dimension")
-    if chunk is None:
-        chunk = _exit_scale_chunk(k_cut)
-    norm_x = norm.value([int(v) for v in target])
+    if norm.value([int(v) for v in target]) >= k_cut:
+        # a site at or past the cut is never reached before the exit
+        return np.zeros(replicas, dtype=np.int64)
 
-    def one(i: int) -> int:
-        run = WalkRun(step=step, master_seed=master_seed, replica_index=i,
-                      stop_radius=k_cut)
-        visits = 0
-        for _, cols, _, exited in _blocks(run, norm, chunk):
-            if norm_x < k_cut:  # a site at/past the cut is never reached pre-exit
-                hit = cols[0] == target[0]
-                for row, v in zip(cols[1:], target[1:]):
-                    hit &= row == v
-                visits += int(np.count_nonzero(hit))
-            if exited:
-                return visits
-        raise UsageError("walk failed to exit k_cut within the step budget")
+    def visits(cols: np.ndarray, norms: np.ndarray) -> int:
+        hit = cols[0] == target[0]
+        for row, v in zip(cols[1:], target[1:]):
+            hit &= row == v
+        return int(np.count_nonzero(hit))
 
-    return np.array(map_replicas(one, replicas, threads=threads), dtype=np.int64)
+    return _exit_counts(step, norm, k_cut, replicas, master_seed, threads, visits)
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,10 @@ class TestBruteForceOracle:
         with pytest.raises(ResourceError):
             count_bruteforce(make_norm("max", 3), 500, box_budget=10_000)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(UsageError):
+            census_for(make_norm("max", 3), 5, method="fast")
+
     def test_verify_helper_clean(self):
         assert verify_oracle_equivalence(dims=(2,), k_max=6) == []
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from normwalk.cli import main
+from normwalk.green import green_mc
 from normwalk.measures import invariance_surrogate
 from normwalk.norms import make_norm
 from normwalk.walk import make_simple_walk
@@ -106,6 +107,21 @@ class TestOutputs:
         rep = json.loads(capsys.readouterr().out)
         assert rep["method"] == "dp"
         assert 0.15 < rep["value"] < 0.30
+
+    def test_green_mc_uses_the_chosen_norm(self, capsys):
+        for flags, spec in (
+                (["--norm", "l1"], make_norm("l1", 3)),
+                (["--norm", "l1", "--transform", "1,-1,0;0,1,-1;1,-1,1"],
+                 make_norm("l1", 3, transform=[[1, -1, 0], [0, 1, -1],
+                                                [1, -1, 1]]))):
+            assert run(["green", "--dim", "3", "--x", "2,1,0", "--method", "mc",
+                        "--replicas", "200", "--seed", "3", "--format", "json",
+                        *flags]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            want = green_mc(make_simple_walk(3), spec, (2, 1, 0), replicas=200,
+                            master_seed=3)
+            assert (rep["value"], rep["error_bound"]) == \
+                (want.value, want.error_bound)
 
     def test_zero_one_json_block(self, tmp_path):
         out = tmp_path / "z"

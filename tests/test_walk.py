@@ -5,9 +5,10 @@ from normwalk.errors import UsageError
 from normwalk.norms import make_norm
 from normwalk.walk import (
     DEFAULT_CHUNK,
-    PartialSumObserver,
     StepDistribution,
     WalkRun,
+    _blocks,
+    _exit_scale_chunk,
     check_a0,
     geometric_tail_report,
     hitting_probability,
@@ -151,9 +152,11 @@ class TestKernelBitIdentity:
     def test_simulate(self, walk, norm, stopping):
         run = WalkRun(step=WALKS[walk], master_seed=29, replica_index=3,
                       **stopping)
-        for chunk in (17, DEFAULT_CHUNK):
+        derived = (DEFAULT_CHUNK if run.stop_radius is None
+                   else _exit_scale_chunk(run.stop_radius))
+        for chunk, ref_chunk in ((17, 17), (None, derived)):
             levels, sites, n, truncated = reference_simulate(run, KERNEL_NORMS[norm],
-                                                             chunk)
+                                                             ref_chunk)
             rec = simulate(run, KERNEL_NORMS[norm], track_sites=True, chunk=chunk)
             assert np.array_equal(rec.level_counts, levels)
             assert rec.site_counts == sites
@@ -164,10 +167,14 @@ class TestKernelBitIdentity:
         want = reference_site_visits(step, spec, (1, 0, 0), 12, 41, k_cut=10,
                                      chunk=200)
         assert want.any()
-        for chunk in (17, None):
-            got = site_visit_samples(step, spec, (1, 0, 0), replicas=12,
-                                     master_seed=41, k_cut=10, chunk=chunk)
-            assert np.array_equal(got, want)
+        got = site_visit_samples(step, spec, (1, 0, 0), replicas=12,
+                                 master_seed=41, k_cut=10)
+        assert np.array_equal(got, want)
+        replayed = [simulate(WalkRun(step=step, master_seed=41, replica_index=i,
+                                     stop_radius=10),
+                             spec, track_sites=True, chunk=17).site((1, 0, 0))
+                    for i in range(12)]
+        assert got.tolist() == replayed
 
 
 class TestCountingIdentities:
@@ -196,38 +203,22 @@ class TestCountingIdentities:
         # sum_n g(S_n) = sum_x g(x) L(x), exactly, on a truncated path
         run = WalkRun(step=make_simple_walk(3), master_seed=13, horizon=1500)
         collected = []
-
-        class G:
-            def observe(self, n0, pos, norms):
-                collected.append(pos.sum(axis=1).astype(float) ** 2)
-
-        rec = simulate(run, MAX3, observers=[G()], track_sites=True)
+        for _, cols, _, _ in _blocks(run, MAX3):
+            collected.append(cols.T.sum(axis=1).astype(float) ** 2)
+        rec = simulate(run, MAX3, track_sites=True)
         path_sum = float(np.concatenate(collected).sum())
         site_sum = sum((sum(x)) ** 2 * c for x, c in rec.site_counts.items())
         assert path_sum == pytest.approx(site_sum, rel=1e-12)
 
     def test_max_norm_steps_change_level_by_at_most_one(self):
         run = WalkRun(step=make_simple_walk(3), master_seed=2, horizon=3000)
-        seen = []
-
-        class C:
-            def observe(self, n0, pos, norms):
-                seen.append(norms.copy())
-
-        simulate(run, MAX3, observers=[C()])
+        seen = [norms for _, _, norms, _ in _blocks(run, MAX3)]
         ns = np.concatenate([[0], np.concatenate(seen)])
         assert set(np.unique(np.diff(ns))) <= {-1, 0, 1}
 
     def test_l1_parity(self):
         run = WalkRun(step=make_simple_walk(3), master_seed=2, horizon=3000)
-        seen = []
-
-        class C:
-            def observe(self, n0, pos, norms):
-                seen.append(norms.copy())
-
-        simulate(run, L13, observers=[C()])
-        ns = np.concatenate(seen)
+        ns = np.concatenate([norms for _, _, norms, _ in _blocks(run, L13)])
         assert np.all((ns - np.arange(1, len(ns) + 1)) % 2 == 0)
 
 
@@ -267,11 +258,16 @@ class TestTruncatedFSum:
         vals = [ps[c] for c in (10, 100, 1000, 5000)]
         assert vals == sorted(vals)
 
-    def test_observer_checkpoint_mid_chunk(self):
-        obs = PartialSumObserver(lambda k: np.ones(len(k)), [3, 5])
-        obs.observe(1, None, np.zeros(4, dtype=np.int64))
-        obs.observe(5, None, np.zeros(4, dtype=np.int64))
-        assert obs.partials == {3: 3.0, 5: 5.0}
+    def test_checkpoints_across_block_boundary(self):
+        run = WalkRun(step=make_simple_walk(3), master_seed=3, horizon=10)
+        cps = [3, DEFAULT_CHUNK, DEFAULT_CHUNK + 1]
+        ps = truncated_f_sum(run, MAX3, lambda k: np.ones(len(k)), cps)
+        assert ps == {c: float(c) for c in cps}
+
+    def test_checkpoint_zero_rejected(self):
+        run = WalkRun(step=make_simple_walk(3), master_seed=3, horizon=10)
+        with pytest.raises(UsageError):
+            truncated_f_sum(run, MAX3, lambda k: np.ones(len(k)), [0, 5])
 
 
 class TestTotalLevelLocalTime:
@@ -300,6 +296,17 @@ class TestTotalLevelLocalTime:
         gap = abs(b.mean - a.mean)
         allowance = a.bias_bound * b.mean + 3 * (a.std_error + b.std_error)
         assert gap <= allowance
+
+    def test_counts_span_blocks(self):
+        # exits past the first derived block still count every visit once
+        sw, k, k_cut = make_simple_walk(3), 20, 48
+        got = total_level_local_time(sw, MAX3, k=k, replicas=12, master_seed=41,
+                                     k_cut=k_cut)
+        recs = [simulate(WalkRun(step=sw, master_seed=41, replica_index=i,
+                                 stop_radius=k_cut), MAX3, chunk=17)
+                for i in range(12)]
+        assert got.samples.tolist() == [int(rec.level_counts[k]) for rec in recs]
+        assert max(rec.n_effective for rec in recs) > _exit_scale_chunk(k_cut)
 
     def test_bias_bound_formula(self):
         assert truncation_bias_bound(MAX3, 10, 80) == \
