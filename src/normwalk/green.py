@@ -4,12 +4,17 @@ Three routes:
 
 * dynamic programming -- exact probability-vector convolution on a box,
   absorbing at the boundary, with a local-CLT tail estimate added and the
-  absorbed mass tracked into the error bound;
+  absorbed mass tracked into the error bound (``GreenField``);
 * Monte Carlo -- mean truncated site local time (walk module);
 * the |x| -> infinity asymptotic constant Gamma(d/2-1)/(2 pi^{d/2}).
 
 DP fields hold partial sums for every site of the box at once, so one run
-serves many query points.
+serves many query points.  Each DP step is a stencil on the flattened box:
+one contiguous add per atom of the step law, after which the boundary
+bands that the flat shift wrapped into are restored; mass stepping out of
+the box is absorbed and counted as ``leak``.  The DP holds four float64
+arrays of the box, 32 bytes per cell, so the default 40-million-cell
+budget is 1.28 GB for every step law.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from scipy.special import gammainc
 
 from .errors import ResourceError, UsageError
 from .norms import NormSpec
-from .walk import StepDistribution, site_visit_samples
+from .walk import StepDistribution, default_k_cut, site_visit_samples
 
-DEFAULT_FIELD_BUDGET = 40_000_000  # box cells
+DEFAULT_FIELD_BUDGET = 40_000_000  # box cells, 32 bytes each
 
 
 def spitzer_asymptotic(q: np.ndarray, x: Sequence[float]) -> float:
@@ -91,13 +96,33 @@ class GreenEstimate:
     replicas: Optional[int] = None
     undercovered: bool = False
 
-    def overlaps(self, other: "GreenEstimate", n_sigma: float = 3.0) -> bool:
-        gap = abs(self.value - other.value)
-        return gap <= n_sigma * (self.error_bound + other.error_bound)
-
 
 class GreenField:
-    """DP partial sums of P(S_n = y) for every y in a centred box."""
+    """DP partial sums of P(S_n = y) for every y in a centred box.
+
+    ``partial`` holds sum_{n=1}^{n_max} P(S_n = y, no exit before n) over the
+    box of side 2 * box_radius + 1, and ``leak`` the probability mass that
+    stepped out of the box (and was absorbed) by step n_max.
+
+    One step computes q(y) = sum_atoms prob * p(y - off) as a stencil on the
+    flattened arrays.  The box is C-ordered, so an atom is the flat shift
+    sum_ax off_ax * side^(d-1-ax) and one contiguous add over the flat range
+    [max(shift, 0), cells + min(shift, 0)).  On an axis ax >= 1 that shift
+    wraps sources from the opposite face into the band of |off_ax|
+    destination slabs next to the face; those bands are saved before the add
+    and restored after it (axis 0 cannot wrap: its overflow leaves the flat
+    range).  Atoms
+    are added in support order onto a zeroed q, so every cell receives the
+    same float additions as a per-atom slice update.  The product prob * p
+    is formed again only when the probability differs from the previous
+    atom's (once per step for the simple walk, twice for the lazy walk).
+    Atoms with an offset of at least the box side have no source in the box
+    and are skipped.
+
+    Memory: p, q, the partial sums and the scaled copy of p, four float64
+    arrays of the box (32 bytes per cell) for every step law, plus the saved
+    bands; ``budget`` caps the cells.
+    """
 
     def __init__(self, step: StepDistribution, n_max: int, box_radius: int,
                  budget: int = DEFAULT_FIELD_BUDGET):
@@ -116,34 +141,51 @@ class GreenField:
 
     def _run(self, step: StepDistribution, n_max: int, radius: int) -> None:
         d = step.dim
-        shape = (2 * radius + 1,) * d
+        side = 2 * radius + 1
+        shape = (side,) * d
+        cells = side ** d
         p = np.zeros(shape)
         p[(radius,) * d] = 1.0
+        q = np.empty(shape)
         g = np.zeros(shape)
+        scaled = np.empty(cells)  # prob * p for the current atom's prob
+        atoms = []
+        for vec, prob in zip(step.support, step.probabilities):
+            off = [int(v) for v in vec]
+            if any(abs(o) >= side for o in off):
+                continue  # no source cell inside the box
+            shift = sum(o * side ** (d - 1 - ax) for ax, o in enumerate(off))
+            lo, hi = max(shift, 0), cells + min(shift, 0)
+            # destinations whose source lies outside the box on an axis
+            # >= 1: the flat add wraps those sources in from a neighbouring row
+            bands = []
+            for ax, o in enumerate(off[1:], start=1):
+                if o:
+                    band = [slice(None)] * d
+                    band[ax] = slice(0, o) if o > 0 else slice(side + o, side)
+                    band = tuple(band)
+                    bands.append((band, np.empty(q[band].shape)))
+            atoms.append((prob, scaled[lo - shift:hi - shift], lo, hi, bands))
+        p_sum = p.sum()
         leak = 0.0
-        atoms = list(zip(step.support, step.probabilities))
         for _ in range(n_max):
-            q = np.zeros(shape)
-            for vec, prob in atoms:
-                src = [slice(None)] * d
-                dst = [slice(None)] * d
-                ok = True
-                for ax, off in enumerate(vec):
-                    off = int(off)
-                    if abs(off) > 2 * radius:
-                        ok = False
-                        break
-                    if off > 0:
-                        src[ax] = slice(0, shape[ax] - off)
-                        dst[ax] = slice(off, shape[ax])
-                    elif off < 0:
-                        src[ax] = slice(-off, shape[ax])
-                        dst[ax] = slice(0, shape[ax] + off)
-                if ok:
-                    q[tuple(dst)] += prob * p[tuple(src)]
-            leak += p.sum() - q.sum()
-            p = q
-            g += p
+            q.fill(0.0)
+            flat = q.reshape(-1)
+            last = None
+            for prob, src, lo, hi, bands in atoms:
+                if prob != last:
+                    np.multiply(p.reshape(-1), prob, out=scaled)
+                    last = prob
+                for band, saved in bands:
+                    np.copyto(saved, q[band])
+                dst = flat[lo:hi]
+                np.add(dst, src, out=dst)
+                for band, saved in bands:
+                    q[band] = saved
+            q_sum = q.sum()
+            leak += p_sum - q_sum
+            g += q
+            p, q, p_sum = q, p, q_sum
         self.partial = g
         self.leak = float(leak)
 
@@ -200,7 +242,7 @@ def green_mc(step: StepDistribution, norm: NormSpec, x: Sequence[int],
     x = tuple(int(v) for v in x)
     norm_x = norm.value(x)
     if k_cut is None:
-        k_cut = max(4 * norm_x + 4, 16)
+        k_cut = default_k_cut(norm_x)
     visits = site_visit_samples(step, norm, x, replicas, master_seed,
                                 k_cut=k_cut, threads=threads)
     mean = float(visits.mean())

@@ -273,14 +273,6 @@ class InvarianceReport:
     mean_sequence: tuple
     samples: tuple            # scaled samples per ladder level
 
-    @property
-    def ks_decreasing_within_noise(self) -> bool:
-        seq = self.ks_sequence
-        return all(seq[i + 1].statistic
-                   <= seq[i].statistic + math.hypot(seq[i].noise_band,
-                                                    seq[i + 1].noise_band)
-                   for i in range(len(seq) - 1))
-
     def means_bounded(self, factor: float = 2.0) -> bool:
         ms = self.mean_sequence
         return max(ms) <= factor * min(ms)

@@ -29,11 +29,6 @@ from .errors import UsageError
 
 FAMILIES = ("max", "l1", "w1", "scaled_max")
 
-# Families for which the equidistributed-partition assumption is asserted
-# (it is not verified algorithmically; see module docs).
-A3_FAMILIES = frozenset({"max", "l1", "w1"})
-
-
 def exact_det(matrix: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant (fraction-free Bareiss elimination)."""
     a = [[int(v) for v in row] for row in matrix]
@@ -134,11 +129,6 @@ class NormSpec:
     def degenerate(self) -> bool:
         """True when the norm has empty levels (scaled_max with factor > 1)."""
         return self.family == "scaled_max" and self.factor > 1
-
-    @property
-    def a3_asserted(self) -> bool:
-        """Equidistributed-partition assumption asserted for this family."""
-        return self.family in A3_FAMILIES
 
     @property
     def weights(self) -> np.ndarray:

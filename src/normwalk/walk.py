@@ -22,6 +22,7 @@ of `_blocks` directly.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
@@ -382,6 +383,11 @@ def site_visit_samples(step: StepDistribution, norm: NormSpec,
     return _exit_counts(step, norm, k_cut, replicas, master_seed, threads, visits)
 
 
+def default_k_cut(norm_x: int) -> int:
+    """Default truncation radius for site statistics at x: max(4||x|| + 4, 16)."""
+    return max(4 * norm_x + 4, 16)
+
+
 @dataclass(frozen=True)
 class HittingEstimate:
     x: tuple
@@ -389,10 +395,7 @@ class HittingEstimate:
     replicas: int
     p_hat: float
     std_error: float
-    undercovered: bool  # x too close to (or past) the truncation radius
-
-    def agrees_with(self, other: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.p_hat - other) <= n_sigma * self.std_error
+    undercovered: bool  # estimated exit bias exceeds std_error
 
 
 def hitting_probability(step: StepDistribution, norm: NormSpec,
@@ -400,19 +403,31 @@ def hitting_probability(step: StepDistribution, norm: NormSpec,
                         k_cut: Optional[int] = None,
                         threads: int = 1) -> HittingEstimate:
     """P(T_x < infinity) estimated by the fraction of replicas hitting x
-    before exiting norm-radius k_cut; default k_cut = 4||x|| + 4."""
+    before exiting norm-radius k_cut; default k_cut = default_k_cut(||x||).
+
+    The estimate misses the walks that reach x only after exiting k_cut.
+    The exit point lies at Euclidean distance at least
+    gap = k_cut * lo - |x|_2 from x (lo the shortest Euclidean length on the
+    norm's unit sphere), and the chance of reaching x from there is at most
+    about the Green value at that distance, C gap^{2-d} with C the isotropic
+    Spitzer constant.
+    ``undercovered`` is set when that estimate of the bias exceeds the
+    standard error (always when gap <= 0).
+    """
+    from .green import spitzer_constant_isotropic  # green imports this module
     target = tuple(int(v) for v in x)
-    norm_x = norm.value(target)
     if k_cut is None:
-        k_cut = 4 * norm_x + 4
+        k_cut = default_k_cut(norm.value(target))
     visits = site_visit_samples(step, norm, target, replicas, master_seed,
                                 k_cut=k_cut, threads=threads)
     hits = visits >= 1
     p = float(hits.mean())
     se = float(np.sqrt(max(p * (1 - p), 1e-12) / replicas))
+    gap = k_cut * norm.euclid_range_on_unit_sphere()[0] - math.hypot(*target)
+    bias = (spitzer_constant_isotropic(step.dim, step.sigma2) * gap ** (2 - step.dim)
+            if gap > 0 else math.inf)
     return HittingEstimate(x=target, k_cut=k_cut, replicas=replicas,
-                           p_hat=p, std_error=se,
-                           undercovered=bool(norm_x * 2 >= k_cut))
+                           p_hat=p, std_error=se, undercovered=bool(bias > se))
 
 
 def geometric_tail_report(visits: np.ndarray, n_max: int = 5) -> list[dict]:

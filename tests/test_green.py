@@ -14,7 +14,12 @@ from normwalk.green import (
     spitzer_constant_isotropic,
 )
 from normwalk.norms import make_norm
-from normwalk.walk import hitting_probability, make_simple_walk
+from normwalk.walk import (
+    StepDistribution,
+    hitting_probability,
+    make_lazy_walk,
+    make_simple_walk,
+)
 
 MAX3 = make_norm("max", 3)
 
@@ -22,6 +27,77 @@ MAX3 = make_norm("max", 3)
 # classical return probability p(0) = 1 - 1/1.516386 = 0.340537); frozen here.
 G00 = 0.516386
 P0 = G00 / (1 + G00)
+
+
+# -- reference: the per-atom slice update the flat stencil replaced -----------
+
+def reference_green_field(step, n_max, radius):
+    """(partial, leak) from a fresh q and one strided slice add per atom."""
+    d = step.dim
+    shape = (2 * radius + 1,) * d
+    p = np.zeros(shape)
+    p[(radius,) * d] = 1.0
+    g = np.zeros(shape)
+    leak = 0.0
+    atoms = list(zip(step.support, step.probabilities))
+    for _ in range(n_max):
+        q = np.zeros(shape)
+        for vec, prob in atoms:
+            src = [slice(None)] * d
+            dst = [slice(None)] * d
+            ok = True
+            for ax, off in enumerate(vec):
+                off = int(off)
+                if abs(off) > 2 * radius:
+                    ok = False
+                    break
+                if off > 0:
+                    src[ax] = slice(0, shape[ax] - off)
+                    dst[ax] = slice(off, shape[ax])
+                elif off < 0:
+                    src[ax] = slice(-off, shape[ax])
+                    dst[ax] = slice(0, shape[ax] + off)
+            if ok:
+                q[tuple(dst)] += prob * p[tuple(src)]
+        leak += p.sum() - q.sum()
+        p = q
+        g += p
+    return g, float(leak)
+
+
+def _random_law(d, seed):
+    """Asymmetric law: offsets up to +-3 on several axes, one atom of mass 0."""
+    rng = np.random.default_rng(seed)
+    support = rng.integers(-3, 4, size=(9, d))
+    support[0] = (2,) + (-3,) * (d - 1)
+    support[1] = (-3,) + (2,) * (d - 1)
+    probs = rng.random(9)
+    probs[4] = 0.0
+    return StepDistribution(d, support, probs / probs.sum())
+
+
+STENCIL_LAWS = {
+    **{f"simple{d}": make_simple_walk(d) for d in (1, 2, 3, 4)},
+    "lazy3": make_lazy_walk(3),
+    "random2": _random_law(2, 11),
+    "random3": _random_law(3, 12),
+    # (0, 5, 0) and (-7, 0, 1) reach past a radius-2 box (side 5)
+    "far3": StepDistribution(3, [[1, 0, 0], [0, 5, 0], [-1, 0, 0],
+                                 [-7, 0, 1], [0, -2, 3], [2, -1, -3]],
+                             [0.3, 0.1, 0.2, 0.05, 0.2, 0.15]),
+}
+
+
+class TestStencilBitIdentity:
+    @pytest.mark.parametrize("law", sorted(STENCIL_LAWS))
+    @pytest.mark.parametrize("n_max", [1, 40])
+    @pytest.mark.parametrize("radius", [2, 6])
+    def test_partial_and_leak_equal_reference(self, law, n_max, radius):
+        step = STENCIL_LAWS[law]
+        field = GreenField(step, n_max=n_max, box_radius=radius)
+        partial, leak = reference_green_field(step, n_max, radius)
+        assert field.partial.tobytes() == partial.tobytes()
+        assert field.leak == leak
 
 
 class TestSpitzer:

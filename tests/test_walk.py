@@ -26,6 +26,7 @@ from normwalk.walk import (
 MAX3 = make_norm("max", 3)
 L13 = make_norm("l1", 3)
 UNIMODULAR = [[1, -1, 0], [0, 1, -1], [1, -1, 1]]
+POLYA_P0 = 0.3405373  # return probability of the simple walk on Z^3
 
 
 # -- reference: the row-major stepping loop the kernel replaced ---------------
@@ -334,6 +335,24 @@ class TestHitting:
         v = site_visit_samples(sw, MAX3, (50, 0, 0), replicas=50,
                                master_seed=2, k_cut=20)
         assert (v == 0).all()
+
+    def test_origin_default_k_cut_flags_its_bias(self):
+        est = hitting_probability(make_simple_walk(3), MAX3, (0, 0, 0),
+                                  replicas=4000, master_seed=5)
+        assert est.k_cut == 16
+        # exit bias estimate C / k_cut, C = 3 / (2 pi) for sigma^2 = 1/3
+        bias = 3 / (2 * np.pi) / est.k_cut
+        assert bias > est.std_error and est.undercovered
+        assert abs(est.p_hat - POLYA_P0) <= 3 * est.std_error + bias
+
+    @pytest.mark.parametrize("x, k_cut, flagged", [
+        ((1, 0, 0), 64, False),   # C / 63 = 0.0076 < std_error ~ 0.021
+        ((20, 0, 0), 16, True),   # x past the cut: the bias is unbounded
+    ])
+    def test_undercovered_compares_bias_with_std_error(self, x, k_cut, flagged):
+        est = hitting_probability(make_simple_walk(3), MAX3, x, replicas=500,
+                                  master_seed=5, k_cut=k_cut)
+        assert est.undercovered is flagged
 
     def test_geometric_tail_ratios_near_p0(self):
         sw = make_simple_walk(3)
