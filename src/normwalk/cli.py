@@ -37,7 +37,6 @@ from .summability import PowerLaw, PowerLog, zero_one_experiment
 from .walk import (
     WalkRun,
     make_simple_walk,
-    map_replicas,
     simulate,
     truncation_bias_bound,
 )
@@ -72,7 +71,17 @@ def _guard_degenerate(spec: NormSpec, args) -> None:
 
 
 def _parse_int_list(text: str) -> list:
-    return [int(float(tok)) for tok in text.split(",") if tok.strip()]
+    """Comma-separated integers; an integral float such as 1e4 is allowed."""
+    out = []
+    for tok in filter(None, map(str.strip, text.split(","))):
+        try:
+            value = float(tok)
+        except ValueError:
+            value = float("nan")
+        if not value.is_integer():
+            raise UsageError(f"{tok!r} is not an integer")
+        out.append(int(value))
+    return out
 
 
 class Emitter:
@@ -161,7 +170,7 @@ def _cmd_simulate(args, em: Emitter) -> None:
                       horizon=args.horizon, stop_radius=args.stop_radius)
         return simulate(run, spec)
 
-    recs = map_replicas(one, args.replicas, threads=args.threads)
+    recs = [one(i) for i in range(args.replicas)]
     rows = []
     for i, rec in enumerate(recs):
         for k, c in enumerate(rec.level_counts):
@@ -188,7 +197,7 @@ def _cmd_green(args, em: Emitter) -> None:
         value, bound = est.value, est.error_bound
     elif args.method == "mc":
         est = green_mc(step, _norm_from_args(args), x, replicas=args.replicas,
-                       master_seed=args.seed, threads=args.threads)
+                       master_seed=args.seed)
         value, bound = est.value, est.error_bound
     else:
         if all(v == 0 for v in x):
@@ -213,7 +222,7 @@ def _cmd_zero_one(args, em: Emitter) -> None:
     census = census_for(spec, 64)
     rep = zero_one_experiment(step, spec, f, replicas=args.replicas,
                               horizons=horizons, master_seed=args.seed,
-                              census=census, threads=args.threads)
+                              census=census)
     rows = [(i, h, rep.partials[i, j])
             for i in range(args.replicas)
             for j, h in enumerate(rep.horizons)]
@@ -241,7 +250,7 @@ def _cmd_invariance(args, em: Emitter) -> None:
     _guard_degenerate(spec, args)
     rep = invariance_surrogate(make_simple_walk(args.dim), spec,
                                _parse_int_list(args.k_ladder), args.replicas,
-                               master_seed=args.seed, threads=args.threads)
+                               master_seed=args.seed)
     em.csv_rows(["k", "replica", "scaled_value"],
                 [(k, i, v) for k, s in zip(rep.k_ladder, rep.samples)
                  for i, v in enumerate(s)])
@@ -262,8 +271,7 @@ def _cmd_jeulin(args, em: Emitter) -> None:
                     [(str(rep.finiteness_probability), rep.series_diverges)])
     elif args.scenario == "shiga3":
         ladder = sorted({max(1, args.K // 100), max(1, args.K // 10), args.K})
-        rep = shiga3_run(args.alpha, ladder, args.replicas, args.seed,
-                         threads=args.threads)
+        rep = shiga3_run(args.alpha, ladder, args.replicas, args.seed)
         em.csv_rows(["K", "target", "empirical", "z", "divergence_fraction"],
                     [(row["K"], row["target"], row["empirical"], row["z"], fr)
                      for row, fr in zip(rep.laplace_rows,
@@ -275,8 +283,7 @@ def _cmd_jeulin(args, em: Emitter) -> None:
             "divergence_fractions": list(rep.divergence_fractions),
         }
     elif args.scenario == "shiga5":
-        rep = shiga5_run(args.alpha, args.levels, args.replicas, args.seed,
-                         threads=args.threads)
+        rep = shiga5_run(args.alpha, args.levels, args.replicas, args.seed)
         em.csv_rows(["eps", "target", "empirical", "z"],
                     [(r["eps"], r["target"], r["empirical"], r["z"])
                      for r in rep.laplace_rows])
@@ -293,7 +300,7 @@ def _cmd_jeulin(args, em: Emitter) -> None:
             if args.alpha < 0.5 else [PowerLaw(4.0), PowerLaw(2.5)]
         rep = limit_jeulin_harness(scen, fam, [args.K // 100, args.K],
                                    replicas=args.replicas,
-                                   master_seed=args.seed, threads=args.threads)
+                                   master_seed=args.seed)
         em.csv_rows(["f", "series_verdict", "stabilized_fraction",
                      "implication_violated", "converse_fails"],
                     [(r.f_label, r.series_verdict.value,
@@ -327,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="unimodular matrix, rows ; separated, entries , separated")
         q.add_argument("--allow-degenerate", action="store_true")
         q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--threads", type=int, default=1)
         q.add_argument("--out", help="output directory (default: stdout)")
         q.add_argument("--format", choices=["csv", "json", "both"], default="csv")
 

@@ -28,7 +28,7 @@ from scipy.special import gammainc
 
 from .errors import ResourceError, UsageError
 from .norms import NormSpec
-from .walk import StepDistribution, default_k_cut, site_visit_samples
+from .walk import StepDistribution, _exit_bias, default_k_cut, site_visit_samples
 
 DEFAULT_FIELD_BUDGET = 40_000_000  # box cells, 32 bytes each
 
@@ -236,20 +236,21 @@ def green_dp(step: StepDistribution, x: Sequence[int], n_max: int = 4000,
 
 
 def green_mc(step: StepDistribution, norm: NormSpec, x: Sequence[int],
-             replicas: int, master_seed: int, k_cut: Optional[int] = None,
-             threads: int = 1) -> GreenEstimate:
-    """Mean truncated site local time at x across replicas."""
+             replicas: int, master_seed: int,
+             k_cut: Optional[int] = None) -> GreenEstimate:
+    """Mean truncated site local time at x across replicas; ``undercovered``
+    when `_exit_bias`, the visits missed after the exit of k_cut, exceeds
+    the standard error (error_bound / 3)."""
     x = tuple(int(v) for v in x)
-    norm_x = norm.value(x)
     if k_cut is None:
-        k_cut = default_k_cut(norm_x)
+        k_cut = default_k_cut(norm.value(x))
     visits = site_visit_samples(step, norm, x, replicas, master_seed,
-                                k_cut=k_cut, threads=threads)
+                                k_cut=k_cut)
     mean = float(visits.mean())
     se = float(visits.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else float("inf")
+    bias = _exit_bias(step, norm, x, k_cut)
     return GreenEstimate(x=x, value=mean, method="mc", error_bound=3 * se,
-                         replicas=replicas,
-                         undercovered=bool(2 * norm_x >= k_cut))
+                         replicas=replicas, undercovered=bool(bias > se))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from scipy.special import zeta
 
 from .errors import UsageError
 from .summability import LevelFunction, PowerLaw, Verdict
-from .walk import map_replicas, replica_rng
+from .walk import replica_rng
 
 
 def sample_stable(alpha: float, t: float, rng: Generator,
@@ -117,8 +117,7 @@ def harmonic(n: int) -> float:
 
 
 def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
-               master_seed: int, threshold: float = 10.0,
-               threads: int = 1) -> Shiga3Report:
+               master_seed: int, threshold: float = 10.0) -> Shiga3Report:
     """Partial sums of sum_k k^{-1/alpha} V0(k) along a K-ladder.
 
     Exact targets: sum f Phi = sum k^{1-1/alpha} (finite for alpha < 1/2);
@@ -140,7 +139,7 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
         csum = np.cumsum(f * v0)
         return [csum[k - 1] for k in ladder]
 
-    partials = np.array(map_replicas(one, replicas, threads=threads), dtype=float)
+    partials = np.array([one(i) for i in range(replicas)], dtype=float)
 
     laplace_rows = [_laplace_row("K", k, np.exp(-partials[:, j]),
                                  math.exp(-harmonic(k)))
@@ -199,7 +198,7 @@ class Shiga5Report:
 
 
 def shiga5_run(alpha: float, levels: int, replicas: int, master_seed: int,
-               upper: float = 0.5, threads: int = 1) -> Shiga5Report:
+               upper: float = 0.5) -> Shiga5Report:
     """Discretised int X dmu on a ratio-1/2 geometric grid under (0, upper].
 
     Cell masses are exact quadratures of the density; the subordinator uses
@@ -239,7 +238,7 @@ def shiga5_run(alpha: float, levels: int, replicas: int, master_seed: int,
         x_left = np.concatenate([np.cumsum(incs[::-1])[::-1][1:], [0.0]])
         return np.cumsum(x_left * cell_mass)  # partial integrals down to each eps
 
-    rows = np.array(map_replicas(one, replicas, threads=threads), dtype=float)
+    rows = np.array([one(i) for i in range(replicas)], dtype=float)
 
     laplace_rows = [_laplace_row("eps", edges[j + 1], np.exp(-rows[:, j]),
                                  math.exp(-exact_exponent(j)))
@@ -253,7 +252,7 @@ def shiga5_run(alpha: float, levels: int, replicas: int, master_seed: int,
         rng = replica_rng(master_seed + 1, i)
         return float(sample_stable(alpha, upper, rng, 1)[0])
 
-    xs = np.array(map_replicas(total_x, replicas, threads=threads))
+    xs = np.array([total_x(i) for i in range(replicas)])
     prefix_means = tuple(float(xs[:n].mean())
                          for n in np.unique(np.geomspace(10, replicas, 6).astype(int)))
 
@@ -388,8 +387,7 @@ def weighted_series_verdict(f: LevelFunction, phi_exponent: float) -> Verdict:
 def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunction],
                          k_ladder: Sequence[int], replicas: int,
                          master_seed: int, eps_rel: float = 0.05,
-                         stabilized_threshold: float = 0.5,
-                         threads: int = 1) -> HarnessReport:
+                         stabilized_threshold: float = 0.5) -> HarnessReport:
     """Cross-tabulate symbolic sum f Phi against empirical sum f V.
 
     Only the forward direction is asserted, and route-aware: with a
@@ -424,7 +422,7 @@ def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunct
             out[label] = [csum[k - 1] for k in ladder]
         return out
 
-    per_replica = map_replicas(one, replicas, threads=threads)
+    per_replica = [one(i) for i in range(replicas)]
 
     rows = []
     for f in f_family:

@@ -191,8 +191,7 @@ class ScaledLocalTimeSample:
 
 def scaled_samples(step: StepDistribution, spec: NormSpec, k: int,
                    replicas: int, master_seed: int,
-                   k_cut: Optional[int] = None,
-                   threads: int = 1) -> ScaledLocalTimeSample:
+                   k_cut: Optional[int] = None) -> ScaledLocalTimeSample:
     """Truncated level-k local times scaled by k^{2-d} N(k)."""
     if spec.dim < 3:
         raise UsageError("the scaling requires d >= 3")
@@ -201,7 +200,7 @@ def scaled_samples(step: StepDistribution, spec: NormSpec, k: int,
     if n_level == 0:
         raise UsageError(f"norm level {k} is empty; scaling undefined")
     raw = total_level_local_time(step, spec, k, replicas, master_seed,
-                                 k_cut=k_cut, threads=threads)
+                                 k_cut=k_cut)
     scale = float(k) ** (2 - spec.dim) * n_level
     return ScaledLocalTimeSample(spec=spec, k=k, k_cut=raw.k_cut,
                                  n_level=n_level,
@@ -280,15 +279,14 @@ class InvarianceReport:
 
 def invariance_surrogate(step: StepDistribution, spec: NormSpec,
                          k_ladder: Sequence[int], replicas: int,
-                         master_seed: int, threads: int = 1,
-                         n_boot: int = 200) -> InvarianceReport:
+                         master_seed: int, n_boot: int = 200) -> InvarianceReport:
     """Run the ladder of scaled samples and the pairwise KS checks.
 
     Seeds are salted per level so ladder entries are independent.
     """
     ladder = sorted(int(k) for k in k_ladder)
     sets = [scaled_samples(step, spec, k, replicas,
-                           master_seed=master_seed + 7919 * j, threads=threads)
+                           master_seed=master_seed + 7919 * j)
             for j, k in enumerate(ladder)]
     ks_seq = tuple(
         distributional_cauchy(sets[i].samples, sets[i + 1].samples,

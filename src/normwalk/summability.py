@@ -34,7 +34,7 @@ import numpy as np
 from .census import SphereCensus, growth_bounds
 from .errors import UsageError
 from .norms import NormSpec
-from .walk import StepDistribution, WalkRun, check_a0, map_replicas, truncated_f_sum
+from .walk import StepDistribution, WalkRun, check_a0, truncated_f_sum
 
 EXCURSION_ALLOWANCE_FACTOR = 5.0
 ALLOWANCE_SUM_CAP = 10_000
@@ -286,7 +286,7 @@ def excursion_allowance(f: LevelFunction, factor: float = EXCURSION_ALLOWANCE_FA
 
 def _replica_partials(step: StepDistribution, norm: NormSpec,
                       f: LevelFunction, horizons: list, replicas: int,
-                      master_seed: int, threads: int) -> np.ndarray:
+                      master_seed: int) -> np.ndarray:
     """(replicas, len(horizons)) partial sums of f(||S_n||), n <= horizon.
 
     Replica i walks the (master_seed, i) path once, up to the last horizon.
@@ -298,7 +298,7 @@ def _replica_partials(step: StepDistribution, norm: NormSpec,
         ps = truncated_f_sum(run, norm, f, horizons)
         return [ps[h] for h in horizons]
 
-    return np.array(map_replicas(one, replicas, threads=threads), dtype=float)
+    return np.array([one(i) for i in range(replicas)], dtype=float)
 
 
 def zero_one_experiment(step: StepDistribution, norm: NormSpec,
@@ -307,8 +307,7 @@ def zero_one_experiment(step: StepDistribution, norm: NormSpec,
                         eps_abs: Optional[float] = None,
                         eps_rel: float = 0.05,
                         census: Optional[SphereCensus] = None,
-                        allow_non_a0: bool = False,
-                        threads: int = 1) -> ZeroOneReport:
+                        allow_non_a0: bool = False) -> ZeroOneReport:
     """Monte Carlo dichotomy check for sum_n f(||S_n||).
 
     Each replica reports partial sums at every horizon; it is stabilised
@@ -328,8 +327,7 @@ def zero_one_experiment(step: StepDistribution, norm: NormSpec,
         raise UsageError("need at least two horizons")
     if eps_abs is None:
         eps_abs = excursion_allowance(f)
-    rows = _replica_partials(step, norm, f, horizons, replicas, master_seed,
-                             threads)
+    rows = _replica_partials(step, norm, f, horizons, replicas, master_seed)
     final = rows[:, -1]
     diff = rows[:, -1] - rows[:, -2]
     stab = diff < eps_abs + eps_rel * final
@@ -361,8 +359,7 @@ class ExpectationReport:
 def expectation_vs_criterion(step: StepDistribution, norm: NormSpec,
                              f: LevelFunction, census: SphereCensus,
                              replicas: int, horizons: Sequence[int],
-                             master_seed: int,
-                             threads: int = 1) -> ExpectationReport:
+                             master_seed: int) -> ExpectationReport:
     """Track E[sum_{n<=N} f(||S_n||)] against the census-side series.
 
     The census partial sum is cut at the diffusive reach 2 sqrt(sigma^2 N)
@@ -380,8 +377,7 @@ def expectation_vs_criterion(step: StepDistribution, norm: NormSpec,
     terms = weights * f_ks
     if f0 == 0.0 and not np.any(terms > 0):
         raise UsageError("f vanishes on the census range (0/0 ratio)")
-    rows_mc = _replica_partials(step, norm, f, horizons, replicas, master_seed,
-                                threads)
+    rows_mc = _replica_partials(step, norm, f, horizons, replicas, master_seed)
     out = []
     for j, h in enumerate(horizons):
         cutoff = min(census.k_max, max(1, int(2.0 * math.sqrt(step.sigma2 * h))))

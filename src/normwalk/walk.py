@@ -1,8 +1,9 @@
-"""Lattice random walk simulation with reproducible parallel replication.
+"""Lattice random walk simulation with reproducible replication.
 
 Each replica's path is a pure function of (master_seed, replica_index):
 streams come from counter-based Philox generators keyed by that pair, so
-results are bit-identical regardless of worker count or scheduling order.
+replica i's result does not depend on how many replicas run.  Replicas
+run one after another in a plain loop.
 
 Every walk is stepped by one kernel, `_blocks`, in structure-of-arrays
 layout: a block holds the positions S_{n0}, ..., S_{n0+m-1} as a (d, m)
@@ -23,7 +24,6 @@ of `_blocks` directly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -43,19 +43,6 @@ def replica_rng(master_seed: int, replica_index: int) -> Generator:
         raise UsageError("seeds and replica indices must be nonnegative")
     key = np.array([master_seed, replica_index], dtype=np.uint64)
     return Generator(Philox(key=key))
-
-
-def map_replicas(fn: Callable[[int], object], n_replicas: int,
-                 threads: int = 1) -> list:
-    """Evaluate fn(replica_index) for each replica; order-stable output.
-
-    Replicas are independent by construction, so thread scheduling cannot
-    change any result, only wall time.
-    """
-    if threads <= 1:
-        return [fn(i) for i in range(n_replicas)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_replicas)))
 
 
 @dataclass(frozen=True)
@@ -321,7 +308,7 @@ class LevelLocalTimeSample:
 
 
 def _exit_counts(step: StepDistribution, norm: NormSpec, k_cut: int,
-                 replicas: int, master_seed: int, threads: int,
+                 replicas: int, master_seed: int,
                  count: Callable[[np.ndarray, np.ndarray], int]) -> np.ndarray:
     """Per replica, the sum of count(cols, norms) over its blocks up to and
     including the step that exits norm-radius k_cut."""
@@ -336,13 +323,12 @@ def _exit_counts(step: StepDistribution, norm: NormSpec, k_cut: int,
                 return total
         raise UsageError("walk failed to exit k_cut within the step budget")
 
-    return np.array(map_replicas(one, replicas, threads=threads), dtype=np.int64)
+    return np.array([one(i) for i in range(replicas)], dtype=np.int64)
 
 
 def total_level_local_time(step: StepDistribution, norm: NormSpec, k: int,
                            replicas: int, master_seed: int,
-                           k_cut: Optional[int] = None,
-                           threads: int = 1) -> LevelLocalTimeSample:
+                           k_cut: Optional[int] = None) -> LevelLocalTimeSample:
     """Visit counts to norm level k before first exceeding k_cut.
 
     Requires d >= 3 (transient regime) and k_cut >= 2k; default k_cut = 8k.
@@ -355,7 +341,7 @@ def total_level_local_time(step: StepDistribution, norm: NormSpec, k: int,
         k_cut = 8 * k
     if k_cut < 2 * k:
         raise UsageError(f"k_cut = {k_cut} < 2k leaves the truncation bias uncontrolled")
-    vals = _exit_counts(step, norm, k_cut, replicas, master_seed, threads,
+    vals = _exit_counts(step, norm, k_cut, replicas, master_seed,
                         lambda cols, norms: int(np.count_nonzero(norms == k)))
     return LevelLocalTimeSample(k=k, k_cut=k_cut, samples=vals,
                                 bias_bound=truncation_bias_bound(norm, k, k_cut))
@@ -363,7 +349,7 @@ def total_level_local_time(step: StepDistribution, norm: NormSpec, k: int,
 
 def site_visit_samples(step: StepDistribution, norm: NormSpec,
                        x: Sequence[int], replicas: int, master_seed: int,
-                       k_cut: int, threads: int = 1) -> np.ndarray:
+                       k_cut: int) -> np.ndarray:
     """Per-replica visit counts to the site x before exiting k_cut."""
     if norm.dim < 3:
         raise UsageError("total local times require d >= 3 (transient walk)")
@@ -380,12 +366,29 @@ def site_visit_samples(step: StepDistribution, norm: NormSpec,
             hit &= row == v
         return int(np.count_nonzero(hit))
 
-    return _exit_counts(step, norm, k_cut, replicas, master_seed, threads, visits)
+    return _exit_counts(step, norm, k_cut, replicas, master_seed, visits)
 
 
 def default_k_cut(norm_x: int) -> int:
     """Default truncation radius for site statistics at x: max(4||x|| + 4, 16)."""
     return max(4 * norm_x + 4, 16)
+
+
+def _exit_bias(step: StepDistribution, norm: NormSpec, x: Sequence[int],
+               k_cut: int) -> float:
+    """Estimated bias at x of a site statistic stopped at the exit of k_cut.
+
+    The exit point lies at Euclidean distance at least
+    gap = k_cut * lo - |x|_2 from x (lo the shortest Euclidean length on the
+    norm's unit sphere).  The visits to x after the exit, and so the chance
+    of reaching x only then, are about the Green value at that distance,
+    C gap^{2-d} with C the isotropic Spitzer constant; infinite when
+    gap <= 0.
+    """
+    from .green import spitzer_constant_isotropic  # green imports this module
+    gap = k_cut * norm.euclid_range_on_unit_sphere()[0] - math.hypot(*x)
+    return (spitzer_constant_isotropic(step.dim, step.sigma2) * gap ** (2 - step.dim)
+            if gap > 0 else math.inf)
 
 
 @dataclass(frozen=True)
@@ -400,32 +403,23 @@ class HittingEstimate:
 
 def hitting_probability(step: StepDistribution, norm: NormSpec,
                         x: Sequence[int], replicas: int, master_seed: int,
-                        k_cut: Optional[int] = None,
-                        threads: int = 1) -> HittingEstimate:
+                        k_cut: Optional[int] = None) -> HittingEstimate:
     """P(T_x < infinity) estimated by the fraction of replicas hitting x
     before exiting norm-radius k_cut; default k_cut = default_k_cut(||x||).
 
-    The estimate misses the walks that reach x only after exiting k_cut.
-    The exit point lies at Euclidean distance at least
-    gap = k_cut * lo - |x|_2 from x (lo the shortest Euclidean length on the
-    norm's unit sphere), and the chance of reaching x from there is at most
-    about the Green value at that distance, C gap^{2-d} with C the isotropic
-    Spitzer constant.
-    ``undercovered`` is set when that estimate of the bias exceeds the
-    standard error (always when gap <= 0).
+    The estimate misses the walks that reach x only after exiting k_cut;
+    ``undercovered`` is set when `_exit_bias` estimates more than the standard
+    error for them.
     """
-    from .green import spitzer_constant_isotropic  # green imports this module
     target = tuple(int(v) for v in x)
     if k_cut is None:
         k_cut = default_k_cut(norm.value(target))
     visits = site_visit_samples(step, norm, target, replicas, master_seed,
-                                k_cut=k_cut, threads=threads)
+                                k_cut=k_cut)
     hits = visits >= 1
     p = float(hits.mean())
     se = float(np.sqrt(max(p * (1 - p), 1e-12) / replicas))
-    gap = k_cut * norm.euclid_range_on_unit_sphere()[0] - math.hypot(*target)
-    bias = (spitzer_constant_isotropic(step.dim, step.sigma2) * gap ** (2 - step.dim)
-            if gap > 0 else math.inf)
+    bias = _exit_bias(step, norm, target, k_cut)
     return HittingEstimate(x=target, k_cut=k_cut, replicas=replicas,
                            p_hat=p, std_error=se, undercovered=bool(bias > se))
 

@@ -84,13 +84,26 @@ class TestOutputs:
         assert (a / "simulate.csv").read_bytes() == (b / "simulate.csv").read_bytes()
         assert (a / "simulate.json").read_bytes() == (b / "simulate.json").read_bytes()
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out, threads in ((a, "1"), (b, "4")):
+    def test_replica_rows_independent_of_replica_count(self, tmp_path):
+        rows = {}
+        for n in (6, 3):
+            out = tmp_path / str(n)
             assert run(["simulate", "--norm", "max", "--dim", "3",
-                        "--seed", "3", "--replicas", "6", "--horizon", "400",
-                        "--threads", threads, "--out", str(out)]) == 0
-        assert (a / "simulate.csv").read_bytes() == (b / "simulate.csv").read_bytes()
+                        "--seed", "3", "--replicas", str(n), "--horizon", "400",
+                        "--out", str(out)]) == 0
+            with (out / "simulate.csv").open() as fh:
+                rows[n] = list(csv.reader(fh))
+        head = [r for r in rows[6][1:] if int(r[0]) < 3]
+        assert rows[3][0] == rows[6][0] == ["replica", "k", "count"]
+        assert {r[0] for r in rows[3][1:]} == {"0", "1", "2"}
+        assert head == rows[3][1:]
+
+    def test_threads_option_rejected(self, tmp_path):
+        argv = ["simulate", "--dim", "3", "--replicas", "2", "--horizon", "50"]
+        assert run([*argv, "--threads", "2"]) == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=2\n")
+        assert run(["--config", str(cfg), *argv]) == 1
 
     def test_simulate_stop_radius_summary(self, tmp_path):
         out = tmp_path / "r"
@@ -226,6 +239,14 @@ class TestConfigFile:
     def test_missing_config(self):
         assert run(["--config", "/nonexistent/x.cfg", "census", "--dim", "3",
                     "--kmax", "2"]) == 1
+
+    def test_integer_lists_reject_fractions(self, capsys):
+        assert run(["invariance", "--dim", "3", "--k-ladder", "10.5,20",
+                    "--replicas", "10"]) == 1
+        assert "'10.5' is not an integer" in capsys.readouterr().err
+        assert run(["zero-one", "--beta", "3", "--dim", "3", "--replicas", "2",
+                    "--horizons", "1e2,1e3", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["f"]
 
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -220,6 +220,23 @@ class TestGreenMC:
         b = green_mc(sw, MAX3, (1, 0, 0), replicas=500, master_seed=7, k_cut=16)
         assert a.value == b.value
 
+    def test_origin_default_k_cut_flags_its_bias(self):
+        est = green_mc(make_simple_walk(3), MAX3, (0, 0, 0), replicas=4000,
+                       master_seed=5)
+        # exit bias estimate C / k_cut at k_cut 16, C = 3 / (2 pi) for
+        # sigma^2 = 1/3, against the one-sigma error_bound / 3
+        bias = 3 / (2 * np.pi) / 16
+        assert bias > est.error_bound / 3
+        assert est.undercovered
+        assert abs(est.value - G00) <= est.error_bound + bias
+
+    @pytest.mark.parametrize("x", [(1, 0, 0), (2, 1, 0)])
+    def test_far_cut_not_flagged(self, x):
+        # C / (64 - |x|) <= 0.0076 against a one-sigma error of about 0.03
+        est = green_mc(make_simple_walk(3), MAX3, x, replicas=500,
+                       master_seed=5, k_cut=64)
+        assert not est.undercovered
+
     def test_far_outside_cut_returns_zero_flagged(self):
         sw = make_simple_walk(3)
         est = green_mc(sw, MAX3, (40, 0, 0), replicas=100, master_seed=1,

@@ -3,6 +3,7 @@ import pytest
 
 from normwalk.errors import UsageError
 from normwalk.norms import make_norm
+from normwalk.summability import PowerLaw, zero_one_experiment
 from normwalk.walk import (
     DEFAULT_CHUNK,
     StepDistribution,
@@ -14,7 +15,6 @@ from normwalk.walk import (
     hitting_probability,
     make_lazy_walk,
     make_simple_walk,
-    map_replicas,
     replica_rng,
     simulate,
     site_visit_samples,
@@ -114,16 +114,21 @@ class TestDeterminism:
                               np.trim_zeros(b.level_counts, "b"))
         assert a.site_counts == b.site_counts
 
-    def test_replicas_independent_of_thread_count(self):
-        sw = make_simple_walk(3)
-
-        def one(i):
-            run = WalkRun(step=sw, master_seed=9, replica_index=i, horizon=200)
-            return simulate(run, MAX3).level_counts.tolist()
-
-        serial = map_replicas(one, 8, threads=1)
-        threaded = map_replicas(one, 8, threads=4)
-        assert serial == threaded
+    @pytest.mark.parametrize("per_replica", [
+        lambda n: site_visit_samples(make_simple_walk(3), MAX3, (1, 0, 0),
+                                     replicas=n, master_seed=9, k_cut=12),
+        lambda n: total_level_local_time(make_simple_walk(3), MAX3, 2,
+                                         replicas=n, master_seed=9).samples,
+        lambda n: zero_one_experiment(make_simple_walk(3), MAX3, PowerLaw(3.0),
+                                      replicas=n, horizons=[50, 200],
+                                      master_seed=9).partials,
+    ], ids=["site_visit_samples", "total_level_local_time", "zero_one_experiment"])
+    def test_replica_result_independent_of_replica_count(self, per_replica):
+        # replica i's result is a function of (master_seed, i) alone; 8
+        # replicas, because 3 site counts of 0 or 1 often agree by chance
+        many, few = per_replica(24), per_replica(8)
+        assert len(many) == 24 and len(few) == 8
+        assert many[:8].tobytes() == few.tobytes()
 
     def test_distinct_replicas_differ(self):
         sw = make_simple_walk(3)
