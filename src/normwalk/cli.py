@@ -298,7 +298,7 @@ def _cmd_jeulin(args, em: Emitter) -> None:
         scen = shiga3_scenario(args.alpha) if args.alpha < 0.5 else route_a_scenario(2.0)
         fam = [PowerLaw(4.0), PowerLaw(2.5), PowerLaw(1.0 / args.alpha)] \
             if args.alpha < 0.5 else [PowerLaw(4.0), PowerLaw(2.5)]
-        rep = limit_jeulin_harness(scen, fam, [args.K // 100, args.K],
+        rep = limit_jeulin_harness(scen, fam, [max(1, args.K // 100), args.K],
                                    replicas=args.replicas,
                                    master_seed=args.seed)
         em.csv_rows(["f", "series_verdict", "stabilized_fraction",

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import ResourceError, UsageError
 from .norms import NormSpec
@@ -66,6 +65,8 @@ def clt_tail_estimate(q: np.ndarray, x: Sequence[float], n_from: int) -> float:
     n > n_from.  For period-2 walks the vanishing/doubled alternation of
     the local CLT averages to the same integral.
     """
+    from scipy.special import gammainc
+
     q = np.asarray(q, dtype=float)
     d = q.shape[0]
     det = float(np.linalg.det(q))

@@ -33,8 +33,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator
-from scipy.integrate import quad
-from scipy.special import zeta
 
 from .errors import UsageError
 from .summability import LevelFunction, PowerLaw, Verdict
@@ -124,11 +122,15 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
     E[exp(-sum_{k<=K} f(k) V0(k))] = exp(-H_K) by independence and
     f(k)^alpha = 1/k.
     """
+    from scipy.special import zeta
+
     if not (0.0 < alpha < 0.5):
         raise UsageError("shiga3 requires 0 < alpha < 1/2")
     ladder = sorted(int(k) for k in k_ladder)
     if not ladder:
         raise UsageError("need a K ladder")
+    if ladder[0] < 1:
+        raise UsageError("K ladder points must be >= 1")
     k_top = ladder[-1]
     ks = np.arange(1, k_top + 1, dtype=float)
     f = ks ** (-1.0 / alpha)
@@ -206,6 +208,8 @@ def shiga5_run(alpha: float, levels: int, replicas: int, master_seed: int,
     transform exp(-sum_cells |C| mu((t_cell, upper])^alpha), which the
     empirical functional is tested against at every truncation level.
     """
+    from scipy.integrate import quad
+
     if not (0.0 < alpha <= 0.5):
         raise UsageError("shiga5 requires 0 < alpha <= 1/2")
     if not (0.0 < upper < 1.0):
@@ -405,8 +409,10 @@ def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunct
     if scenario.limit_positive_prob < 1.0:
         stabilized_threshold = max(stabilized_threshold, 0.95)
     ladder = sorted(int(k) for k in k_ladder)
-    if len(ladder) < 2:
-        raise UsageError("need at least two ladder points")
+    if len(ladder) < 2 or len(set(ladder)) < len(ladder):
+        raise UsageError("need at least two ladder points, all distinct")
+    if ladder[0] < 1:
+        raise UsageError("K ladder points must be >= 1")
     k_top = ladder[-1]
     ks = np.arange(1, k_top + 1, dtype=float)
 

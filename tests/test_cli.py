@@ -3,6 +3,9 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from normwalk.cli import main
 from normwalk.green import green_mc
@@ -11,8 +14,22 @@ from normwalk.norms import make_norm
 from normwalk.walk import make_simple_walk
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run(argv):
     return main(argv)
+
+
+def fresh_python(*args):
+    """Run the interpreter on `args` in a new process importing from src/.
+
+    Output is decoded without newline translation, so the csv module's
+    CRLF line ends compare equal to what capsys captures in-process.
+    """
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 
 class TestExitCodes:
@@ -174,6 +191,12 @@ class TestOutputs:
         assert len(rep["laplace_targets"]) == 3
         assert len(rep["z_scores"]) == 3
 
+    def test_jeulin_harness_small_K(self, capsys):
+        # K // 100 = 0 is not a rung: the ladder starts at 1
+        assert run(["jeulin", "--scenario", "harness", "--alpha", "0.6",
+                    "--K", "50", "--replicas", "50", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["implication_respected"]
+
     def test_census_transform_preserves_counts(self, capsys):
         assert run(["census", "--norm", "l1", "--dim", "3",
                     "--transform", "1,-1,0;0,1,-1;1,-1,1",
@@ -253,3 +276,38 @@ class TestConfigFile:
         cfg.write_text("not a kv line\n")
         assert run(["--config", str(cfg), "census", "--dim", "3",
                     "--kmax", "2"]) == 1
+
+
+class TestColdStart:
+    CENSUS = ["census", "--norm", "l1", "--dim", "3", "--kmax", "15",
+              "--verify"]
+
+    def test_import_and_census_load_no_scipy(self):
+        script = ("import sys, normwalk, normwalk.cli\n"
+                  f"assert normwalk.cli.main({self.CENSUS!r}) == 0\n"
+                  "print([k for k in sys.modules\n"
+                  "       if k == 'scipy' or k.startswith('scipy.')],\n"
+                  "      file=sys.stderr)\n")
+        code, out, err = fresh_python("-c", script)
+        assert code == 0, err
+        assert err.strip() == "[]"
+        assert "15,902,recursive" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["green", "--dim", "3", "--x", "1,0,0", "--method", "dp",
+         "--nmax", "50"],
+        ["jeulin", "--scenario", "shiga5", "--replicas", "50"],
+    ])
+    def test_lazy_scipy_commands_match_in_process(self, argv, capsys):
+        code, out, err = fresh_python(
+            "-c", "import sys; from normwalk.cli import main; sys.exit(main())",
+            *argv)
+        assert code == 0, err
+        assert run(argv) == 0
+        assert out == capsys.readouterr().out
+
+    def test_python_dash_m_normwalk(self, capsys):
+        code, out, err = fresh_python("-m", "normwalk", *self.CENSUS)
+        assert code == 0, err
+        assert run(self.CENSUS) == 0
+        assert out == capsys.readouterr().out

@@ -78,6 +78,11 @@ class TestShiga3:
         with pytest.raises(UsageError):
             shiga3_run(0.6, [10], 10, 0)
 
+    def test_zero_rung_rejected(self):
+        # csum[k - 1] at k = 0 would read the top rung's partial sum
+        with pytest.raises(UsageError):
+            shiga3_run(0.4, [0, 100], 200, 1)
+
     def test_series_side_converges_under_zeta_bound(self):
         rep = shiga3_run(0.4, [100], replicas=200, master_seed=1)
         assert rep.weighted_series_partial < rep.weighted_series_bound
@@ -185,6 +190,9 @@ class TestHarness:
             limit_jeulin_harness(dead, [PowerLaw(3)], [10, 100], 10, 0)
 
     def test_ladder_gate(self):
-        with pytest.raises(UsageError):
-            limit_jeulin_harness(route_a_scenario(), [PowerLaw(3)], [100],
-                                 10, 0)
+        # a zero or repeated rung makes the top partial-sum difference 0,
+        # so every row would read "stabilised"
+        for ladder in ([100], [0, 50], [50, 50], [1, 50, 50]):
+            with pytest.raises(UsageError):
+                limit_jeulin_harness(route_a_scenario(), [PowerLaw(3)],
+                                     ladder, 10, 0)
