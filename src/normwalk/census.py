@@ -117,8 +117,7 @@ def count_w1_recursive(d: int, k_max: int) -> SphereCensus:
                         method="recursive")
 
 
-def census_for(spec: NormSpec, k_max: int, method: str = "auto",
-               box_budget: int = DEFAULT_BOX_BUDGET) -> SphereCensus:
+def census_for(spec: NormSpec, k_max: int, method: str = "auto") -> SphereCensus:
     """Best available census for a spec.
 
     "auto" prefers the closed form / recursion for the untransformed base
@@ -127,7 +126,7 @@ def census_for(spec: NormSpec, k_max: int, method: str = "auto",
     which auto exploits; pass method="bruteforce" to recount explicitly.
     """
     if method == "bruteforce":
-        return count_bruteforce(spec, k_max, box_budget=box_budget)
+        return count_bruteforce(spec, k_max)
     if method != "auto":
         raise UsageError(f"unknown census method {method!r}")
     if spec.family == "max":

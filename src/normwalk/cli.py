@@ -54,20 +54,24 @@ class _Parser(argparse.ArgumentParser):
 
 def _norm_from_args(args) -> NormSpec:
     transform = None
-    if getattr(args, "transform", None):
-        rows = [[int(v) for v in row.split(",")]
-                for row in args.transform.split(";")]
-        transform = rows
+    if args.transform:
+        transform = [[int(v) for v in row.split(",")]
+                     for row in args.transform.split(";")]
     family = args.norm.replace("-", "_")
-    return make_norm(family, args.dim, factor=getattr(args, "factor", 1),
-                     transform=transform)
+    return make_norm(family, args.dim, factor=args.factor, transform=transform)
 
 
 def _guard_degenerate(spec: NormSpec, args) -> None:
-    if spec.degenerate and not getattr(args, "allow_degenerate", False):
+    if spec.degenerate and not args.allow_degenerate:
         raise UsageError(
             "scaled_max has empty odd levels (the monotone-census assumption "
             "fails); pass --allow-degenerate to proceed anyway")
+
+
+def _replica_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not >= 1")
+    return int(text)
 
 
 def _parse_int_list(text: str) -> list:
@@ -323,22 +327,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value defaults file; flags override")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(q, dim_required=True):
-        q.add_argument("--dim", type=int, required=dim_required,
-                       default=None if dim_required else 3)
-        q.add_argument("--norm", default="max",
-                       choices=["max", "l1", "w1", "scaled-max", "scaled_max"])
-        q.add_argument("--factor", type=int, default=1,
-                       help="scale factor for scaled-max")
-        q.add_argument("--transform",
-                       help="unimodular matrix, rows ; separated, entries , separated")
-        q.add_argument("--allow-degenerate", action="store_true")
-        q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--out", help="output directory (default: stdout)")
-        q.add_argument("--format", choices=["csv", "json", "both"], default="csv")
+    # the shared flags; each subcommand declares those its handler reads
+    shared = {
+        "--dim": dict(type=int, required=True),
+        "--norm": dict(default="max",
+                       choices=["max", "l1", "w1", "scaled-max", "scaled_max"]),
+        "--factor": dict(type=int, default=1, help="scale factor for scaled-max"),
+        "--transform": dict(help="unimodular matrix, rows ; separated, "
+                                 "entries , separated"),
+        "--allow-degenerate": dict(action="store_true"),
+        "--seed": dict(type=int, default=0),
+        "--out": dict(help="output directory (default: stdout)"),
+        "--format": dict(choices=["csv", "json", "both"], default="csv"),
+    }
+    norm = ("--dim", "--norm", "--factor", "--transform")
+
+    def common(q, *flags):
+        for flag in (*flags, "--out", "--format"):
+            q.add_argument(flag, **shared[flag])
 
     q = sub.add_parser("census", help="sphere counts N(k)")
-    common(q)
+    common(q, *norm, "--allow-degenerate")
     q.add_argument("--kmax", type=int, required=True)
     q.add_argument("--bruteforce", action="store_true")
     q.add_argument("--verify", action="store_true",
@@ -346,45 +355,45 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_census)
 
     q = sub.add_parser("simulate", help="walk replicas and level local times")
-    common(q)
-    q.add_argument("--replicas", type=int, default=1)
+    common(q, *norm, "--seed")
+    q.add_argument("--replicas", type=_replica_count, default=1)
     q.add_argument("--horizon", type=int, default=None)
     q.add_argument("--stop-radius", type=int, default=None)
     q.set_defaults(func=_cmd_simulate)
 
     q = sub.add_parser("green", help="Green function estimates")
-    common(q)
+    common(q, *norm, "--seed")
     q.add_argument("--x", required=True, help="lattice point, comma separated")
     q.add_argument("--method", choices=["dp", "mc", "asymptotic"], default="dp")
     q.add_argument("--nmax", type=int, default=4000)
     q.add_argument("--box-radius", type=int, default=None)
-    q.add_argument("--replicas", type=int, default=20000)
+    q.add_argument("--replicas", type=_replica_count, default=20000)
     q.set_defaults(func=_cmd_green)
 
     q = sub.add_parser("zero-one", help="summability dichotomy experiment")
-    common(q)
+    common(q, *norm, "--allow-degenerate", "--seed")
     q.add_argument("--beta", type=float, required=True)
     q.add_argument("--gamma", type=float, default=None)
-    q.add_argument("--replicas", type=int, default=200)
+    q.add_argument("--replicas", type=_replica_count, default=200)
     q.add_argument("--horizons", default="1e4,1e5")
     q.add_argument("--verify", action="store_true",
                    help="exit 2 when the fraction contradicts the verdict")
     q.set_defaults(func=_cmd_zero_one)
 
     q = sub.add_parser("invariance", help="scaled local-time ladder")
-    common(q)
+    common(q, *norm, "--allow-degenerate", "--seed")
     q.add_argument("--k-ladder", default="10,20,40")
-    q.add_argument("--replicas", type=int, default=500)
+    q.add_argument("--replicas", type=_replica_count, default=500)
     q.set_defaults(func=_cmd_invariance)
 
     q = sub.add_parser("jeulin", help="stable-subordinator counterexamples")
-    common(q, dim_required=False)
+    common(q, "--seed")
     q.add_argument("--scenario", required=True,
                    choices=["shiga3", "shiga5", "bernoulli", "harness"])
     q.add_argument("--alpha", type=float, default=0.4)
     q.add_argument("--K", type=int, default=10000)
-    q.add_argument("--levels", type=int, default=16)
-    q.add_argument("--replicas", type=int, default=5000)
+    q.add_argument("--levels", type=int, default=16, help="N shiga5 cells, N - 1 rungs")
+    q.add_argument("--replicas", type=_replica_count, default=5000)
     q.set_defaults(func=_cmd_jeulin)
     return p
 

@@ -13,8 +13,8 @@ serves many query points.  Each DP step is a stencil on the flattened box:
 one contiguous add per atom of the step law, after which the boundary
 bands that the flat shift wrapped into are restored; mass stepping out of
 the box is absorbed and counted as ``leak``.  The DP holds four float64
-arrays of the box, 32 bytes per cell, so the default 40-million-cell
-budget is 1.28 GB for every step law.
+arrays of the box, 32 bytes per cell, so the 40-million-cell budget
+FIELD_BUDGET is 1.28 GB for every step law.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import ResourceError, UsageError
 from .norms import NormSpec
 from .walk import StepDistribution, _exit_bias, default_k_cut, site_visit_samples
 
-DEFAULT_FIELD_BUDGET = 40_000_000  # box cells, 32 bytes each
+FIELD_BUDGET = 40_000_000  # box cells, 32 bytes each
 
 
 def spitzer_asymptotic(q: np.ndarray, x: Sequence[float]) -> float:
@@ -122,19 +122,16 @@ class GreenField:
 
     Memory: p, q, the partial sums and the scaled copy of p, four float64
     arrays of the box (32 bytes per cell) for every step law, plus the saved
-    bands; ``budget`` caps the cells.
+    bands; FIELD_BUDGET caps the cells.
     """
 
-    def __init__(self, step: StepDistribution, n_max: int, box_radius: int,
-                 budget: int = DEFAULT_FIELD_BUDGET):
+    def __init__(self, step: StepDistribution, n_max: int, box_radius: int):
         if n_max < 1 or box_radius < 1:
             raise UsageError("n_max and box_radius must be >= 1")
-        d = step.dim
-        side = 2 * box_radius + 1
-        cells = side ** d
-        if cells > budget:
-            raise ResourceError(
-                f"DP box radius {box_radius} needs {cells} cells, over budget {budget}")
+        cells = (2 * box_radius + 1) ** step.dim
+        if cells > FIELD_BUDGET:
+            raise ResourceError(f"DP box radius {box_radius} needs {cells} "
+                                f"cells, over budget {FIELD_BUDGET}")
         self.step = step
         self.n_max = n_max
         self.box_radius = box_radius
@@ -227,12 +224,11 @@ def default_box_radius(x: Sequence[int], n_max: int) -> int:
 
 
 def green_dp(step: StepDistribution, x: Sequence[int], n_max: int = 4000,
-             box_radius: Optional[int] = None,
-             budget: int = DEFAULT_FIELD_BUDGET) -> GreenEstimate:
+             box_radius: Optional[int] = None) -> GreenEstimate:
     """Single-point DP estimate; build a GreenField directly to batch queries."""
     if box_radius is None:
         box_radius = default_box_radius(x, n_max)
-    field = GreenField(step, n_max=n_max, box_radius=box_radius, budget=budget)
+    field = GreenField(step, n_max=n_max, box_radius=box_radius)
     return field.green(x)
 
 
@@ -266,9 +262,8 @@ class ConsistencyReport:
 
 def green_vs_hitting(green_value: float, green_se: float,
                      p_x: float, p_x_se: float,
-                     p_0: float, p_0_se: float,
-                     n_sigma: float = 3.0) -> ConsistencyReport:
-    """Compare a Green estimate against p(x)/(1-p(0)) at n_sigma bands.
+                     p_0: float, p_0_se: float) -> ConsistencyReport:
+    """Compare a Green estimate against p(x)/(1-p(0)) at 3-sigma bands.
 
     The ratio variance comes from the delta method with independent inputs.
     """
@@ -279,5 +274,5 @@ def green_vs_hitting(green_value: float, green_se: float,
     sigma = math.sqrt(var + green_se ** 2)
     gap = abs(green_value - ratio)
     return ConsistencyReport(green_value=green_value, ratio_value=ratio,
-                             gap=gap, combined_sigma=sigma, n_sigma=n_sigma,
-                             passed=bool(gap <= n_sigma * sigma))
+                             gap=gap, combined_sigma=sigma, n_sigma=3.0,
+                             passed=bool(gap <= 3.0 * sigma))

@@ -38,6 +38,8 @@ from .errors import UsageError
 from .summability import LevelFunction, PowerLaw, Verdict
 from .walk import replica_rng
 
+SHIGA5_UPPER = 0.5  # right end c of the shiga5 measure, inside (0, 1)
+
 
 def sample_stable(alpha: float, t: float, rng: Generator,
                   size: int = 1) -> np.ndarray:
@@ -170,10 +172,10 @@ def shiga5_density(alpha: float) -> Callable[[float], float]:
     return rho
 
 
-def shiga5_phi_integral(alpha: float, upper: float = 0.5) -> float:
-    """Closed form of int_0^upper t^{1/alpha} mu(dt) = (log 1/u)^{1-1/a} / (1/a - 1)."""
+def shiga5_phi_integral(alpha: float) -> float:
+    """int_0^c t^{1/alpha} mu(dt) = (log 1/c)^{1-1/a} / (1/a - 1), c = SHIGA5_UPPER."""
     inv = 1.0 / alpha
-    return math.log(1.0 / upper) ** (1.0 - inv) / (inv - 1.0)
+    return math.log(1.0 / SHIGA5_UPPER) ** (1.0 - inv) / (inv - 1.0)
 
 
 @dataclass(frozen=True)
@@ -183,8 +185,8 @@ class Shiga5Report:
     grid: tuple                    # decreasing cell edges, upper = grid[0]
     phi_integral: float            # finite moment side, closed form
     phi_integral_quad: float       # same by quadrature (consistency)
-    laplace_rows: tuple            # per-eps: empirical vs exact discrete target, z
-    partial_medians: tuple         # per-eps median of int_eps^upper X dmu
+    laplace_rows: tuple            # per rung eps: empirical vs exact discrete target, z
+    partial_medians: tuple         # per rung eps: median of int_eps^upper X dmu
     mean_trace: tuple              # running means of X(upper): no stabilisation
 
     @property
@@ -193,33 +195,32 @@ class Shiga5Report:
 
     @property
     def partials_growing(self) -> bool:
-        # The deepest cell's left endpoint restarts the subordinator at 0,
-        # so only the rungs above it can add mass.
-        m = self.partial_medians[:-1]
+        m = self.partial_medians
         return all(a < b for a, b in zip(m, m[1:]))
 
 
-def shiga5_run(alpha: float, levels: int, replicas: int, master_seed: int,
-               upper: float = 0.5) -> Shiga5Report:
-    """Discretised int X dmu on a ratio-1/2 geometric grid under (0, upper].
+def shiga5_run(alpha: float, levels: int, replicas: int,
+               master_seed: int) -> Shiga5Report:
+    """Discretised int X dmu on a ratio-1/2 geometric grid of `levels` cells
+    under (0, upper], upper = SHIGA5_UPPER.
 
     Cell masses are exact quadratures of the density; the subordinator uses
     left-endpoint values, so the discrete functional has the exact Laplace
     transform exp(-sum_cells |C| mu((t_cell, upper])^alpha), which the
-    empirical functional is tested against at every truncation level.
+    empirical functional is tested against at every truncation level
+    eps = grid[1], ..., grid[levels - 1]: X is 0 at the deepest cell's left
+    end, so that cell is no rung of its own, but its increment enters X.
     """
     from scipy.integrate import quad
 
     if not (0.0 < alpha <= 0.5):
         raise UsageError("shiga5 requires 0 < alpha <= 1/2")
-    if not (0.0 < upper < 1.0):
-        raise UsageError("upper cutoff must lie in (0, 1)")
     if levels < 3:
         raise UsageError("need a grid refining toward 0 (levels >= 3)")
-    edges = [upper * 0.5 ** j for j in range(levels + 1)]  # decreasing
+    edges = [SHIGA5_UPPER * 0.5 ** j for j in range(levels + 1)]  # decreasing
     rho = shiga5_density(alpha)
     cell_mass = np.array([quad(rho, edges[j + 1], edges[j])[0]
-                          for j in range(levels)])
+                          for j in range(levels - 1)])
     cell_len = np.array([edges[j] - edges[j + 1] for j in range(levels)])
     # mass_to[j] = mu((edges[j+1], upper]) = mass of cells 0..j
     mass_to = np.cumsum(cell_mass)
@@ -238,34 +239,34 @@ def shiga5_run(alpha: float, levels: int, replicas: int, master_seed: int,
         rng = replica_rng(master_seed, i)
         unit = sample_stable(alpha, 1.0, rng, levels)
         incs = cell_len ** (1.0 / alpha) * unit  # stable scaling per cell
-        # X at the left endpoint of cell j = all grid increments strictly below
-        x_left = np.concatenate([np.cumsum(incs[::-1])[::-1][1:], [0.0]])
+        # X at the left endpoint of cell j < levels - 1: the increments below
+        x_left = np.cumsum(incs[::-1])[::-1][1:]
         return np.cumsum(x_left * cell_mass)  # partial integrals down to each eps
 
     rows = np.array([one(i) for i in range(replicas)], dtype=float)
 
     laplace_rows = [_laplace_row("eps", edges[j + 1], np.exp(-rows[:, j]),
                                  math.exp(-exact_exponent(j)))
-                    for j in range(levels)]
+                    for j in range(levels - 1)]
 
     # phi-integral by quadrature in w = log(1/t): int w^{-1/alpha} dw
     phi_quad = quad(lambda w: w ** (-1.0 / alpha),
-                    math.log(1.0 / upper), np.inf)[0]
+                    math.log(1.0 / SHIGA5_UPPER), np.inf)[0]
 
     def total_x(i: int) -> float:
         rng = replica_rng(master_seed + 1, i)
-        return float(sample_stable(alpha, upper, rng, 1)[0])
+        return float(sample_stable(alpha, SHIGA5_UPPER, rng, 1)[0])
 
     xs = np.array([total_x(i) for i in range(replicas)])
     prefix_means = tuple(float(xs[:n].mean())
                          for n in np.unique(np.geomspace(10, replicas, 6).astype(int)))
 
-    return Shiga5Report(alpha=alpha, upper=upper, grid=tuple(edges),
-                        phi_integral=shiga5_phi_integral(alpha, upper),
+    return Shiga5Report(alpha=alpha, upper=SHIGA5_UPPER, grid=tuple(edges),
+                        phi_integral=shiga5_phi_integral(alpha),
                         phi_integral_quad=float(phi_quad),
                         laplace_rows=tuple(laplace_rows),
                         partial_medians=tuple(float(np.median(rows[:, j]))
-                                              for j in range(levels)),
+                                              for j in range(levels - 1)),
                         mean_trace=prefix_means)
 
 
@@ -390,13 +391,12 @@ def weighted_series_verdict(f: LevelFunction, phi_exponent: float) -> Verdict:
 
 def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunction],
                          k_ladder: Sequence[int], replicas: int,
-                         master_seed: int, eps_rel: float = 0.05,
-                         stabilized_threshold: float = 0.5) -> HarnessReport:
+                         master_seed: int, eps_rel: float = 0.05) -> HarnessReport:
     """Cross-tabulate symbolic sum f Phi against empirical sum f V.
 
     Only the forward direction is asserted, and route-aware: with a
-    declared P(X>0) = 1, positive-probability finiteness evidence (the
-    stabilised fraction above `stabilized_threshold`) demands a convergent
+    declared P(X>0) = 1, positive-probability finiteness evidence (a
+    stabilised fraction of at least 0.5) demands a convergent
     weighted series; with 0 < P(X>0) < 1 only near-certain evidence
     (fraction >= 0.95, the almost-sure route) does.  The two routes cannot
     be merged -- see bernoulli_non_unifiable.  Rows where a convergent
@@ -406,8 +406,7 @@ def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunct
     if scenario.limit_positive_prob <= 0.0:
         raise UsageError("scenario declares P(X>0) = 0: the lemma needs "
                          "positive limit mass")
-    if scenario.limit_positive_prob < 1.0:
-        stabilized_threshold = max(stabilized_threshold, 0.95)
+    stabilized_threshold = 0.5 if scenario.limit_positive_prob >= 1.0 else 0.95
     ladder = sorted(int(k) for k in k_ladder)
     if len(ladder) < 2 or len(set(ladder)) < len(ladder):
         raise UsageError("need at least two ladder points, all distinct")

@@ -65,11 +65,11 @@ def mu_k_integral(spec: NormSpec, k: int, testfn: TestFn) -> float:
     return sphere_measure(spec, k).integral(testfn)
 
 
-def mu_surface_integral_max(d: int, testfn: TestFn, order: int = 24) -> float:
+def mu_surface_integral_max(d: int, testfn: TestFn) -> float:
     """Uniform (probability) surface average over the boundary of the unit cube.
 
-    Product Gauss-Legendre quadrature of the given order on each of the 2d
-    faces; exact for polynomial test functions of degree < 2*order.  The
+    Product Gauss-Legendre quadrature of order 24 on each of the 2d
+    faces; exact for polynomial test functions of degree < 48.  The
     weighted sum is divided by the rule's own weight total rather than the
     analytic area 2d * 2^(d-1); Gauss-Legendre weights sum to 2 on each
     axis, so the two agree in exact arithmetic.  Both sums are taken with
@@ -78,7 +78,7 @@ def mu_surface_integral_max(d: int, testfn: TestFn, order: int = 24) -> float:
     """
     if d < 1:
         raise UsageError("d must be >= 1")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
     grids = np.meshgrid(*([nodes] * (d - 1)), indexing="ij")
     wgrids = np.meshgrid(*([weights] * (d - 1)), indexing="ij")
     free = np.stack([g.ravel() for g in grids], axis=-1) if d > 1 \
@@ -130,13 +130,12 @@ def default_test_functions(d: int) -> dict:
 
 
 def weak_convergence_report(spec: NormSpec, testfns: dict,
-                            k_ladder: Sequence[int],
-                            proxy_factor: int = 4) -> WeakConvergenceReport:
+                            k_ladder: Sequence[int]) -> WeakConvergenceReport:
     """Per-k discrepancies |mu_k(f) - reference(f)| along the ladder.
 
     The reference is the analytic cube-surface average for the
     untransformed max norm and the proxy measure mu_{k_ref} otherwise,
-    with k_ref = proxy_factor * max(ladder).  The analytic reference is the
+    with k_ref = 4 * max(ladder).  The analytic reference is the
     normalised (probability) surface average of mu_surface_integral_max:
     the quadrature sum is divided by the rule's own weight total and both
     are summed with fsum, so a constant test function has reference exactly
@@ -151,7 +150,7 @@ def weak_convergence_report(spec: NormSpec, testfns: dict,
                for label, fn in testfns.items()}
         ref_desc = "analytic"
     else:
-        k_ref = proxy_factor * ladder[-1]
+        k_ref = 4 * ladder[-1]
         proxy = sphere_measure(spec, k_ref)
         ref = {label: proxy.integral(fn) for label, fn in testfns.items()}
         ref_desc = f"proxy(k={k_ref})"
@@ -240,8 +239,7 @@ class CauchyCheck:
 
 
 def distributional_cauchy(samples_a: np.ndarray, samples_b: np.ndarray,
-                          n_boot: int = 200, seed: int = 0,
-                          min_size: int = 100) -> CauchyCheck:
+                          n_boot: int = 200, seed: int = 0) -> CauchyCheck:
     """KS distance between two sample sets plus a bootstrap noise band.
 
     The band is 3x the standard deviation of the statistic under
@@ -250,8 +248,8 @@ def distributional_cauchy(samples_a: np.ndarray, samples_b: np.ndarray,
     """
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
-    if a.size < min_size or b.size < min_size:
-        raise UsageError(f"need at least {min_size} samples per set")
+    if a.size < 100 or b.size < 100:
+        raise UsageError("need at least 100 samples per set")
     stat = ks_statistic(a, b)
     rng = np.random.default_rng(seed)
     boots = np.empty(n_boot)
@@ -272,9 +270,9 @@ class InvarianceReport:
     mean_sequence: tuple
     samples: tuple            # scaled samples per ladder level
 
-    def means_bounded(self, factor: float = 2.0) -> bool:
+    def means_bounded(self) -> bool:
         ms = self.mean_sequence
-        return max(ms) <= factor * min(ms)
+        return max(ms) <= 2.0 * min(ms)
 
 
 def invariance_surrogate(step: StepDistribution, spec: NormSpec,

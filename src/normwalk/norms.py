@@ -304,11 +304,11 @@ def make_norm(family: str, dim: int, factor: int = 1,
     return NormSpec(family=family, dim=dim, factor=factor, transform=t)
 
 
-def iter_box_slabs(dim: int, radius: int, max_chunk: int = 1 << 20) -> Iterator[np.ndarray]:
+def iter_box_slabs(dim: int, radius: int) -> Iterator[np.ndarray]:
     """Yield the lattice cube [-radius, radius]^dim in coordinate slabs.
 
     Slabs are sliced along the first coordinate so peak memory stays below
-    max_chunk points; iteration order is deterministic.
+    2^20 points; iteration order is deterministic.
     """
     side = 2 * radius + 1
     per_slab = side ** (dim - 1)
@@ -317,7 +317,7 @@ def iter_box_slabs(dim: int, radius: int, max_chunk: int = 1 << 20) -> Iterator[
         return
     axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * (dim - 1)
     rest = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim - 1)
-    first_per_chunk = max(1, max_chunk // per_slab)
+    first_per_chunk = max(1, (1 << 20) // per_slab)
     firsts = np.arange(-radius, radius + 1, dtype=np.int64)
     for i in range(0, side, first_per_chunk):
         chunk_firsts = firsts[i:i + first_per_chunk]
@@ -345,7 +345,7 @@ def _cube_shell(dim: int, k: int) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def sphere_points(spec: NormSpec, k: int, max_chunk: int = 1 << 20) -> np.ndarray:
+def sphere_points(spec: NormSpec, k: int) -> np.ndarray:
     """All lattice points with exact norm k."""
     if k == 0:
         return np.zeros((1, spec.dim), dtype=np.int64)
@@ -355,7 +355,7 @@ def sphere_points(spec: NormSpec, k: int, max_chunk: int = 1 << 20) -> np.ndarra
         return _cube_shell(spec.dim, k // spec.factor)
     radius = spec.enclosing_box_radius(k)
     hits = []
-    for slab in iter_box_slabs(spec.dim, radius, max_chunk=max_chunk):
+    for slab in iter_box_slabs(spec.dim, radius):
         nv = spec.values(slab)
         sel = slab[nv == k]
         if sel.size:

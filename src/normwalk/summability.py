@@ -15,11 +15,11 @@ is strictly weaker than V.
 The zero-one experiment classifies Monte Carlo replicas as stabilised or
 growing from their partial sums at a horizon ladder.  A replica counts as
 stabilised when the last two checkpoints differ by less than
-eps_abs + eps_rel * (final partial sum).  The default eps_abs is an
-"excursion allowance" of a few multiples of sum_k f(k): one late sweep of
-the low norm levels adds mass of that order to a convergent sum, while a
+eps_abs + EPS_REL * (final partial sum).  eps_abs is an "excursion
+allowance" of a few multiples of sum_k f(k): one late sweep of the low
+norm levels adds mass of that order to a convergent sum, while a
 divergent sum outgrows any fixed allowance.  See the module tests for the
-calibration showing the dichotomy is seed-robust at the default budgets.
+calibration showing the dichotomy is seed-robust at these tolerances.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .walk import StepDistribution, WalkRun, check_a0, truncated_f_sum
 
 EXCURSION_ALLOWANCE_FACTOR = 5.0
 ALLOWANCE_SUM_CAP = 10_000
+EPS_REL = 0.05
 
 
 class Verdict(enum.Enum):
@@ -67,8 +68,8 @@ class LevelFunction:
     def __call__(self, k) -> np.ndarray:
         return self.values(np.asarray(k))
 
-    def value_sum(self, k_cap: int = ALLOWANCE_SUM_CAP) -> float:
-        return float(self.values(np.arange(0, k_cap + 1)).sum())
+    def value_sum(self) -> float:
+        return float(self.values(np.arange(0, ALLOWANCE_SUM_CAP + 1)).sum())
 
 
 @dataclass(frozen=True)
@@ -273,15 +274,15 @@ class ZeroOneReport:
         return not (0.2 <= self.stabilized_fraction <= 0.8)
 
 
-def excursion_allowance(f: LevelFunction, factor: float = EXCURSION_ALLOWANCE_FACTOR) -> float:
-    """Default absolute stabilisation allowance: factor * sum_k f(k).
+def excursion_allowance(f: LevelFunction) -> float:
+    """Absolute stabilisation allowance: EXCURSION_ALLOWANCE_FACTOR * sum_k f(k).
 
     A transient replica that wanders back through the populated levels once
     more adds on the order of sum_k f(k) (times the geometric number of
     re-visits) to its total; a genuinely divergent sum exceeds any fixed
     allowance between successive decades.  Scales linearly with f.
     """
-    return factor * f.value_sum() + 1e-12
+    return EXCURSION_ALLOWANCE_FACTOR * f.value_sum() + 1e-12
 
 
 def _replica_partials(step: StepDistribution, norm: NormSpec,
@@ -304,17 +305,16 @@ def _replica_partials(step: StepDistribution, norm: NormSpec,
 def zero_one_experiment(step: StepDistribution, norm: NormSpec,
                         f: LevelFunction, replicas: int,
                         horizons: Sequence[int], master_seed: int,
-                        eps_abs: Optional[float] = None,
-                        eps_rel: float = 0.05,
                         census: Optional[SphereCensus] = None,
                         allow_non_a0: bool = False) -> ZeroOneReport:
     """Monte Carlo dichotomy check for sum_n f(||S_n||).
 
-    Each replica reports partial sums at every horizon; it is stabilised
-    when the last two differ by < eps_abs + eps_rel * final.  The reported
-    fraction should sit near 0 or near 1, never in between, for structured
-    f with a definite symbolic verdict (given horizons that clear the
-    k f(k) criticality; boundary exponents need longer ladders).
+    Each replica reports partial sums at every horizon (all distinct); it is
+    stabilised when the last two differ by < excursion_allowance(f) +
+    EPS_REL * final.  The fraction should sit near 0 or near 1, never in
+    between, for structured f with a definite symbolic verdict (given
+    horizons that clear the k f(k) criticality; boundary exponents need
+    longer ladders).
     """
     if norm.dim <= 2:
         raise UsageError("d <= 2 walks are recurrent; finiteness forces f = 0, "
@@ -323,20 +323,20 @@ def zero_one_experiment(step: StepDistribution, norm: NormSpec,
         raise UsageError("step law violates the isotropy assumption; "
                          "pass allow_non_a0=True to run anyway")
     horizons = sorted(int(h) for h in horizons)
-    if len(horizons) < 2:
-        raise UsageError("need at least two horizons")
-    if eps_abs is None:
-        eps_abs = excursion_allowance(f)
+    if len(horizons) < 2 or len(set(horizons)) < len(horizons):
+        # a repeated last horizon makes every replica look stabilised
+        raise UsageError("need at least two horizons, all distinct")
+    eps_abs = excursion_allowance(f)
     rows = _replica_partials(step, norm, f, horizons, replicas, master_seed)
     final = rows[:, -1]
     diff = rows[:, -1] - rows[:, -2]
-    stab = diff < eps_abs + eps_rel * final
+    stab = diff < eps_abs + EPS_REL * final
     iv = None
     if census is not None:
         iv = decide_iv(f, census).verdict
     return ZeroOneReport(f_label=f.label, horizons=tuple(horizons),
                          replicas=replicas, eps_abs=float(eps_abs),
-                         eps_rel=float(eps_rel),
+                         eps_rel=EPS_REL,
                          stabilized_fraction=float(stab.mean()),
                          stabilized=stab, partials=rows,
                          criterion_v=decide_v(f).verdict, criterion_iv=iv)
@@ -370,6 +370,8 @@ def expectation_vs_criterion(step: StepDistribution, norm: NormSpec,
     """
     d = norm.dim
     horizons = sorted(int(h) for h in horizons)
+    if not horizons:
+        raise UsageError("need at least one horizon")
     ks = np.arange(1, census.k_max + 1)
     f_ks = np.asarray(f(ks), dtype=float)
     f0 = float(np.asarray(f(np.zeros(1, dtype=np.int64)))[0])

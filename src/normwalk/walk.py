@@ -117,14 +117,11 @@ def make_simple_walk(d: int) -> StepDistribution:
                             probabilities=np.full(2 * d, 1.0 / (2 * d)))
 
 
-def make_lazy_walk(d: int, stay_probability: float = 0.5) -> StepDistribution:
-    """Simple walk that stays put with the given probability."""
-    if not (0.0 <= stay_probability < 1.0):
-        raise UsageError("stay_probability must lie in [0, 1)")
+def make_lazy_walk(d: int) -> StepDistribution:
+    """Simple walk that stays put with probability 1/2."""
     base = make_simple_walk(d)
     sup = np.vstack([np.zeros((1, d), dtype=np.int64), base.support])
-    move = (1.0 - stay_probability) / (2 * d)
-    probs = np.concatenate([[stay_probability], np.full(2 * d, move)])
+    probs = np.concatenate([[0.5], np.full(2 * d, 0.5 / (2 * d))])
     return StepDistribution(dim=d, support=sup, probabilities=probs)
 
 

@@ -61,6 +61,23 @@ class TestExitCodes:
         assert run(["census", "--norm", "scaled-max", "--factor", "2",
                     "--dim", "3", "--kmax", "6", "--allow-degenerate"]) == 0
 
+    def test_zero_one_repeated_horizons(self, capsys):
+        assert run(["zero-one", "--beta", "1.5", "--dim", "3", "--replicas",
+                    "2", "--horizons", "1e4,1e4"]) == 1
+        assert "distinct" in capsys.readouterr().err
+
+    def test_replicas_below_one_rejected(self, capsys):
+        for argv in (["simulate", "--dim", "3", "--horizon", "50"],
+                     ["green", "--dim", "3", "--x", "1,0,0", "--method", "mc"],
+                     ["zero-one", "--beta", "3", "--dim", "3",
+                      "--horizons", "10,100"],
+                     ["invariance", "--dim", "3", "--k-ladder", "2,4"],
+                     ["jeulin", "--scenario", "shiga3", "--K", "100"],
+                     ["jeulin", "--scenario", "harness", "--K", "100"]):
+            for bad in ("0", "-2"):
+                assert run([*argv, "--replicas", bad]) == 1
+                assert "--replicas" in capsys.readouterr().err
+
     def test_resource_error_exit_code(self, capsys):
         assert run(["green", "--dim", "3", "--x", "0,0,0", "--method", "dp",
                     "--nmax", "10", "--box-radius", "900"]) == 3
@@ -121,6 +138,27 @@ class TestOutputs:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threads=2\n")
         assert run(["--config", str(cfg), *argv]) == 1
+
+    def test_unread_flags_rejected(self, tmp_path, capsys):
+        # each subcommand declares only the flags its handler reads.  A
+        # store_true flag cannot be set from a config line at all, so its
+        # config case exits 1 for that reason too.
+        cases = [(["census", "--dim", "3", "--kmax", "2"], "seed", "1"),
+                 (["simulate", "--dim", "3", "--horizon", "50"],
+                  "allow_degenerate", None),
+                 (["green", "--dim", "3", "--x", "1,0,0",
+                   "--method", "asymptotic"], "allow_degenerate", None)]
+        jeulin = ["jeulin", "--scenario", "bernoulli"]
+        cases += [(jeulin, key, value) for key, value in (
+            ("dim", "3"), ("norm", "l1"), ("factor", "2"),
+            ("transform", "1,0,0;0,1,0;0,0,1"), ("allow_degenerate", None))]
+        cfg = tmp_path / "run.cfg"
+        for argv, key, value in cases:
+            assert run(argv) == 0
+            flag = "--" + key.replace("_", "-")
+            assert run([*argv, flag, *([value] if value else [])]) == 1
+            cfg.write_text(f"{key}={value or 'true'}\n")
+            assert run(["--config", str(cfg), *argv]) == 1
 
     def test_simulate_stop_radius_summary(self, tmp_path):
         out = tmp_path / "r"

@@ -122,6 +122,14 @@ class TestShiga5:
         assert rep.partials_growing
         assert rep.laplace_consistent
 
+    def test_one_row_per_rung(self):
+        # the deepest cell starts at 0 and adds no rung: 6 levels, 5 rungs
+        rep = shiga5_run(0.5, levels=6, replicas=200, master_seed=1)
+        assert [r["eps"] for r in rep.laplace_rows] == list(rep.grid[1:6])
+        assert len(rep.partial_medians) == 5
+        targets = [r["target"] for r in rep.laplace_rows]
+        assert len(set(targets)) == len(targets)
+
     def test_heavy_tail_mean_instability(self):
         rep = shiga5_run(0.5, levels=8, replicas=4000, master_seed=5)
         trace = np.array(rep.mean_trace)

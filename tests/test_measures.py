@@ -88,8 +88,7 @@ class TestWeakConvergence:
 
     def test_l1_proxy_reference(self):
         spec = make_norm("l1", 3)
-        rep = weak_convergence_report(spec, {"sq": SQ1}, [8, 24],
-                                      proxy_factor=4)
+        rep = weak_convergence_report(spec, {"sq": SQ1}, [8, 24])
         assert rep.reference == "proxy(k=96)"
         d8, d24 = rep.discrepancies("sq")
         assert d24 < d8
@@ -173,7 +172,7 @@ class TestInvarianceSurrogate:
                                    master_seed=3, n_boot=60)
         assert rep.zero_fraction == 0.0
         assert len(rep.ks_sequence) == 1
-        assert rep.means_bounded(factor=2.0)
+        assert rep.means_bounded()
 
     def test_negative_control_norm_mismatch(self):
         # same level, different norms: clearly different scaled laws

@@ -178,6 +178,13 @@ class TestZeroOneExperiment:
         with pytest.raises(UsageError):
             zero_one_experiment(SW3, MAX3, PowerLaw(3), 4, [100], 0)
 
+    def test_repeated_horizons_refused(self):
+        # a repeated last horizon would make every replica of a divergent
+        # sum look stabilised (fraction 1.0 for PowerLaw(1.5))
+        for horizons in ([1000, 1000], [100, 1000, 1000], [100, 100, 1000]):
+            with pytest.raises(UsageError, match="distinct"):
+                zero_one_experiment(SW3, MAX3, PowerLaw(1.5), 20, horizons, 1)
+
 
 class TestExpectationVsCriterion:
     def test_unit_mass_at_level_one_matches_green_sum(self):
@@ -208,6 +215,11 @@ class TestExpectationVsCriterion:
         partials = [r["census_partial"] for r in rep.rows]
         assert means[1] > 1.5 * means[0]
         assert partials[1] > partials[0]
+
+    def test_empty_horizons_refused(self):
+        with pytest.raises(UsageError, match="horizon"):
+            expectation_vs_criterion(SW3, MAX3, PowerLaw(4), census_for(MAX3, 16),
+                                     replicas=4, horizons=[], master_seed=0)
 
     def test_vanishing_f_rejected(self):
         cen = census_for(MAX3, 16)
