@@ -37,6 +37,7 @@ from .summability import PowerLaw, PowerLog, zero_one_experiment
 from .walk import (
     WalkRun,
     make_simple_walk,
+    map_replicas,
     simulate,
     truncation_bias_bound,
 )
@@ -174,7 +175,7 @@ def _cmd_simulate(args, em: Emitter) -> None:
                       horizon=args.horizon, stop_radius=args.stop_radius)
         return simulate(run, spec)
 
-    recs = [one(i) for i in range(args.replicas)]
+    recs = map_replicas(one, args.replicas)
     rows = []
     for i, rec in enumerate(recs):
         for k, c in enumerate(rec.level_counts):
@@ -398,10 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the store_true flags; a config line sets one with a yes/no value
+_SWITCHES = ("allow-degenerate", "bruteforce", "verify")
+_TRUE, _FALSE = ("true", "yes", "1"), ("false", "no", "0")
+
+
 def _apply_config_file(argv: list) -> list:
     """Splice key=value entries in as flags right after the subcommand.
 
-    Explicit command-line flags come later in argv, so they win.
+    Explicit command-line flags come later in argv, so they win.  A switch
+    set true becomes the bare flag and one set false is left out.
     """
     if "--config" not in argv:
         return argv
@@ -419,7 +426,14 @@ def _apply_config_file(argv: list) -> list:
         if "=" not in line:
             raise UsageError(f"config line {line!r} is not key=value")
         key, val = line.split("=", 1)
-        tokens.extend([f"--{key.strip().replace('_', '-')}", val.strip()])
+        flag, val = key.strip().replace("_", "-"), val.strip()
+        if flag not in _SWITCHES:
+            tokens.extend([f"--{flag}", val])
+        elif val.lower() in _TRUE:
+            tokens.append(f"--{flag}")
+        elif val.lower() not in _FALSE:
+            raise UsageError(f"config key {key.strip()!r} is a switch: "
+                             f"{val!r} is not one of {', '.join(_TRUE + _FALSE)}")
     rest = argv[:i] + argv[i + 2:]
     if not rest:
         raise UsageError("a subcommand is required")

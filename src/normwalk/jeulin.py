@@ -36,7 +36,7 @@ from numpy.random import Generator
 
 from .errors import UsageError
 from .summability import LevelFunction, PowerLaw, Verdict
-from .walk import replica_rng
+from .walk import map_replicas, replica_rng
 
 SHIGA5_UPPER = 0.5  # right end c of the shiga5 measure, inside (0, 1)
 
@@ -143,7 +143,7 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
         csum = np.cumsum(f * v0)
         return [csum[k - 1] for k in ladder]
 
-    partials = np.array([one(i) for i in range(replicas)], dtype=float)
+    partials = np.array(map_replicas(one, replicas), dtype=float)
 
     laplace_rows = [_laplace_row("K", k, np.exp(-partials[:, j]),
                                  math.exp(-harmonic(k)))
@@ -243,7 +243,7 @@ def shiga5_run(alpha: float, levels: int, replicas: int,
         x_left = np.cumsum(incs[::-1])[::-1][1:]
         return np.cumsum(x_left * cell_mass)  # partial integrals down to each eps
 
-    rows = np.array([one(i) for i in range(replicas)], dtype=float)
+    rows = np.array(map_replicas(one, replicas), dtype=float)
 
     laplace_rows = [_laplace_row("eps", edges[j + 1], np.exp(-rows[:, j]),
                                  math.exp(-exact_exponent(j)))
@@ -257,7 +257,7 @@ def shiga5_run(alpha: float, levels: int, replicas: int,
         rng = replica_rng(master_seed + 1, i)
         return float(sample_stable(alpha, SHIGA5_UPPER, rng, 1)[0])
 
-    xs = np.array([total_x(i) for i in range(replicas)])
+    xs = np.array(map_replicas(total_x, replicas))
     prefix_means = tuple(float(xs[:n].mean())
                          for n in np.unique(np.geomspace(10, replicas, 6).astype(int)))
 
@@ -427,7 +427,7 @@ def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunct
             out[label] = [csum[k - 1] for k in ladder]
         return out
 
-    per_replica = [one(i) for i in range(replicas)]
+    per_replica = map_replicas(one, replicas)
 
     rows = []
     for f in f_family:

@@ -34,7 +34,7 @@ import numpy as np
 from .census import SphereCensus, growth_bounds
 from .errors import UsageError
 from .norms import NormSpec
-from .walk import StepDistribution, WalkRun, check_a0, truncated_f_sum
+from .walk import StepDistribution, WalkRun, check_a0, map_replicas, truncated_f_sum
 
 EXCURSION_ALLOWANCE_FACTOR = 5.0
 ALLOWANCE_SUM_CAP = 10_000
@@ -299,7 +299,7 @@ def _replica_partials(step: StepDistribution, norm: NormSpec,
         ps = truncated_f_sum(run, norm, f, horizons)
         return [ps[h] for h in horizons]
 
-    return np.array([one(i) for i in range(replicas)], dtype=float)
+    return np.array(map_replicas(one, replicas), dtype=float)
 
 
 def zero_one_experiment(step: StepDistribution, norm: NormSpec,

@@ -2,8 +2,11 @@
 
 Each replica's path is a pure function of (master_seed, replica_index):
 streams come from counter-based Philox generators keyed by that pair, so
-replica i's result does not depend on how many replicas run.  Replicas
-run one after another in a plain loop.
+replica i's result does not depend on how many replicas run.  Every
+replica loop goes through `map_replicas`, which splits the replicas into
+one contiguous range per CPU this process may run on and runs all but the
+first in forked children; since a replica reads only its own stream, the
+results do not depend on the CPU count either.
 
 Every walk is stepped by one kernel, `_blocks`, in structure-of-arrays
 layout: a block holds the positions S_{n0}, ..., S_{n0+m-1} as a (d, m)
@@ -24,8 +27,11 @@ of `_blocks` directly.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -36,6 +42,8 @@ from .norms import NormSpec
 DEFAULT_CHUNK = 1 << 15
 DEFAULT_MAX_STEPS = 10 ** 8  # safety valve for stop_radius-only runs
 
+T = TypeVar("T")
+
 
 def replica_rng(master_seed: int, replica_index: int) -> Generator:
     """Philox stream keyed by (master_seed, replica_index); no jumping."""
@@ -43,6 +51,96 @@ def replica_rng(master_seed: int, replica_index: int) -> Generator:
         raise UsageError("seeds and replica indices must be nonnegative")
     key = np.array([master_seed, replica_index], dtype=np.uint64)
     return Generator(Philox(key=key))
+
+
+_mapping = False  # True during a parallel map_replicas call, in its children too
+
+
+def map_replicas(one: Callable[[int], T], replicas: int) -> list[T]:
+    """[one(i) for i in range(replicas)], split across the CPUs.
+
+    The replicas are split into one contiguous range per CPU in this
+    process's affinity mask (at most `replicas` ranges).  This process runs
+    range 0 itself; every other range runs in an `os.fork()` child, which
+    pickles its results back through a pipe.  Each `one(i)` must draw only
+    from its own `(seed, i)` stream, so the list is the serial one, in
+    replica order, whatever the CPU count.  Side effects of `one` (prints,
+    appends to outer lists, caches) made in a child are lost, so `one`
+    should only return its value, which must pickle.
+
+    An exception raised in any range reaches the caller, the one of the
+    lowest range first, as the serial loop would raise it; a child that
+    dies without a result raises RuntimeError.  On every exit each child
+    has been reaped.  A map_replicas call made inside another runs
+    serially, so processes never multiply.
+    """
+    global _mapping
+    workers = min(len(os.sched_getaffinity(0)), replicas)
+    if _mapping or workers <= 1:
+        return [one(i) for i in range(replicas)]
+    _mapping = True
+    try:
+        return _forked(one, replicas, workers)
+    finally:
+        _mapping = False
+
+
+def _forked(one: Callable[[int], T], replicas: int, workers: int) -> list[T]:
+    bounds = [replicas * w // workers for w in range(workers + 1)]
+    children = {}  # pid -> read end of its pipe, for children not yet reaped
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: close the pipe, reap the rest
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _child(one, range(bounds[w], bounds[w + 1]), write)
+            os.close(write)
+            children[pid] = read
+        out = [one(i) for i in range(bounds[0], bounds[1])]
+        for w, pid in enumerate(list(children), start=1):
+            with open(children[pid], "rb") as fh:
+                blob = fh.read()  # to EOF first: a full pipe blocks the child
+            del children[pid]
+            _, status = os.waitpid(pid, 0)
+            try:
+                ok, value = pickle.loads(blob)
+            except Exception:
+                raise RuntimeError(
+                    f"the worker for replicas {bounds[w]}..{bounds[w + 1] - 1} "
+                    f"ended without a readable result (wait status {status})"
+                ) from None
+            if not ok:
+                raise value
+            out.extend(value)
+        return out
+    finally:
+        for pid, read in children.items():
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(one: Callable[[int], T], indices: range, write: int) -> None:
+    """Runs one range in a forked child, pickles the outcome, never returns.
+
+    An outcome that does not pickle leaves a truncated pipe, which the
+    parent reports as a worker without a readable result.
+    """
+    try:
+        try:
+            outcome = (True, [one(i) for i in indices])
+        except BaseException as exc:  # the parent re-raises it
+            outcome = (False, exc)
+        with open(write, "wb") as fh:
+            pickle.dump(outcome, fh)
+    finally:
+        os._exit(0)
 
 
 @dataclass(frozen=True)
@@ -320,7 +418,7 @@ def _exit_counts(step: StepDistribution, norm: NormSpec, k_cut: int,
                 return total
         raise UsageError("walk failed to exit k_cut within the step budget")
 
-    return np.array([one(i) for i in range(replicas)], dtype=np.int64)
+    return np.array(map_replicas(one, replicas), dtype=np.int64)
 
 
 def total_level_local_time(step: StepDistribution, norm: NormSpec, k: int,

@@ -140,9 +140,7 @@ class TestOutputs:
         assert run(["--config", str(cfg), *argv]) == 1
 
     def test_unread_flags_rejected(self, tmp_path, capsys):
-        # each subcommand declares only the flags its handler reads.  A
-        # store_true flag cannot be set from a config line at all, so its
-        # config case exits 1 for that reason too.
+        # each subcommand declares only the flags its handler reads
         cases = [(["census", "--dim", "3", "--kmax", "2"], "seed", "1"),
                  (["simulate", "--dim", "3", "--horizon", "50"],
                   "allow_degenerate", None),
@@ -308,6 +306,37 @@ class TestConfigFile:
         assert run(["zero-one", "--beta", "3", "--dim", "3", "--replicas", "2",
                     "--horizons", "1e2,1e3", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["f"]
+
+    CENSUS = ["census", "--norm", "l1", "--dim", "3", "--kmax", "4",
+              "--format", "json"]
+
+    @pytest.mark.parametrize("value", ["true", "yes", "1", "True"])
+    def test_switch_set_true(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"verify={value}\n")
+        assert run(["--config", str(cfg), *self.CENSUS]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+        cfg.write_text(f"allow_degenerate={value}\n")
+        assert run(["--config", str(cfg), "census", "--norm", "scaled-max",
+                    "--factor", "2", "--dim", "3", "--kmax", "2"]) == 0
+
+    @pytest.mark.parametrize("value", ["false", "no", "0"])
+    def test_switch_set_false(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"verify={value}\nbruteforce={value}\n")
+        assert run(["--config", str(cfg), *self.CENSUS]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert "verified" not in rep and rep["method"] == "recursive"
+        cfg.write_text(f"allow_degenerate={value}\n")
+        assert run(["--config", str(cfg), "census", "--norm", "scaled-max",
+                    "--factor", "2", "--dim", "3", "--kmax", "2"]) == 1
+        assert "--allow-degenerate" in capsys.readouterr().err
+
+    def test_switch_other_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bruteforce=maybe\n")
+        assert run(["--config", str(cfg), *self.CENSUS]) == 1
+        assert "config key 'bruteforce'" in capsys.readouterr().err
 
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

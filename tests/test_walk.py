@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from normwalk.walk import (
     hitting_probability,
     make_lazy_walk,
     make_simple_walk,
+    map_replicas,
     replica_rng,
     simulate,
     site_visit_samples,
@@ -103,6 +106,20 @@ class TestStepDistribution:
                              probabilities=np.array([0.6, 0.6]))
 
 
+PER_REPLICA = {
+    "site_visit_samples":
+        lambda n: site_visit_samples(make_simple_walk(3), MAX3, (1, 0, 0),
+                                     replicas=n, master_seed=9, k_cut=12),
+    "total_level_local_time":
+        lambda n: total_level_local_time(make_simple_walk(3), MAX3, 2,
+                                         replicas=n, master_seed=9).samples,
+    "zero_one_experiment":
+        lambda n: zero_one_experiment(make_simple_walk(3), MAX3, PowerLaw(3.0),
+                                      replicas=n, horizons=[50, 200],
+                                      master_seed=9).partials,
+}
+
+
 class TestDeterminism:
     def test_chunk_size_invariance(self):
         run = WalkRun(step=make_simple_walk(3), master_seed=42,
@@ -114,15 +131,7 @@ class TestDeterminism:
                               np.trim_zeros(b.level_counts, "b"))
         assert a.site_counts == b.site_counts
 
-    @pytest.mark.parametrize("per_replica", [
-        lambda n: site_visit_samples(make_simple_walk(3), MAX3, (1, 0, 0),
-                                     replicas=n, master_seed=9, k_cut=12),
-        lambda n: total_level_local_time(make_simple_walk(3), MAX3, 2,
-                                         replicas=n, master_seed=9).samples,
-        lambda n: zero_one_experiment(make_simple_walk(3), MAX3, PowerLaw(3.0),
-                                      replicas=n, horizons=[50, 200],
-                                      master_seed=9).partials,
-    ], ids=["site_visit_samples", "total_level_local_time", "zero_one_experiment"])
+    @pytest.mark.parametrize("per_replica", PER_REPLICA.values(), ids=PER_REPLICA)
     def test_replica_result_independent_of_replica_count(self, per_replica):
         # replica i's result is a function of (master_seed, i) alone; 8
         # replicas, because 3 site counts of 0 or 1 often agree by chance
@@ -378,3 +387,74 @@ def test_replica_rng_streams_are_stable():
     assert a == b and a != c
     with pytest.raises(UsageError):
         replica_rng(-1, 0)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPU count map_replicas sees, without touching the real mask."""
+    def set_count(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_count
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def draws(i):
+    return os.getpid(), i, replica_rng(5, i).random(3).tolist()
+
+
+class TestMapReplicas:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("replicas", [0, 1, 2, 7])
+    def test_equals_serial_list(self, cpus, workers, replicas):
+        cpus(workers)
+        got = map_replicas(draws, replicas)
+        assert [r[1:] for r in got] == [draws(i)[1:] for i in range(replicas)]
+        # one process per range, the caller running the first
+        pids = [r[0] for r in got]
+        assert len(set(pids)) == min(workers, replicas)
+        assert pids[:1] in ([], [os.getpid()])
+        no_child_left()
+
+    @pytest.mark.parametrize("per_replica", PER_REPLICA.values(), ids=PER_REPLICA)
+    def test_estimators_independent_of_cpu_count(self, cpus, per_replica):
+        cpus(1)
+        serial = per_replica(8)
+        cpus(3)
+        assert per_replica(8).tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize("bad", [1, 5], ids=["caller_range", "child_range"])
+    def test_error_reaches_caller(self, cpus, bad):
+        cpus(3)  # ranges 0..1, 2..3, 4..5
+
+        def one(i):
+            if i == bad:
+                raise UsageError(f"replica {i} refused")
+            return i
+
+        with pytest.raises(UsageError, match=f"^replica {bad} refused$"):
+            map_replicas(one, 6)
+        no_child_left()
+
+    def test_child_dying_without_result(self, cpus):
+        cpus(2)
+
+        def one(i):
+            if i == 3:
+                os._exit(3)
+            return i
+
+        with pytest.raises(RuntimeError, match="replicas 2..3 ended without a readable result"):
+            map_replicas(one, 4)
+        no_child_left()
+
+    def test_nested_call_runs_serially(self, cpus):
+        cpus(2)
+        got = map_replicas(lambda i: (os.getpid(), map_replicas(
+            lambda j: os.getpid(), 3)), 2)
+        assert got[0][0] != got[1][0]
+        assert all(inner == [pid] * 3 for pid, inner in got)
+        no_child_left()
