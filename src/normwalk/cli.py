@@ -32,7 +32,7 @@ from .jeulin import (
     shiga5_run,
 )
 from .measures import invariance_surrogate
-from .norms import NormSpec, make_norm
+from .norms import FAMILIES, NormSpec, make_norm
 from .summability import PowerLaw, PowerLog, zero_one_experiment
 from .walk import (
     WalkRun,
@@ -58,8 +58,7 @@ def _norm_from_args(args) -> NormSpec:
     if args.transform:
         transform = [[int(v) for v in row.split(",")]
                      for row in args.transform.split(";")]
-    family = args.norm.replace("-", "_")
-    return make_norm(family, args.dim, factor=args.factor, transform=transform)
+    return make_norm(args.norm, args.dim, factor=args.factor, transform=transform)
 
 
 def _guard_degenerate(spec: NormSpec, args) -> None:
@@ -205,8 +204,6 @@ def _cmd_green(args, em: Emitter) -> None:
                        master_seed=args.seed)
         value, bound = est.value, est.error_bound
     else:
-        if all(v == 0 for v in x):
-            raise UsageError("the asymptotic needs x != 0")
         value, bound = spitzer_asymptotic(step.covariance, x), None
     em.report = {"x": list(x), "value": value, "error_bound": bound,
                  "method": args.method}
@@ -331,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the shared flags; each subcommand declares those its handler reads
     shared = {
         "--dim": dict(type=int, required=True),
-        "--norm": dict(default="max",
-                       choices=["max", "l1", "w1", "scaled-max", "scaled_max"]),
+        # scaled-max and scaled_max are one norm, so one config_hash
+        "--norm": dict(default="max", type=lambda s: s.replace("-", "_"),
+                       choices=FAMILIES),
         "--factor": dict(type=int, default=1, help="scale factor for scaled-max"),
         "--transform": dict(help="unimodular matrix, rows ; separated, "
                                  "entries , separated"),

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ResourceError, UsageError
-from .norms import NormSpec
+from .norms import NormSpec, sphere_points
 from .walk import StepDistribution, _exit_bias, default_k_cut, site_visit_samples
 
 FIELD_BUDGET = 40_000_000  # box cells, 32 bytes each
@@ -188,6 +188,9 @@ class GreenField:
         self.leak = float(leak)
 
     def partial_at(self, x: Sequence[int]) -> float:
+        if len(x) != self.step.dim:
+            raise UsageError(f"point {tuple(x)} does not have the walk's "
+                             f"dimension {self.step.dim}")
         idx = tuple(int(v) + self.box_radius for v in x)
         if any(i < 0 or i > 2 * self.box_radius for i in idx):
             raise UsageError(f"point {tuple(x)} lies outside the DP box")
@@ -212,7 +215,6 @@ class GreenField:
 
     def level_sum(self, norm: NormSpec, k: int) -> float:
         """sum of Green values over the norm sphere ||x|| = k (DP + tail)."""
-        from .norms import sphere_points
         pts = sphere_points(norm, k)
         return float(sum(self.green(tuple(p)).value for p in pts))
 

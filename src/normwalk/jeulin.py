@@ -35,8 +35,9 @@ import numpy as np
 from numpy.random import Generator
 
 from .errors import UsageError
-from .summability import LevelFunction, PowerLaw, Verdict
-from .walk import map_replicas, replica_rng
+from .summability import (EPS_REL, LevelFunction, Verdict, _decide_weighted,
+                          stabilized)
+from .walk import check_ladder, map_replicas, replica_rng
 
 SHIGA5_UPPER = 0.5  # right end c of the shiga5 measure, inside (0, 1)
 
@@ -128,11 +129,7 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
 
     if not (0.0 < alpha < 0.5):
         raise UsageError("shiga3 requires 0 < alpha < 1/2")
-    ladder = sorted(int(k) for k in k_ladder)
-    if not ladder:
-        raise UsageError("need a K ladder")
-    if ladder[0] < 1:
-        raise UsageError("K ladder points must be >= 1")
+    ladder = check_ladder(k_ladder, "K ladder rungs")
     k_top = ladder[-1]
     ks = np.arange(1, k_top + 1, dtype=float)
     f = ks ** (-1.0 / alpha)
@@ -210,6 +207,10 @@ def shiga5_run(alpha: float, levels: int, replicas: int,
     empirical functional is tested against at every truncation level
     eps = grid[1], ..., grid[levels - 1]: X is 0 at the deepest cell's left
     end, so that cell is no rung of its own, but its increment enters X.
+
+    mean_trace holds running means of X(upper) over the replicas: each
+    replica adds a draw for the rest of the interval, (0, grid[-1]], to its
+    cell increments, after the cell draws, so its rows do not depend on it.
     """
     from scipy.integrate import quad
 
@@ -241,9 +242,13 @@ def shiga5_run(alpha: float, levels: int, replicas: int,
         incs = cell_len ** (1.0 / alpha) * unit  # stable scaling per cell
         # X at the left endpoint of cell j < levels - 1: the increments below
         x_left = np.cumsum(incs[::-1])[::-1][1:]
-        return np.cumsum(x_left * cell_mass)  # partial integrals down to each eps
+        # X(upper): every cell's increment plus that of the rest, (0, grid[-1]]
+        x_upper = incs.sum() + sample_stable(alpha, edges[levels], rng, 1)[0]
+        # the partial integrals down to each eps, then X(upper)
+        return np.append(np.cumsum(x_left * cell_mass), x_upper)
 
-    rows = np.array(map_replicas(one, replicas), dtype=float)
+    out = np.array(map_replicas(one, replicas), dtype=float)
+    rows, xs = out[:, :-1], out[:, -1]
 
     laplace_rows = [_laplace_row("eps", edges[j + 1], np.exp(-rows[:, j]),
                                  math.exp(-exact_exponent(j)))
@@ -253,11 +258,6 @@ def shiga5_run(alpha: float, levels: int, replicas: int,
     phi_quad = quad(lambda w: w ** (-1.0 / alpha),
                     math.log(1.0 / SHIGA5_UPPER), np.inf)[0]
 
-    def total_x(i: int) -> float:
-        rng = replica_rng(master_seed + 1, i)
-        return float(sample_stable(alpha, SHIGA5_UPPER, rng, 1)[0])
-
-    xs = np.array(map_replicas(total_x, replicas))
     prefix_means = tuple(float(xs[:n].mean())
                          for n in np.unique(np.geomspace(10, replicas, 6).astype(int)))
 
@@ -314,9 +314,6 @@ class JeulinScenario:
     v_sampler: Callable[[Generator, int], np.ndarray]  # draws V(1..K)
     limit_positive_prob: float              # P(X > 0), declared
     limit_descriptor: str
-
-    def phi(self, ks: np.ndarray) -> np.ndarray:
-        return ks.astype(float) ** self.phi_exponent
 
 
 def route_a_scenario(phi_exponent: float = 2.0) -> JeulinScenario:
@@ -382,16 +379,9 @@ class HarnessReport:
         return any(r.converse_fails for r in self.rows)
 
 
-def weighted_series_verdict(f: LevelFunction, phi_exponent: float) -> Verdict:
-    """Symbolic verdict on sum_k f(k) k^p for power-law-type f."""
-    if isinstance(f, PowerLaw):
-        return Verdict.CONVERGES if f.beta - phi_exponent > 1 else Verdict.DIVERGES
-    return Verdict.UNDECIDABLE
-
-
 def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunction],
                          k_ladder: Sequence[int], replicas: int,
-                         master_seed: int, eps_rel: float = 0.05) -> HarnessReport:
+                         master_seed: int, eps_rel: float = EPS_REL) -> HarnessReport:
     """Cross-tabulate symbolic sum f Phi against empirical sum f V.
 
     Only the forward direction is asserted, and route-aware: with a
@@ -401,22 +391,20 @@ def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunct
     (fraction >= 0.95, the almost-sure route) does.  The two routes cannot
     be merged -- see bernoulli_non_unifiable.  Rows where a convergent
     series meets growing sums are reported as converse failures, never as
-    errors.
+    errors.  The verdict on sum f Phi, Phi(k) = k^p, is the one
+    summability._decide_weighted gives with power p; a replica is
+    stabilised by summability.stabilized with eps_abs 1e-9.
     """
     if scenario.limit_positive_prob <= 0.0:
         raise UsageError("scenario declares P(X>0) = 0: the lemma needs "
                          "positive limit mass")
     stabilized_threshold = 0.5 if scenario.limit_positive_prob >= 1.0 else 0.95
-    ladder = sorted(int(k) for k in k_ladder)
-    if len(ladder) < 2 or len(set(ladder)) < len(ladder):
-        raise UsageError("need at least two ladder points, all distinct")
-    if ladder[0] < 1:
-        raise UsageError("K ladder points must be >= 1")
+    ladder = check_ladder(k_ladder, "K ladder rungs", rungs=2)
     k_top = ladder[-1]
-    ks = np.arange(1, k_top + 1, dtype=float)
+    ks = np.arange(1, k_top + 1, dtype=np.int64)
 
-    f_vals = {f.label: np.asarray(f(ks.astype(np.int64)), dtype=float)
-              for f in f_family}
+    family = {f.label: f for f in f_family}  # one row per distinct f
+    f_vals = {label: np.asarray(f(ks), dtype=float) for label, f in family.items()}
 
     def one(i: int) -> dict:
         rng = replica_rng(master_seed, i)
@@ -430,16 +418,14 @@ def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunct
     per_replica = map_replicas(one, replicas)
 
     rows = []
-    for f in f_family:
-        mat = np.array([r[f.label] for r in per_replica], dtype=float)
-        final = mat[:, -1]
-        diff = mat[:, -1] - mat[:, -2]
-        stab = float((diff < 1e-9 + eps_rel * final).mean())
-        verdict = weighted_series_verdict(f, scenario.phi_exponent)
+    for label, f in family.items():
+        mat = np.array([r[label] for r in per_replica], dtype=float)
+        stab = float(stabilized(mat, 1e-9, eps_rel).mean())
+        verdict, _ = _decide_weighted(f, power=scenario.phi_exponent)
         finite_evidence = stab >= stabilized_threshold
         violated = finite_evidence and verdict == Verdict.DIVERGES
         converse_fails = (verdict == Verdict.CONVERGES) and (stab <= 1 - stabilized_threshold)
-        rows.append(HarnessRow(f_label=f.label, series_verdict=verdict,
+        rows.append(HarnessRow(f_label=label, series_verdict=verdict,
                                stabilized_fraction=stab,
                                implication_violated=violated,
                                converse_fails=converse_fails))

@@ -24,7 +24,7 @@ import numpy as np
 from .census import census_for
 from .errors import UsageError
 from .norms import NormSpec, sphere_points
-from .walk import StepDistribution, total_level_local_time
+from .walk import StepDistribution, check_ladder, total_level_local_time
 
 TestFn = Callable[[np.ndarray], np.ndarray]
 
@@ -40,10 +40,6 @@ class SphereMeasure:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.size
 
     def integral(self, testfn: TestFn) -> float:
         vals = np.asarray(testfn(self.points), dtype=float)
@@ -141,9 +137,7 @@ def weak_convergence_report(spec: NormSpec, testfns: dict,
     are summed with fsum, so a constant test function has reference exactly
     1, like mu_k, and its discrepancies are exactly 0.
     """
-    ladder = sorted(int(k) for k in k_ladder)
-    if not ladder or ladder[0] < 1:
-        raise UsageError("k ladder must contain positive levels")
+    ladder = check_ladder(k_ladder, "k ladder levels")
     analytic = spec.family == "max" and spec.transform is None
     if analytic:
         ref = {label: mu_surface_integral_max(spec.dim, fn)
@@ -191,9 +185,8 @@ class ScaledLocalTimeSample:
 def scaled_samples(step: StepDistribution, spec: NormSpec, k: int,
                    replicas: int, master_seed: int,
                    k_cut: Optional[int] = None) -> ScaledLocalTimeSample:
-    """Truncated level-k local times scaled by k^{2-d} N(k)."""
-    if spec.dim < 3:
-        raise UsageError("the scaling requires d >= 3")
+    """Truncated level-k local times scaled by k^{2-d} N(k); d >= 3, as
+    total_level_local_time requires."""
     census = census_for(spec, k)
     n_level = census[k]
     if n_level == 0:
@@ -280,9 +273,10 @@ def invariance_surrogate(step: StepDistribution, spec: NormSpec,
                          master_seed: int, n_boot: int = 200) -> InvarianceReport:
     """Run the ladder of scaled samples and the pairwise KS checks.
 
-    Seeds are salted per level so ladder entries are independent.
+    Seeds are salted per level so ladder entries are independent.  The
+    ladder needs two levels, since the KS checks compare consecutive ones.
     """
-    ladder = sorted(int(k) for k in k_ladder)
+    ladder = check_ladder(k_ladder, "k ladder levels", rungs=2)
     sets = [scaled_samples(step, spec, k, replicas,
                            master_seed=master_seed + 7919 * j)
             for j, k in enumerate(ladder)]

@@ -7,14 +7,16 @@ declared tails, parity masks) admit symbolic verdicts for
 * criterion IV:     sum k^{2-d} N(k) f(k) < infinity
 * even-level V:     sum k f(2k)           < infinity  (degenerate norms)
 
-For norms whose census is eventually monotone with positive growth bounds,
-IV and V coincide, so decide_iv defers to decide_v; for the scaled-max
+all decided by _decide_weighted, which decides sum k^p f(stride k) (the
+Jeulin harness asks it with p the exponent of Phi).  For norms whose
+census is eventually monotone with positive growth bounds, IV and V
+coincide, so decide_iv defers to decide_v; for the scaled-max
 family (odd levels empty) it defers to the stride criterion instead, which
 is strictly weaker than V.
 
 The zero-one experiment classifies Monte Carlo replicas as stabilised or
 growing from their partial sums at a horizon ladder.  A replica counts as
-stabilised when the last two checkpoints differ by less than
+stabilised (stabilized) when the last two checkpoints differ by less than
 eps_abs + EPS_REL * (final partial sum).  eps_abs is an "excursion
 allowance" of a few multiples of sum_k f(k): one late sweep of the low
 norm levels adds mass of that order to a convergent sum, while a
@@ -34,7 +36,8 @@ import numpy as np
 from .census import SphereCensus, growth_bounds
 from .errors import UsageError
 from .norms import NormSpec
-from .walk import StepDistribution, WalkRun, check_a0, map_replicas, truncated_f_sum
+from .walk import (StepDistribution, WalkRun, check_a0, check_ladder,
+                   map_replicas, truncated_f_sum)
 
 EXCURSION_ALLOWANCE_FACTOR = 5.0
 ALLOWANCE_SUM_CAP = 10_000
@@ -181,11 +184,11 @@ def odd_only(inner: LevelFunction) -> ParityMasked:
 # -- symbolic criteria -------------------------------------------------------
 
 
-def _series_verdict(beta: float, gamma: float = 0.0) -> Verdict:
-    """Convergence of sum k^{1-beta} log(k)^{-gamma} (Bertrand scale)."""
-    if beta > 2:
+def _series_verdict(exponent: float, gamma: float = 0.0) -> Verdict:
+    """Convergence of sum k^{-exponent} log(k)^{-gamma} (Bertrand scale)."""
+    if exponent > 1:
         return Verdict.CONVERGES
-    if beta == 2:
+    if exponent == 1:
         return Verdict.CONVERGES if gamma > 1 else Verdict.DIVERGES
     return Verdict.DIVERGES
 
@@ -196,26 +199,28 @@ def decide_v(f: LevelFunction) -> CriterionVerdict:
     return CriterionVerdict("V", v, method)
 
 
-def _decide_weighted(f: LevelFunction, stride: int = 1) -> tuple[Verdict, str]:
-    """Verdict on sum_k k f(stride * k)."""
+def _decide_weighted(f: LevelFunction, stride: int = 1,
+                     power: float = 1.0) -> tuple[Verdict, str]:
+    """Verdict on sum_k k^power f(stride * k); for f(k) ~ k^-beta log(k)^-gamma
+    that is the Bertrand series of exponent beta - power, at any stride."""
     if isinstance(f, PowerLaw):
-        return _series_verdict(f.beta), "symbolic"
+        return _series_verdict(f.beta - power), "symbolic"
     if isinstance(f, PowerLog):
-        return _series_verdict(f.beta, f.gamma), "symbolic"
+        return _series_verdict(f.beta - power, f.gamma), "symbolic"
     if isinstance(f, ParityMasked):
         # every stride-2 sample of an odd-supported f vanishes
         if stride % 2 == 0 and f.parity == 1:
             return Verdict.CONVERGES, "symbolic"
-        inner, _ = _decide_weighted(f.inner, stride)
+        inner, _ = _decide_weighted(f.inner, stride, power)
         return inner, "symbolic"
     if isinstance(f, TableFunction):
-        power = isinstance(f.tail, tuple) and f.tail and f.tail[0] == "power"
+        tail = isinstance(f.tail, tuple) and f.tail and f.tail[0] == "power"
         # a power tail anchored at k = 0 or at a zero last entry vanishes
         # past the table, as values() computes it
-        if f.tail == "zero" or (power and (len(f.table) == 1 or f.table[-1] == 0)):
+        if f.tail == "zero" or (tail and (len(f.table) == 1 or f.table[-1] == 0)):
             return Verdict.CONVERGES, "partial-sum"
-        if power:
-            return _series_verdict(float(f.tail[1])), "partial-sum"
+        if tail:
+            return _series_verdict(float(f.tail[1]) - power), "partial-sum"
         return Verdict.UNDECIDABLE, "partial-sum"
     return Verdict.UNDECIDABLE, "partial-sum"
 
@@ -285,6 +290,13 @@ def excursion_allowance(f: LevelFunction) -> float:
     return EXCURSION_ALLOWANCE_FACTOR * f.value_sum() + 1e-12
 
 
+def stabilized(partials: np.ndarray, eps_abs: float, eps_rel: float) -> np.ndarray:
+    """Per replica (row), whether its partial sums at the last two rungs
+    differ by less than eps_abs + eps_rel * (final partial sum)."""
+    final = partials[:, -1]
+    return final - partials[:, -2] < eps_abs + eps_rel * final
+
+
 def _replica_partials(step: StepDistribution, norm: NormSpec,
                       f: LevelFunction, horizons: list, replicas: int,
                       master_seed: int) -> np.ndarray:
@@ -309,12 +321,12 @@ def zero_one_experiment(step: StepDistribution, norm: NormSpec,
                         allow_non_a0: bool = False) -> ZeroOneReport:
     """Monte Carlo dichotomy check for sum_n f(||S_n||).
 
-    Each replica reports partial sums at every horizon (all distinct); it is
-    stabilised when the last two differ by < excursion_allowance(f) +
-    EPS_REL * final.  The fraction should sit near 0 or near 1, never in
-    between, for structured f with a definite symbolic verdict (given
-    horizons that clear the k f(k) criticality; boundary exponents need
-    longer ladders).
+    Each replica reports partial sums at every horizon (at least two, see
+    check_ladder); it is stabilised (see stabilized) when the last two
+    differ by < excursion_allowance(f) + EPS_REL * final.  The fraction
+    should sit near 0 or near 1, never in between, for structured f with a
+    definite symbolic verdict (given horizons that clear the k f(k)
+    criticality; boundary exponents need longer ladders).
     """
     if norm.dim <= 2:
         raise UsageError("d <= 2 walks are recurrent; finiteness forces f = 0, "
@@ -322,15 +334,10 @@ def zero_one_experiment(step: StepDistribution, norm: NormSpec,
     if not allow_non_a0 and not check_a0(step, tolerance=1e-9):
         raise UsageError("step law violates the isotropy assumption; "
                          "pass allow_non_a0=True to run anyway")
-    horizons = sorted(int(h) for h in horizons)
-    if len(horizons) < 2 or len(set(horizons)) < len(horizons):
-        # a repeated last horizon makes every replica look stabilised
-        raise UsageError("need at least two horizons, all distinct")
+    horizons = check_ladder(horizons, "horizons", rungs=2)
     eps_abs = excursion_allowance(f)
     rows = _replica_partials(step, norm, f, horizons, replicas, master_seed)
-    final = rows[:, -1]
-    diff = rows[:, -1] - rows[:, -2]
-    stab = diff < eps_abs + EPS_REL * final
+    stab = stabilized(rows, eps_abs, EPS_REL)
     iv = None
     if census is not None:
         iv = decide_iv(f, census).verdict
@@ -369,9 +376,7 @@ def expectation_vs_criterion(step: StepDistribution, norm: NormSpec,
     range, f(0) + sum_{k<=k_max} k^{2-d} N(k) f(k).
     """
     d = norm.dim
-    horizons = sorted(int(h) for h in horizons)
-    if not horizons:
-        raise UsageError("need at least one horizon")
+    horizons = check_ladder(horizons, "horizons")
     ks = np.arange(1, census.k_max + 1)
     f_ks = np.asarray(f(ks), dtype=float)
     f0 = float(np.asarray(f(np.zeros(1, dtype=np.int64)))[0])

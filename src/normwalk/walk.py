@@ -45,6 +45,22 @@ DEFAULT_MAX_STEPS = 10 ** 8  # safety valve for stop_radius-only runs
 T = TypeVar("T")
 
 
+def check_ladder(values: Sequence, what: str, rungs: int = 1) -> list[int]:
+    """The rungs of a ladder (horizons, checkpoints, K values, levels k) as
+    sorted ints: `rungs` or more, each an integer >= 1 (1e4 counts), none
+    repeated (a repeated top rung makes every replica look stabilised)."""
+    values = list(values)
+    try:
+        out = sorted(int(v) for v in values)
+    except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
+        out = []
+    if (len(out) < max(rungs, len(values)) or out != sorted(values)
+            or len(set(out)) < len(out) or out[0] < 1):
+        raise UsageError(f"{what} must be {rungs} or more distinct integers "
+                         f">= 1, got {values}")
+    return out
+
+
 def replica_rng(master_seed: int, replica_index: int) -> Generator:
     """Philox stream keyed by (master_seed, replica_index); no jumping."""
     if master_seed < 0 or replica_index < 0:
@@ -347,11 +363,7 @@ def truncated_f_sum(run: WalkRun, norm: NormSpec,
                     f: Callable[[np.ndarray], np.ndarray],
                     checkpoints: Sequence[int]) -> dict[int, float]:
     """Partial sums sum_{n<=N} f(||S_n||) at each checkpoint N."""
-    checkpoints = sorted(int(c) for c in checkpoints)
-    if not checkpoints:
-        raise UsageError("need at least one checkpoint")
-    if checkpoints[0] < 1:
-        raise UsageError("checkpoints must be >= 1")
+    checkpoints = check_ladder(checkpoints, "checkpoints")
     out: dict[int, float] = {}
     total = 0.0
     for n0, _, norms, _ in _blocks(replace(run, horizon=checkpoints[-1]), norm):

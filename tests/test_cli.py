@@ -66,6 +66,13 @@ class TestExitCodes:
                     "2", "--horizons", "1e4,1e4"]) == 1
         assert "distinct" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ladder", [",", "4", "4,4"])
+    def test_invariance_needs_two_distinct_levels(self, capsys, ladder):
+        # an empty ladder used to exit 0 with a NaN zero_fraction
+        assert run(["invariance", "--dim", "3", "--k-ladder", ladder,
+                    "--replicas", "4"]) == 1
+        assert "distinct" in capsys.readouterr().err
+
     def test_replicas_below_one_rejected(self, capsys):
         for argv in (["simulate", "--dim", "3", "--horizon", "50"],
                      ["green", "--dim", "3", "--x", "1,0,0", "--method", "mc"],
@@ -232,6 +239,28 @@ class TestOutputs:
         assert run(["jeulin", "--scenario", "harness", "--alpha", "0.6",
                     "--K", "50", "--replicas", "50", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["implication_respected"]
+
+    def test_jeulin_harness_one_row_per_f(self, capsys):
+        # at alpha 0.4, PowerLaw(1 / alpha) is the fixed PowerLaw(2.5)
+        assert run(["jeulin", "--scenario", "harness", "--K", "50",
+                    "--replicas", "10"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert [r[0] for r in rows[1:]] == ["powerlaw(beta=4.0, shift=1.0)",
+                                            "powerlaw(beta=2.5, shift=1.0)"]
+
+    def test_norm_spellings_share_config_hash(self, tmp_path):
+        hashes = []
+        for spelling in ("scaled-max", "scaled_max"):
+            out = tmp_path / spelling
+            assert run(["census", "--norm", spelling, "--factor", "2", "--dim",
+                        "3", "--kmax", "6", "--allow-degenerate",
+                        "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["norm"] == "scaled_max"
+            hashes.append(manifest["config_hash"])
+        assert hashes[0] == hashes[1]
+        assert (tmp_path / "scaled-max" / "census.csv").read_bytes() == \
+            (tmp_path / "scaled_max" / "census.csv").read_bytes()
 
     def test_census_transform_preserves_counts(self, capsys):
         assert run(["census", "--norm", "l1", "--dim", "3",

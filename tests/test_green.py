@@ -186,6 +186,14 @@ class TestGreenDP:
         with pytest.raises(UsageError):
             field.partial_at((30, 0, 0))
 
+    def test_wrong_dimension_rejected(self, field):
+        for query in (lambda: field.partial_at((1, 0)),
+                      lambda: field.partial_at((1, 0, 0, 0)),
+                      lambda: field.green((1, 0)),
+                      lambda: field.level_sum(make_norm("max", 2), 1)):
+            with pytest.raises(UsageError, match="dimension 3"):
+                query()
+
     def test_green_dp_wrapper_defaults(self):
         est = green_dp(make_simple_walk(3), (1, 0, 0), n_max=400)
         assert est.method == "dp"

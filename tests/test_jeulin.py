@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from normwalk import jeulin
 from normwalk.errors import UsageError
 from normwalk.jeulin import (
     bernoulli_non_unifiable,
@@ -21,7 +22,15 @@ from normwalk.jeulin import (
     shiga5_run,
 )
 from normwalk.measures import ks_statistic
-from normwalk.summability import PowerLaw, Verdict
+from normwalk.summability import (
+    PowerLaw,
+    PowerLog,
+    TableFunction,
+    Verdict,
+    decide_v,
+    even_only,
+    odd_only,
+)
 from normwalk.walk import replica_rng
 
 
@@ -136,6 +145,19 @@ class TestShiga5:
         # infinite-mean samples: prefix means swing by orders of magnitude
         assert trace.max() > 10 * trace.min()
 
+    def test_one_replica_pass(self, monkeypatch):
+        # X(upper) comes from each replica's own stream, in the same pass
+        calls = []
+
+        def counted(one, replicas):
+            calls.append(replicas)
+            return [one(i) for i in range(replicas)]
+
+        monkeypatch.setattr(jeulin, "map_replicas", counted)
+        rep = shiga5_run(0.5, levels=6, replicas=50, master_seed=3)
+        assert calls == [50]
+        assert all(m > 0 for m in rep.mean_trace)
+
     def test_gates(self):
         with pytest.raises(UsageError):
             shiga5_run(0.7, 10, 10, 0)
@@ -204,3 +226,32 @@ class TestHarness:
             with pytest.raises(UsageError):
                 limit_jeulin_harness(route_a_scenario(), [PowerLaw(3)],
                                      ladder, 10, 0)
+
+    def test_one_row_per_distinct_f(self):
+        rep = limit_jeulin_harness(route_a_scenario(), [PowerLaw(4), PowerLaw(2.5),
+                                                       PowerLaw(1 / 0.4)],
+                                   [10, 100], replicas=10, master_seed=2)
+        assert [r.f_label for r in rep.rows] == [PowerLaw(4).label,
+                                                 PowerLaw(2.5).label]
+
+    def test_verdict_is_decide_v_at_phi_exponent_one(self):
+        # shiga3's Phi(k) = k: sum f Phi is criterion V's series
+        family = [PowerLog(3, 1), PowerLog(2, 2), PowerLog(2, 0.5),
+                  TableFunction((1.0, 0.5), tail=("power", 3.0)),
+                  even_only(PowerLaw(3)), odd_only(PowerLaw(1.5))]
+        rep = limit_jeulin_harness(shiga3_scenario(0.4), family, [10, 100],
+                                   replicas=10, master_seed=2)
+        assert [r.series_verdict for r in rep.rows] == \
+            [decide_v(f).verdict for f in family]
+        assert rep.rows[0].series_verdict == Verdict.CONVERGES
+
+    @pytest.mark.parametrize("phi_exponent", [0.0, 1.0, 2.0, 0.5])
+    def test_power_law_verdicts_follow_the_exponent_gap(self, phi_exponent):
+        # sum (1 + k)^-beta k^p converges exactly when beta - p > 1
+        sc = route_a_scenario(phi_exponent)
+        betas = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+        rep = limit_jeulin_harness(sc, [PowerLaw(b) for b in betas], [10, 100],
+                                   replicas=4, master_seed=1)
+        want = [Verdict.CONVERGES if b - phi_exponent > 1 else Verdict.DIVERGES
+                for b in betas]
+        assert [r.series_verdict for r in rep.rows] == want

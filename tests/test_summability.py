@@ -19,6 +19,7 @@ from normwalk.summability import (
     excursion_allowance,
     expectation_vs_criterion,
     odd_only,
+    stabilized,
     zero_one_experiment,
 )
 from normwalk.walk import StepDistribution, make_simple_walk
@@ -173,6 +174,14 @@ class TestZeroOneExperiment:
         a = excursion_allowance(PowerLaw(3))
         assert a == pytest.approx(
             5.0 * ((1.0 + np.arange(0, 10_001)) ** -3.0).sum(), rel=1e-9)
+
+    def test_stabilized_rule(self):
+        # last-two difference against eps_abs + eps_rel * final, strictly
+        partials = np.array([[0.0, 1.0, 1.5],    # 0.5 < 0.1 + 0.5 * 1.5
+                             [0.0, 1.0, 3.0],    # 2.0 < 0.1 + 1.5 fails
+                             [5.0, 5.0, 5.0],    # 0 < 0.1 + 2.5
+                             [0.0, 0.0, 0.2]])   # 0.2 < 0.1 + 0.1 fails
+        assert stabilized(partials, 0.1, 0.5).tolist() == [True, False, True, False]
 
     def test_needs_two_horizons(self):
         with pytest.raises(UsageError):

@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pytest
 
+from normwalk import jeulin, measures, summability, walk
+from normwalk.census import census_for
 from normwalk.errors import UsageError
 from normwalk.norms import make_norm
 from normwalk.summability import PowerLaw, zero_one_experiment
@@ -13,6 +15,7 @@ from normwalk.walk import (
     _blocks,
     _exit_scale_chunk,
     check_a0,
+    check_ladder,
     geometric_tail_report,
     hitting_probability,
     make_lazy_walk,
@@ -458,3 +461,58 @@ class TestMapReplicas:
         assert got[0][0] != got[1][0]
         assert all(inner == [pid] * 3 for pid, inner in got)
         no_child_left()
+
+
+# -- ladders: one rule for every function that takes one ----------------------
+
+SW3 = make_simple_walk(3)
+
+# each function run on a ladder, with every other argument valid
+LADDER_TAKERS = {
+    "truncated_f_sum": lambda ladder: truncated_f_sum(
+        WalkRun(step=SW3, master_seed=0, horizon=10), MAX3, PowerLaw(3), ladder),
+    "zero_one_experiment": lambda ladder: zero_one_experiment(
+        SW3, MAX3, PowerLaw(3), 4, ladder, 0),
+    "expectation_vs_criterion": lambda ladder: summability.expectation_vs_criterion(
+        SW3, MAX3, PowerLaw(4), census_for(MAX3, 16), 4, ladder, 0),
+    "shiga3_run": lambda ladder: jeulin.shiga3_run(0.4, ladder, 4, 0),
+    "limit_jeulin_harness": lambda ladder: jeulin.limit_jeulin_harness(
+        jeulin.route_a_scenario(), [PowerLaw(3)], ladder, 4, 0),
+    "weak_convergence_report": lambda ladder: measures.weak_convergence_report(
+        MAX3, {"one": lambda p: np.ones(len(p))}, ladder),
+    "invariance_surrogate": lambda ladder: measures.invariance_surrogate(
+        SW3, MAX3, ladder, 4, 0),
+}
+
+
+class TestCheckLadder:
+    def test_sorted_ints(self):
+        assert check_ladder([1e5, 1e4], "horizons", rungs=2) == [10_000, 100_000]
+        got = check_ladder(np.array([40, 10, 20]), "k ladder levels")
+        assert got == [10, 20, 40] and all(type(k) is int for k in got)
+
+    @pytest.mark.parametrize("ladder", [[], [0, 10], [-3, 10], [10, 10],
+                                        [10, 20, 20], [10, 20.5], [float("nan")],
+                                        [float("inf")], [None], ["10"]])
+    def test_refused(self, ladder):
+        with pytest.raises(UsageError, match="horizons must be .* distinct"):
+            check_ladder(ladder, "horizons")
+
+    def test_too_few_rungs(self):
+        assert check_ladder([10], "horizons") == [10]
+        with pytest.raises(UsageError, match="2 or more distinct"):
+            check_ladder([10], "horizons", rungs=2)
+
+    @pytest.mark.parametrize("ladder", [[], [0, 10, 20], [10, 20, 20], [10, 20.5]],
+                             ids=["empty", "zero", "repeated", "fraction"])
+    @pytest.mark.parametrize("take", LADDER_TAKERS.values(), ids=LADDER_TAKERS)
+    def test_refused_before_any_replica(self, monkeypatch, take, ladder):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a replica ran on an invalid ladder")
+
+        for module in (walk, summability, jeulin):
+            monkeypatch.setattr(module, "map_replicas", unreachable)
+        monkeypatch.setattr(walk, "_blocks", unreachable)
+        monkeypatch.setattr(measures, "sphere_measure", unreachable)
+        with pytest.raises(UsageError, match="distinct"):
+            take(ladder)
