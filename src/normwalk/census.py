@@ -1,14 +1,18 @@
 """Sphere censuses: N(k) = #{x in Z^d : ||x|| = k}.
 
-Counts are computed by independent routes -- brute-force box enumeration
-(the oracle), family-specific closed forms, and convolution recursions --
-and kept as exact Python integers.  The module also carries the k^{d-1}
-asymptotics of each family and the eventual-monotonicity / growth-bound
-checks that the summability criteria rely on.
+Counts are exact Python integers, computed by one rule per norm shape --
+the weighted-l1 convolution recursion (l1, w1) and the cube-shell count on
+multiples of the factor (max, scaled_max) -- and checked against
+brute-force box enumeration, the oracle.  A unimodular transform keeps the
+counts, since it is a lattice bijection.  The module also carries the
+k^{d-1} asymptotics and the eventual-monotonicity / growth-bound checks
+that the summability criteria rely on.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -80,69 +84,47 @@ def count_max_closed(d: int, k: int) -> int:
     return (2 * k + 1) ** d - (2 * k - 1) ** d
 
 
-def census_max_closed(d: int, k_max: int) -> SphereCensus:
-    counts = tuple(count_max_closed(d, k) for k in range(k_max + 1))
-    return SphereCensus(spec=NormSpec("max", d), counts=counts, method="closed")
+def _weighted_l1_census(spec: NormSpec, k_max: int) -> SphereCensus:
+    """Census of sum_i w_i |x^i| (w_1 = 1), adding one coordinate at a time.
 
-
-def _n1_table(k_max: int) -> list:
-    # one-dimensional table: 1, 2, 2, 2, ...
-    return [1] + [2] * k_max
+    A coordinate of weight w takes the value w*j once for j = 0 and twice
+    for j >= 1, so each new coordinate convolves the table with
+    (1, 2, 2, ...) in strides of w.
+    """
+    if k_max < 0:
+        raise UsageError("k_max must be >= 0")
+    base = [1] + [2] * k_max
+    table = base
+    for w in spec.weights.tolist()[1:]:
+        table = [sum(map(operator.mul, base, table[k::-w]))
+                 for k in range(k_max + 1)]
+    return SphereCensus(spec=spec, counts=tuple(table), method="recursive")
 
 
 def count_l1_recursive(d: int, k_max: int) -> SphereCensus:
     """l1 census via the convolution recursion over dimensions."""
-    if d < 1 or k_max < 0:
-        raise UsageError("need d >= 1 and k_max >= 0")
-    base = _n1_table(k_max)
-    table = base[:]
-    for _ in range(d - 1):
-        table = [sum(base[j] * table[k - j] for j in range(k + 1))
-                 for k in range(k_max + 1)]
-    return SphereCensus(spec=NormSpec("l1", d), counts=tuple(table),
-                        method="recursive")
+    return _weighted_l1_census(NormSpec("l1", d), k_max)
 
 
 def count_w1_recursive(d: int, k_max: int) -> SphereCensus:
-    """Weighted-l1 census; the top coordinate contributes in strides of d."""
-    if d < 1 or k_max < 0:
-        raise UsageError("need d >= 1 and k_max >= 0")
-    base = _n1_table(k_max)
-    table = base[:]
-    for dim in range(2, d + 1):
-        table = [sum(base[j] * table[k - dim * j]
-                     for j in range(k // dim + 1))
-                 for k in range(k_max + 1)]
-    return SphereCensus(spec=NormSpec("w1", d), counts=tuple(table),
-                        method="recursive")
+    """Weighted-l1 census; coordinate i contributes in strides of i."""
+    return _weighted_l1_census(NormSpec("w1", d), k_max)
 
 
-def census_for(spec: NormSpec, k_max: int, method: str = "auto") -> SphereCensus:
-    """Best available census for a spec.
+def census_for(spec: NormSpec, k_max: int) -> SphereCensus:
+    """Exact census of a spec, by its shape.
 
-    "auto" prefers the closed form / recursion for the untransformed base
-    families and falls back to brute force otherwise.  Transformed norms
-    share the base family's counts (unimodular maps are lattice bijections),
-    which auto exploits; pass method="bruteforce" to recount explicitly.
+    Weighted l1 norms use the recursion; a scaled max norm has the cube
+    shell of radius k / factor at each multiple k of the factor and nothing
+    between.  A transform keeps the counts (unimodular maps are lattice
+    bijections); `count_bruteforce` recounts explicitly.
     """
-    if method == "bruteforce":
-        return count_bruteforce(spec, k_max)
-    if method != "auto":
-        raise UsageError(f"unknown census method {method!r}")
-    if spec.family == "max":
-        base = census_max_closed(spec.dim, k_max)
-    elif spec.family == "l1":
-        base = count_l1_recursive(spec.dim, k_max)
-    elif spec.family == "w1":
-        base = count_w1_recursive(spec.dim, k_max)
-    else:  # scaled_max
-        inner = census_max_closed(spec.dim, k_max // spec.factor)
-        counts = tuple(inner[k // spec.factor] if k % spec.factor == 0 else 0
-                       for k in range(k_max + 1))
-        return SphereCensus(spec=spec, counts=counts, method="closed")
-    if spec.transform is None:
-        return base
-    return SphereCensus(spec=spec, counts=base.counts, method=base.method)
+    if not spec.max_shaped:
+        return _weighted_l1_census(spec, k_max)
+    c = spec.factor
+    counts = tuple(count_max_closed(spec.dim, k // c) if k % c == 0 else 0
+                   for k in range(k_max + 1))
+    return SphereCensus(spec=spec, counts=counts, method="closed")
 
 
 def gf_residual_l1(d: int, s: float, k_cap: int) -> float:
@@ -156,25 +138,20 @@ def gf_residual_l1(d: int, s: float, k_cap: int) -> float:
 
 
 def asymptotic_constant(family: str, d: int) -> Fraction:
-    """Exact constant c with N(k) ~ c k^{d-1} for the base families."""
-    if d < 1:
-        raise UsageError("d must be >= 1")
-    if family == "max":
+    """Exact constant c with N(k) ~ c k^{d-1} for max, l1 and w1.
+
+    The max norm's cube shells give d 2^d; a weighted l1 sphere gives
+    2^d / ((d-1)! prod_i w_i).  scaled_max has empty levels when its
+    factor exceeds 1, and transforms are not covered.
+    """
+    if family not in ("max", "l1", "w1"):
+        raise UsageError(
+            f"no asymptotic constant for family {family!r} (transforms and "
+            "scaled_max are unsupported)")
+    spec = NormSpec(family, d)
+    if spec.max_shaped:
         return Fraction(d * 2 ** d)
-    if family == "l1":
-        num = 2 ** d
-        den = 1
-        for i in range(1, d):
-            den *= i
-        return Fraction(num, den)
-    if family == "w1":
-        a = Fraction(2)
-        for dim in range(2, d + 1):
-            a = a * 2 / (dim * (dim - 1))
-        return a
-    raise UsageError(
-        f"no asymptotic constant for family {family!r} (transforms and "
-        "scaled_max are unsupported)")
+    return Fraction(2 ** d, math.factorial(d - 1) * math.prod(spec.weights.tolist()))
 
 
 def check_a4(census: SphereCensus, k0: int) -> bool:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .census import census_for, verify_oracle_equivalence
+from .census import census_for, count_bruteforce, verify_oracle_equivalence
 from .errors import ResourceError, UsageError, VerificationError
 from .green import green_dp, green_mc, spitzer_asymptotic
 from .jeulin import (
@@ -149,8 +149,7 @@ class Emitter:
 def _cmd_census(args, em: Emitter) -> None:
     spec = _norm_from_args(args)
     _guard_degenerate(spec, args)
-    method = "bruteforce" if args.bruteforce else "auto"
-    cen = census_for(spec, args.kmax, method=method)
+    cen = (count_bruteforce if args.bruteforce else census_for)(spec, args.kmax)
     em.csv_rows(["k", "count", "method"],
                 [(k, cen[k], cen.method) for k in range(cen.k_max + 1)])
     em.report = {"spec": spec.describe(), "k_max": cen.k_max,
@@ -207,6 +206,8 @@ def _cmd_green(args, em: Emitter) -> None:
         value, bound = spitzer_asymptotic(step.covariance, x), None
     em.report = {"x": list(x), "value": value, "error_bound": bound,
                  "method": args.method}
+    if args.method == "mc":
+        em.report["undercovered"] = est.undercovered
     em.csv_rows(["x", "value", "error_bound", "method"],
                 [(" ".join(map(str, x)), value,
                   "" if bound is None else bound, args.method)])

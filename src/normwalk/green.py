@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ResourceError, UsageError
 from .norms import NormSpec, sphere_points
-from .walk import StepDistribution, _exit_bias, default_k_cut, site_visit_samples
+from .walk import (StepDistribution, _exit_bias, default_k_cut, site_visit_samples,
+                   spitzer_constant_isotropic)
 
 FIELD_BUDGET = 40_000_000  # box cells, 32 bytes each
 
@@ -49,13 +50,6 @@ def spitzer_asymptotic(q: np.ndarray, x: Sequence[float]) -> float:
         raise UsageError("x must be nonzero")
     const = math.gamma(d / 2 - 1) / (2 * math.pi ** (d / 2))
     return const * det ** -0.5 * quad ** (1 - d / 2)
-
-
-def spitzer_constant_isotropic(d: int, sigma2: float) -> float:
-    """Limit of |x|^{d-2} G(0,x) when Q = sigma^2 I."""
-    if d < 3:
-        raise UsageError("the asymptotic requires d >= 3")
-    return math.gamma(d / 2 - 1) / (2 * math.pi ** (d / 2)) / sigma2
 
 
 def clt_tail_estimate(q: np.ndarray, x: Sequence[float], n_from: int) -> float:

@@ -129,6 +129,8 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
 
     if not (0.0 < alpha < 0.5):
         raise UsageError("shiga3 requires 0 < alpha < 1/2")
+    if replicas < 2:
+        raise UsageError("the Laplace z-scores need at least 2 replicas")
     ladder = check_ladder(k_ladder, "K ladder rungs")
     k_top = ladder[-1]
     ks = np.arange(1, k_top + 1, dtype=float)
@@ -218,6 +220,8 @@ def shiga5_run(alpha: float, levels: int, replicas: int,
         raise UsageError("shiga5 requires 0 < alpha <= 1/2")
     if levels < 3:
         raise UsageError("need a grid refining toward 0 (levels >= 3)")
+    if replicas < 2:
+        raise UsageError("the Laplace z-scores need at least 2 replicas")
     edges = [SHIGA5_UPPER * 0.5 ** j for j in range(levels + 1)]  # decreasing
     rho = shiga5_density(alpha)
     cell_mass = np.array([quad(rho, edges[j + 1], edges[j])[0]

@@ -1,11 +1,11 @@
 """Integer-valued polytope norms on the lattice.
 
-Four families are supported, each taking integer values on integer points:
+Four families are supported, each taking integer values on integer points.
+They come in two shapes, and every reader of a norm reads the shape:
 
-* ``max``        -- max_i |x^i|
-* ``l1``         -- sum_i |x^i|
-* ``w1``         -- sum_i i*|x^i|  (coordinate i carries weight i)
-* ``scaled_max`` -- factor * max_i |x^i|  (degenerate: empty odd levels)
+* weighted l1, sum_i w_i |x^i|: ``l1`` (w_i = 1) and ``w1`` (w_i = i);
+* scaled max, factor * max_i |x^i|: ``max`` (factor 1) and ``scaled_max``
+  (factor c >= 1; degenerate, with empty levels, when c > 1).
 
 Any family may be composed with a unimodular integer matrix A, giving
 ``x -> base_norm(A x)``.  Unimodularity (|det A| = 1) makes A a lattice
@@ -131,7 +131,13 @@ class NormSpec:
         return self.family == "scaled_max" and self.factor > 1
 
     @property
+    def max_shaped(self) -> bool:
+        """True for the scaled max shape, False for the weighted l1 shape."""
+        return self.family in ("max", "scaled_max")
+
+    @property
     def weights(self) -> np.ndarray:
+        """Coordinate weights of the weighted l1 shape: 1..dim for w1, else 1."""
         if self.family == "w1":
             return np.arange(1, self.dim + 1, dtype=np.int64)
         return np.ones(self.dim, dtype=np.int64)
@@ -150,14 +156,9 @@ class NormSpec:
         if len(x) != self.dim:
             raise UsageError(f"point has dim {len(x)}, norm expects {self.dim}")
         y = self._apply_transform_exact(x)
-        if self.family == "l1":
-            return sum(abs(v) for v in y)
-        if self.family == "w1":
-            return sum(i * abs(v) for i, v in enumerate(y, start=1))
-        m = max((abs(v) for v in y), default=0)
-        if self.family == "scaled_max":
-            return self.factor * m
-        return m
+        if self.max_shaped:
+            return self.factor * max(abs(v) for v in y)
+        return sum(w * abs(v) for w, v in zip(self.weights.tolist(), y))
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Vectorised norm of an (n, dim) int array; returns int64 array.
@@ -217,26 +218,21 @@ class NormSpec:
         if self.transform is not None:
             y = y @ self.transform.T.astype(float)
         a = np.abs(y)
-        if self.family == "l1":
-            return a.sum(axis=1)
-        if self.family == "w1":
-            return a @ np.arange(1, self.dim + 1, dtype=float)
-        m = a.max(axis=1)
-        if self.family == "scaled_max":
-            return self.factor * m
-        return m
+        if self.max_shaped:
+            return self.factor * a.max(axis=1)
+        return a @ self.weights.astype(float)
 
     # -- geometry ---------------------------------------------------------
 
     def enclosing_box_radius(self, k: int) -> int:
         """R such that every lattice x with ||x|| <= k has max-norm <= R.
 
-        All base families dominate the max norm coordinatewise, so the base
-        ball of radius k sits in the cube of radius k (k // factor for
-        scaled_max).  A transform A maps the ball to A^{-1}(base ball), and
-        ||A^{-1} y||_inf <= (max abs row sum of A^{-1}) * ||y||_inf.
+        Both shapes dominate factor * max_i |x^i| (factor 1 for weighted l1)
+        coordinatewise, so the base ball of radius k sits in the cube of
+        radius k // factor.  A transform A maps the ball to A^{-1}(base
+        ball), and ||A^{-1} y||_inf <= (max abs row sum of A^{-1}) * ||y||_inf.
         """
-        base = k // self.factor if self.family == "scaled_max" else k
+        base = k // self.factor
         if self.transform is None:
             return base
         inv = integer_inverse(self.transform)
@@ -251,19 +247,17 @@ class NormSpec:
         length is convex, so its maximum sits at a vertex: hi = max |A^{-1} v|
         over the vertices v of B.  The ball is cut out by the half-spaces
         <A^T c, x> <= 1, c over the vertices of the dual ball, so its
-        inradius is lo = 1 / max |A^T c|.  scaled_max divides both by factor.
+        inradius is lo = 1 / max |A^T c|.  The factor divides both.
         Used as the norm-equivalence certificate of truncation-bias bounds.
         """
         d = self.dim
         eye = np.eye(d, dtype=np.int64)
         axes = np.vstack([eye, -eye])
         corners = np.array(list(itertools.product((-1, 1), repeat=d)), dtype=np.int64)
-        if self.family == "l1":
-            vertices, dual = axes.astype(float), corners
-        elif self.family == "w1":
-            vertices, dual = axes / self.weights, corners * self.weights
-        else:
+        if self.max_shaped:
             vertices, dual = corners.astype(float), axes
+        else:
+            vertices, dual = axes / self.weights, corners * self.weights
         if self.transform is not None:
             vertices = vertices @ integer_inverse(self.transform).T
             dual = dual @ self.transform
@@ -349,7 +343,7 @@ def sphere_points(spec: NormSpec, k: int) -> np.ndarray:
     """All lattice points with exact norm k."""
     if k == 0:
         return np.zeros((1, spec.dim), dtype=np.int64)
-    if spec.transform is None and spec.family in ("max", "scaled_max"):
+    if spec.transform is None and spec.max_shaped:
         if k % spec.factor != 0:
             return np.zeros((0, spec.dim), dtype=np.int64)
         return _cube_shell(spec.dim, k // spec.factor)

@@ -108,7 +108,7 @@ class PowerLog(LevelFunction):
 
     @property
     def label(self) -> str:
-        return f"powerlog(beta={self.beta}, gamma={self.gamma})"
+        return f"powerlog(beta={self.beta}, gamma={self.gamma}, shift={self.shift})"
 
     def values(self, k: np.ndarray) -> np.ndarray:
         t = self.shift + np.asarray(k, dtype=float)
@@ -135,7 +135,7 @@ class TableFunction(LevelFunction):
 
     @property
     def label(self) -> str:
-        return f"table(n={len(self.table)}, tail={self.tail})"
+        return f"table(values={tuple(map(float, self.table))}, tail={self.tail})"
 
     def values(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k, dtype=np.int64)
@@ -377,6 +377,8 @@ def expectation_vs_criterion(step: StepDistribution, norm: NormSpec,
     """
     d = norm.dim
     horizons = check_ladder(horizons, "horizons")
+    if replicas < 2:
+        raise UsageError("the MC standard error needs at least 2 replicas")
     ks = np.arange(1, census.k_max + 1)
     f_ks = np.asarray(f(ks), dtype=float)
     f0 = float(np.asarray(f(np.zeros(1, dtype=np.int64)))[0])

@@ -481,6 +481,13 @@ def default_k_cut(norm_x: int) -> int:
     return max(4 * norm_x + 4, 16)
 
 
+def spitzer_constant_isotropic(d: int, sigma2: float) -> float:
+    """Limit of |x|^{d-2} G(0,x) when Q = sigma^2 I."""
+    if d < 3:
+        raise UsageError("the asymptotic requires d >= 3")
+    return math.gamma(d / 2 - 1) / (2 * math.pi ** (d / 2)) / sigma2
+
+
 def _exit_bias(step: StepDistribution, norm: NormSpec, x: Sequence[int],
                k_cut: int) -> float:
     """Estimated bias at x of a site statistic stopped at the exit of k_cut.
@@ -492,7 +499,6 @@ def _exit_bias(step: StepDistribution, norm: NormSpec, x: Sequence[int],
     C gap^{2-d} with C the isotropic Spitzer constant; infinite when
     gap <= 0.
     """
-    from .green import spitzer_constant_isotropic  # green imports this module
     gap = k_cut * norm.euclid_range_on_unit_sphere()[0] - math.hypot(*x)
     return (spitzer_constant_isotropic(step.dim, step.sigma2) * gap ** (2 - step.dim)
             if gap > 0 else math.inf)

@@ -6,7 +6,6 @@ from normwalk.census import (
     SphereCensus,
     asymptotic_constant,
     census_for,
-    census_max_closed,
     check_a4,
     count_bruteforce,
     count_l1_recursive,
@@ -68,13 +67,19 @@ class TestBruteForceOracle:
         assert cen.counts == (1, 0, 26, 0, 98)
         assert census_for(spec, 4).counts == cen.counts
 
+    @pytest.mark.parametrize("transform", [None, UNIMODULAR])
+    @pytest.mark.parametrize("family,factor", [("max", 1), ("l1", 1), ("w1", 1),
+                                               ("scaled_max", 1), ("scaled_max", 3)])
+    def test_every_shape_keeps_the_callers_spec(self, family, factor, transform):
+        spec = make_norm(family, 3, factor=factor, transform=transform)
+        cen = census_for(spec, 9)
+        assert cen.spec is spec
+        assert cen.method == ("closed" if spec.max_shaped else "recursive")
+        assert cen.counts == count_bruteforce(spec, 9).counts
+
     def test_budget(self):
         with pytest.raises(ResourceError):
             count_bruteforce(make_norm("max", 3), 500, box_budget=10_000)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(UsageError):
-            census_for(make_norm("max", 3), 5, method="fast")
 
     def test_verify_helper_clean(self):
         assert verify_oracle_equivalence(dims=(2,), k_max=6) == []
@@ -89,6 +94,18 @@ def test_convolution_split_identity():
     conv = tuple(sum(t2[j] * t3[k - j] for j in range(k + 1))
                  for k in range(k_max + 1))
     assert conv == t5
+
+
+def test_recursion_matches_the_literal_convolution():
+    # table[k::-w] lists table[k - w j] for j = 0, 1, ...
+    k_max = 80
+    for family, weights in (("l1", (1, 1, 1, 1)), ("w1", (1, 2, 3, 4))):
+        base = [1] + [2] * k_max
+        table = base
+        for w in weights[1:]:
+            table = [sum(base[j] * table[k - w * j] for j in range(k // w + 1))
+                     for k in range(k_max + 1)]
+        assert census_for(make_norm(family, 4), k_max).counts == tuple(table)
 
 
 class TestGeneratingFunction:
@@ -115,6 +132,9 @@ class TestAsymptotics:
         assert asymptotic_constant("w1", 3) == Fraction(2, 3)
         assert asymptotic_constant("w1", 2) == 2
         assert asymptotic_constant("max", 4) == 64
+        # 2^d / ((d-1)! prod_i w_i): w1 has prod_i w_i = d!
+        assert asymptotic_constant("w1", 4) == Fraction(1, 9)
+        assert asymptotic_constant("l1", 5) == Fraction(4, 3)
 
     def test_unsupported(self):
         with pytest.raises(UsageError):
@@ -165,5 +185,5 @@ def test_census_invariants():
 
 
 def test_census_max_closed_table():
-    cen = census_max_closed(3, 5)
+    cen = census_for(make_norm("max", 3), 5)
     assert cen.counts == (1, 26, 98, 218, 386, 602)

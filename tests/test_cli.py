@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -84,6 +85,11 @@ class TestExitCodes:
             for bad in ("0", "-2"):
                 assert run([*argv, "--replicas", bad]) == 1
                 assert "--replicas" in capsys.readouterr().err
+
+    def test_shiga3_one_replica_usage_error(self, capsys):
+        assert run(["jeulin", "--scenario", "shiga3", "--K", "100",
+                    "--replicas", "1"]) == 1
+        assert "2 replicas" in capsys.readouterr().err
 
     def test_resource_error_exit_code(self, capsys):
         assert run(["green", "--dim", "3", "--x", "0,0,0", "--method", "dp",
@@ -195,6 +201,18 @@ class TestOutputs:
                             master_seed=3)
             assert (rep["value"], rep["error_bound"]) == \
                 (want.value, want.error_bound)
+
+    def test_green_mc_reports_undercovered(self, capsys):
+        # at the default k_cut the walk misses the visits after its exit
+        assert run(["green", "--dim", "3", "--x", "3,0,0", "--method", "mc",
+                    "--replicas", "200", "--seed", "3", "--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        want = green_mc(make_simple_walk(3), make_norm("max", 3), (3, 0, 0),
+                        replicas=200, master_seed=3)
+        assert rep["undercovered"] is want.undercovered is True
+        assert run(["green", "--dim", "3", "--x", "3,0,0", "--method",
+                    "asymptotic", "--format", "json"]) == 0
+        assert "undercovered" not in json.loads(capsys.readouterr().out)
 
     def test_zero_one_json_block(self, tmp_path):
         out = tmp_path / "z"
@@ -401,6 +419,24 @@ class TestColdStart:
         assert code == 0, err
         assert run(argv) == 0
         assert out == capsys.readouterr().out
+
+    def test_function_local_imports_are_the_lazy_scipy_ones(self):
+        # any other import sits at module level, where an import cycle
+        # between normwalk modules fails at once
+        found = set()
+        for path in sorted(Path(SRC, "normwalk").glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.ImportFrom):
+                        found.add((f"{path.stem}.{fn.name}", node.module))
+                    elif isinstance(node, ast.Import):
+                        found.update((f"{path.stem}.{fn.name}", a.name)
+                                     for a in node.names)
+        assert found == {("green.clt_tail_estimate", "scipy.special"),
+                         ("jeulin.shiga3_run", "scipy.special"),
+                         ("jeulin.shiga5_run", "scipy.integrate")}
 
     def test_python_dash_m_normwalk(self, capsys):
         code, out, err = fresh_python("-m", "normwalk", *self.CENSUS)

@@ -92,6 +92,13 @@ class TestShiga3:
         with pytest.raises(UsageError):
             shiga3_run(0.4, [0, 100], 200, 1)
 
+    def test_one_replica_refused(self, monkeypatch):
+        # one replica has no standard error, so every z-score would read 0
+        monkeypatch.setattr(jeulin, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        with pytest.raises(UsageError, match="2 replicas"):
+            shiga3_run(0.4, [100], replicas=1, master_seed=0)
+
     def test_series_side_converges_under_zeta_bound(self):
         rep = shiga3_run(0.4, [100], replicas=200, master_seed=1)
         assert rep.weighted_series_partial < rep.weighted_series_bound
@@ -138,6 +145,12 @@ class TestShiga5:
         assert len(rep.partial_medians) == 5
         targets = [r["target"] for r in rep.laplace_rows]
         assert len(set(targets)) == len(targets)
+
+    def test_one_replica_refused(self, monkeypatch):
+        monkeypatch.setattr(jeulin, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        with pytest.raises(UsageError, match="2 replicas"):
+            shiga5_run(0.4, levels=8, replicas=1, master_seed=0)
 
     def test_heavy_tail_mean_instability(self):
         rep = shiga5_run(0.5, levels=8, replicas=4000, master_seed=5)
@@ -233,6 +246,13 @@ class TestHarness:
                                    [10, 100], replicas=10, master_seed=2)
         assert [r.f_label for r in rep.rows] == [PowerLaw(4).label,
                                                  PowerLaw(2.5).label]
+
+    def test_functions_sharing_a_tail_get_their_own_rows(self):
+        family = [TableFunction((1.0, 0.5), "zero"), TableFunction((0.0, 9.0), "zero"),
+                  PowerLog(3, 1), PowerLog(3, 1, shift=2.0)]
+        rep = limit_jeulin_harness(route_a_scenario(), family, [10, 100],
+                                   replicas=10, master_seed=2)
+        assert [r.f_label for r in rep.rows] == [f.label for f in family]
 
     def test_verdict_is_decide_v_at_phi_exponent_one(self):
         # shiga3's Phi(k) = k: sum f Phi is criterion V's series

@@ -230,6 +230,14 @@ class TestExpectationVsCriterion:
             expectation_vs_criterion(SW3, MAX3, PowerLaw(4), census_for(MAX3, 16),
                                      replicas=4, horizons=[], master_seed=0)
 
+    def test_one_replica_refused(self, monkeypatch):
+        # one replica has no standard error: mc_se would be nan
+        monkeypatch.setattr("normwalk.summability.map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        with pytest.raises(UsageError, match="2 replicas"):
+            expectation_vs_criterion(SW3, MAX3, PowerLaw(4), census_for(MAX3, 16),
+                                     replicas=1, horizons=[100], master_seed=0)
+
     def test_vanishing_f_rejected(self):
         cen = census_for(MAX3, 16)
         zero = TableFunction((0.0,), tail="zero")
@@ -273,6 +281,12 @@ class TestFunctionSpecs:
             TableFunction((-1.0,), tail="zero")
         with pytest.raises(UsageError):
             PowerLaw(3, shift=0.5)
+
+    def test_labels_identify_the_function(self):
+        assert PowerLog(2, 1).label != PowerLog(2, 1, shift=2.0).label
+        assert "shift=1.0" in PowerLog(2, 1).label
+        assert TableFunction((1.0, 0.5), "zero").label != \
+            TableFunction((0.0, 9.0), "zero").label
 
     def test_table_power_tail_values(self):
         f = TableFunction((4.0, 2.0, 1.0), tail=("power", 2.0))
