@@ -66,7 +66,6 @@ from .measures import (
     ks_statistic,
     mu_k_integral,
     mu_surface_integral_max,
-    positivity_report,
     scaled_samples,
     sphere_measure,
     weak_convergence_report,

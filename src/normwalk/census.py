@@ -22,8 +22,8 @@ import numpy as np
 from .errors import ResourceError, UsageError
 from .norms import NormSpec, iter_box_slabs
 
-# Refuse brute-force boxes beyond this many points unless the caller raises it.
-DEFAULT_BOX_BUDGET = 200_000_000
+# count_bruteforce refuses boxes of more than this many points.
+BOX_BUDGET = 200_000_000
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,17 @@ class SphereCensus:
         return out
 
 
-def count_bruteforce(spec: NormSpec, k_max: int,
-                     box_budget: int = DEFAULT_BOX_BUDGET) -> SphereCensus:
-    """Oracle census by enumerating the enclosing box and binning norms."""
+def count_bruteforce(spec: NormSpec, k_max: int) -> SphereCensus:
+    """Oracle census by enumerating the enclosing box and binning norms;
+    a box of more than BOX_BUDGET points is a ResourceError."""
     if k_max < 0:
         raise UsageError("k_max must be >= 0")
     radius = spec.enclosing_box_radius(k_max)
     n_points = (2 * radius + 1) ** spec.dim
-    if n_points > box_budget:
+    if n_points > BOX_BUDGET:
         raise ResourceError(
             f"brute-force box radius {radius} holds {n_points} points, "
-            f"over budget {box_budget}")
+            f"over budget {BOX_BUDGET}")
     counts = np.zeros(k_max + 1, dtype=np.int64)
     for slab in iter_box_slabs(spec.dim, radius):
         nv = spec.values(slab)
@@ -91,8 +91,6 @@ def _weighted_l1_census(spec: NormSpec, k_max: int) -> SphereCensus:
     for j >= 1, so each new coordinate convolves the table with
     (1, 2, 2, ...) in strides of w.
     """
-    if k_max < 0:
-        raise UsageError("k_max must be >= 0")
     base = [1] + [2] * k_max
     table = base
     for w in spec.weights.tolist()[1:]:
@@ -103,12 +101,12 @@ def _weighted_l1_census(spec: NormSpec, k_max: int) -> SphereCensus:
 
 def count_l1_recursive(d: int, k_max: int) -> SphereCensus:
     """l1 census via the convolution recursion over dimensions."""
-    return _weighted_l1_census(NormSpec("l1", d), k_max)
+    return census_for(NormSpec("l1", d), k_max)
 
 
 def count_w1_recursive(d: int, k_max: int) -> SphereCensus:
     """Weighted-l1 census; coordinate i contributes in strides of i."""
-    return _weighted_l1_census(NormSpec("w1", d), k_max)
+    return census_for(NormSpec("w1", d), k_max)
 
 
 def census_for(spec: NormSpec, k_max: int) -> SphereCensus:
@@ -117,8 +115,11 @@ def census_for(spec: NormSpec, k_max: int) -> SphereCensus:
     Weighted l1 norms use the recursion; a scaled max norm has the cube
     shell of radius k / factor at each multiple k of the factor and nothing
     between.  A transform keeps the counts (unimodular maps are lattice
-    bijections); `count_bruteforce` recounts explicitly.
+    bijections); `count_bruteforce` recounts explicitly.  k_max must be
+    >= 0.
     """
+    if k_max < 0:
+        raise UsageError("k_max must be >= 0")
     if not spec.max_shaped:
         return _weighted_l1_census(spec, k_max)
     c = spec.factor

@@ -39,8 +39,7 @@ def spitzer_asymptotic(q: np.ndarray, x: Sequence[float]) -> float:
     d = q.shape[0]
     if q.shape != (d, d):
         raise UsageError("Q must be square")
-    if d < 3:
-        raise UsageError("the asymptotic requires d >= 3")
+    const = spitzer_constant_isotropic(d, 1.0)  # refuses d < 3
     det = np.linalg.det(q)
     if det <= 0:
         raise UsageError("Q must be positive definite")
@@ -48,7 +47,6 @@ def spitzer_asymptotic(q: np.ndarray, x: Sequence[float]) -> float:
     quad = float(v @ np.linalg.solve(q, v))
     if quad <= 0:
         raise UsageError("x must be nonzero")
-    const = math.gamma(d / 2 - 1) / (2 * math.pi ** (d / 2))
     return const * det ** -0.5 * quad ** (1 - d / 2)
 
 
@@ -233,14 +231,16 @@ def green_mc(step: StepDistribution, norm: NormSpec, x: Sequence[int],
              k_cut: Optional[int] = None) -> GreenEstimate:
     """Mean truncated site local time at x across replicas; ``undercovered``
     when `_exit_bias`, the visits missed after the exit of k_cut, exceeds
-    the standard error (error_bound / 3)."""
+    the standard error (error_bound / 3), which needs at least 2 replicas."""
+    if replicas < 2:
+        raise UsageError("the MC standard error needs at least 2 replicas")
     x = tuple(int(v) for v in x)
     if k_cut is None:
         k_cut = default_k_cut(norm.value(x))
     visits = site_visit_samples(step, norm, x, replicas, master_seed,
                                 k_cut=k_cut)
     mean = float(visits.mean())
-    se = float(visits.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else float("inf")
+    se = float(visits.std(ddof=1) / math.sqrt(replicas))
     bias = _exit_bias(step, norm, x, k_cut)
     return GreenEstimate(x=x, value=mean, method="mc", error_bound=3 * se,
                          replicas=replicas, undercovered=bool(bias > se))

@@ -317,7 +317,6 @@ class JeulinScenario:
     phi_exponent: float                     # Phi(k) = k^p
     v_sampler: Callable[[Generator, int], np.ndarray]  # draws V(1..K)
     limit_positive_prob: float              # P(X > 0), declared
-    limit_descriptor: str
 
 
 def route_a_scenario(phi_exponent: float = 2.0) -> JeulinScenario:
@@ -330,8 +329,7 @@ def route_a_scenario(phi_exponent: float = 2.0) -> JeulinScenario:
 
     return JeulinScenario(label=f"perturbed-power(p={phi_exponent})",
                           phi_exponent=phi_exponent, v_sampler=sampler,
-                          limit_positive_prob=1.0,
-                          limit_descriptor="degenerate at 1")
+                          limit_positive_prob=1.0)
 
 
 def shiga3_scenario(alpha: float = 0.4) -> JeulinScenario:
@@ -344,8 +342,7 @@ def shiga3_scenario(alpha: float = 0.4) -> JeulinScenario:
         return ks + sample_stable(alpha, 1.0, rng, k_top)
 
     return JeulinScenario(label=f"shiga3(alpha={alpha})", phi_exponent=1.0,
-                          v_sampler=sampler, limit_positive_prob=1.0,
-                          limit_descriptor="degenerate at 1")
+                          v_sampler=sampler, limit_positive_prob=1.0)
 
 
 def bernoulli_scenario() -> JeulinScenario:
@@ -355,8 +352,7 @@ def bernoulli_scenario() -> JeulinScenario:
         return np.full(k_top, float(rng.integers(0, 2)))
 
     return JeulinScenario(label="bernoulli-half", phi_exponent=0.0,
-                          v_sampler=sampler, limit_positive_prob=0.5,
-                          limit_descriptor="fair {0,1}")
+                          v_sampler=sampler, limit_positive_prob=0.5)
 
 
 @dataclass(frozen=True)

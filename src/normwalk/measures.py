@@ -15,6 +15,7 @@ The limit law itself is never simulated.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -27,6 +28,8 @@ from .norms import NormSpec, sphere_points
 from .walk import StepDistribution, check_ladder, total_level_local_time
 
 TestFn = Callable[[np.ndarray], np.ndarray]
+
+N_BOOT = 200  # bootstrap resamples behind each KS noise band
 
 
 @dataclass(frozen=True)
@@ -75,20 +78,14 @@ def mu_surface_integral_max(d: int, testfn: TestFn) -> float:
     if d < 1:
         raise UsageError("d must be >= 1")
     nodes, weights = np.polynomial.legendre.leggauss(24)
-    grids = np.meshgrid(*([nodes] * (d - 1)), indexing="ij")
-    wgrids = np.meshgrid(*([weights] * (d - 1)), indexing="ij")
-    free = np.stack([g.ravel() for g in grids], axis=-1) if d > 1 \
-        else np.zeros((1, 0))
-    wprod = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1) \
-        if d > 1 else np.ones(1)
+    # the d - 1 free coordinates of a face point (none when d = 1)
+    free = np.array(list(itertools.product(nodes, repeat=d - 1)))
+    wprod = np.prod(np.array(list(itertools.product(weights, repeat=d - 1))),
+                    axis=-1)
     terms = []
     for axis in range(d):
         for sign in (1.0, -1.0):
-            pts = np.empty((free.shape[0], d))
-            pts[:, axis] = sign
-            rest = [j for j in range(d) if j != axis]
-            for col, j in enumerate(rest):
-                pts[:, j] = free[:, col]
+            pts = np.insert(free, axis, sign, axis=1)
             terms.append(wprod * np.asarray(testfn(pts), dtype=float))
     return math.fsum(np.concatenate(terms)) / math.fsum(np.tile(wprod, 2 * d))
 
@@ -200,14 +197,6 @@ def scaled_samples(step: StepDistribution, spec: NormSpec, k: int,
                                  bias_bound=raw.bias_bound)
 
 
-def positivity_report(samples: np.ndarray) -> float:
-    """Fraction of exactly-zero samples (the limit law charges only (0, inf))."""
-    samples = np.asarray(samples)
-    if samples.size == 0:
-        raise UsageError("need at least one sample")
-    return float((samples == 0).mean())
-
-
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov distance (ties handled exactly)."""
     a = np.sort(np.asarray(a, dtype=float))
@@ -232,12 +221,12 @@ class CauchyCheck:
 
 
 def distributional_cauchy(samples_a: np.ndarray, samples_b: np.ndarray,
-                          n_boot: int = 200, seed: int = 0) -> CauchyCheck:
+                          seed: int = 0) -> CauchyCheck:
     """KS distance between two sample sets plus a bootstrap noise band.
 
-    The band is 3x the standard deviation of the statistic under
-    resampling both sets with replacement; it calibrates how much of the
-    observed distance is sampling noise.
+    The band is 3x the standard deviation of the statistic over N_BOOT
+    resamplings of both sets with replacement; it calibrates how much of
+    the observed distance is sampling noise.
     """
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
@@ -245,8 +234,8 @@ def distributional_cauchy(samples_a: np.ndarray, samples_b: np.ndarray,
         raise UsageError("need at least 100 samples per set")
     stat = ks_statistic(a, b)
     rng = np.random.default_rng(seed)
-    boots = np.empty(n_boot)
-    for i in range(n_boot):
+    boots = np.empty(N_BOOT)
+    for i in range(N_BOOT):
         boots[i] = ks_statistic(rng.choice(a, a.size, replace=True),
                                 rng.choice(b, b.size, replace=True))
     return CauchyCheck(statistic=stat, noise_band=3.0 * float(boots.std()),
@@ -270,7 +259,7 @@ class InvarianceReport:
 
 def invariance_surrogate(step: StepDistribution, spec: NormSpec,
                          k_ladder: Sequence[int], replicas: int,
-                         master_seed: int, n_boot: int = 200) -> InvarianceReport:
+                         master_seed: int) -> InvarianceReport:
     """Run the ladder of scaled samples and the pairwise KS checks.
 
     Seeds are salted per level so ladder entries are independent.  The
@@ -282,7 +271,7 @@ def invariance_surrogate(step: StepDistribution, spec: NormSpec,
             for j, k in enumerate(ladder)]
     ks_seq = tuple(
         distributional_cauchy(sets[i].samples, sets[i + 1].samples,
-                              n_boot=n_boot, seed=master_seed + i)
+                              seed=master_seed + i)
         for i in range(len(sets) - 1))
     zero = float(np.mean([s.zero_fraction for s in sets]))
     return InvarianceReport(k_ladder=tuple(ladder), ks_sequence=ks_seq,

@@ -174,17 +174,17 @@ class NormSpec:
             raise UsageError(f"points have dim {pts.shape[1]}, norm expects {self.dim}")
         if pts.dtype != np.int64:
             pts = pts.astype(np.int64)
-        out = self._abs_coordinate(pts, 0)
+        max_shaped, weights = self.max_shaped, self.weights.tolist()
+        out = self._abs_coordinate(pts, 0)  # weight 1 in the weighted l1 shape
         for i in range(1, self.dim):
             a = self._abs_coordinate(pts, i)
-            if self.family == "l1":
-                out += a
-            elif self.family == "w1":
-                a *= i + 1
-                out += a
-            else:
+            if max_shaped:
                 np.maximum(out, a, out=out)
-        if self.family == "scaled_max":
+                continue
+            if weights[i] != 1:
+                a *= weights[i]
+            out += a
+        if self.factor != 1:
             out *= self.factor
         return out
 

@@ -248,10 +248,8 @@ def decide_iv(f: LevelFunction, census: SphereCensus) -> CriterionVerdict:
         inner = decide_even_v(f)
         return CriterionVerdict("IV", inner.verdict, inner.method)
     try:
-        c1, _ = growth_bounds(census)
+        growth_bounds(census)  # raises on an empty level, so c1 > 0 here
     except UsageError:
-        return CriterionVerdict("IV", Verdict.UNDECIDABLE, "partial-sum")
-    if c1 <= 0:
         return CriterionVerdict("IV", Verdict.UNDECIDABLE, "partial-sum")
     inner = decide_v(f)
     return CriterionVerdict("IV", inner.verdict, inner.method)
@@ -317,8 +315,7 @@ def _replica_partials(step: StepDistribution, norm: NormSpec,
 def zero_one_experiment(step: StepDistribution, norm: NormSpec,
                         f: LevelFunction, replicas: int,
                         horizons: Sequence[int], master_seed: int,
-                        census: Optional[SphereCensus] = None,
-                        allow_non_a0: bool = False) -> ZeroOneReport:
+                        census: Optional[SphereCensus] = None) -> ZeroOneReport:
     """Monte Carlo dichotomy check for sum_n f(||S_n||).
 
     Each replica reports partial sums at every horizon (at least two, see
@@ -326,14 +323,16 @@ def zero_one_experiment(step: StepDistribution, norm: NormSpec,
     differ by < excursion_allowance(f) + EPS_REL * final.  The fraction
     should sit near 0 or near 1, never in between, for structured f with a
     definite symbolic verdict (given horizons that clear the k f(k)
-    criticality; boundary exponents need longer ladders).
+    criticality; boundary exponents need longer ladders).  A step law
+    that fails check_a0 (zero mean, isotropic covariance) is refused.
     """
     if norm.dim <= 2:
         raise UsageError("d <= 2 walks are recurrent; finiteness forces f = 0, "
                          "so the experiment is unsupported there")
-    if not allow_non_a0 and not check_a0(step, tolerance=1e-9):
-        raise UsageError("step law violates the isotropy assumption; "
-                         "pass allow_non_a0=True to run anyway")
+    if not check_a0(step):
+        raise UsageError("step law violates the isotropy assumption "
+                         "(zero mean, covariance sigma^2 I); the experiment "
+                         "refuses it")
     horizons = check_ladder(horizons, "horizons", rungs=2)
     eps_abs = excursion_allowance(f)
     rows = _replica_partials(step, norm, f, horizons, replicas, master_seed)

@@ -40,7 +40,10 @@ from .errors import UsageError
 from .norms import NormSpec
 
 DEFAULT_CHUNK = 1 << 15
-DEFAULT_MAX_STEPS = 10 ** 8  # safety valve for stop_radius-only runs
+# the steps a run without a horizon may take before it ends unexited
+MAX_STEPS = 10 ** 8
+# the largest mean component and covariance deviation check_a0 accepts
+A0_TOLERANCE = 1e-9
 
 T = TypeVar("T")
 
@@ -239,13 +242,13 @@ def make_lazy_walk(d: int) -> StepDistribution:
     return StepDistribution(dim=d, support=sup, probabilities=probs)
 
 
-def check_a0(step: StepDistribution, tolerance: float = 0.0) -> bool:
-    """Zero mean and isotropic covariance Q = sigma^2 I within tolerance."""
-    if float(np.abs(step.mean).max()) > tolerance:
+def check_a0(step: StepDistribution) -> bool:
+    """Zero mean and isotropic covariance Q = sigma^2 I within A0_TOLERANCE."""
+    if float(np.abs(step.mean).max()) > A0_TOLERANCE:
         return False
     if step.sigma2 <= 0:
         return False
-    return step.isotropy_deviation <= tolerance
+    return step.isotropy_deviation <= A0_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -257,7 +260,6 @@ class WalkRun:
     replica_index: int = 0
     horizon: Optional[int] = None        # number of steps; None = until stop_radius
     stop_radius: Optional[int] = None    # stop once ||S_n|| >= stop_radius
-    max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
         if self.horizon is None and self.stop_radius is None:
@@ -294,7 +296,7 @@ def _blocks(run: WalkRun, norm: NormSpec, chunk: Optional[int] = None
     norms their norms.  Each block draws min(chunk, steps left) increments;
     the block that reaches stop_radius is cut just after that step, comes
     with exited = True and is the last.  Otherwise the blocks end after
-    horizon (or max_steps) steps.  chunk defaults to the exit-time scale of
+    horizon (or MAX_STEPS) steps.  chunk defaults to the exit-time scale of
     stop_radius, or DEFAULT_CHUNK for a run without one.
     """
     if norm.dim != run.step.dim:
@@ -304,7 +306,7 @@ def _blocks(run: WalkRun, norm: NormSpec, chunk: Optional[int] = None
                  else _exit_scale_chunk(run.stop_radius))
     step = run.step
     draw = step._index_sampler(replica_rng(run.master_seed, run.replica_index))
-    limit = run.horizon if run.horizon is not None else run.max_steps
+    limit = run.horizon if run.horizon is not None else MAX_STEPS
     last = np.zeros(step.dim, dtype=np.int64)
     n_done = 0
     while n_done < limit:
@@ -522,8 +524,10 @@ def hitting_probability(step: StepDistribution, norm: NormSpec,
 
     The estimate misses the walks that reach x only after exiting k_cut;
     ``undercovered`` is set when `_exit_bias` estimates more than the standard
-    error for them.
+    error for them.  That standard error needs at least 2 replicas.
     """
+    if replicas < 2:
+        raise UsageError("the standard error needs at least 2 replicas")
     target = tuple(int(v) for v in x)
     if k_cut is None:
         k_cut = default_k_cut(norm.value(target))

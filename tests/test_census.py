@@ -79,7 +79,14 @@ class TestBruteForceOracle:
 
     def test_budget(self):
         with pytest.raises(ResourceError):
-            count_bruteforce(make_norm("max", 3), 500, box_budget=10_000)
+            count_bruteforce(make_norm("max", 3), 500)
+
+    @pytest.mark.parametrize("spec", [
+        make_norm("max", 3), make_norm("l1", 3), make_norm("w1", 3),
+        make_norm("scaled_max", 3, factor=2)], ids=lambda s: s.family)
+    def test_negative_k_max_refused(self, spec):
+        with pytest.raises(UsageError, match="k_max must be >= 0"):
+            census_for(spec, -1)
 
     def test_verify_helper_clean(self):
         assert verify_oracle_equivalence(dims=(2,), k_max=6) == []

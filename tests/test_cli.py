@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from normwalk import walk
 from normwalk.cli import main
 from normwalk.green import green_mc
 from normwalk.measures import invariance_surrogate
@@ -90,6 +91,15 @@ class TestExitCodes:
         assert run(["jeulin", "--scenario", "shiga3", "--K", "100",
                     "--replicas", "1"]) == 1
         assert "2 replicas" in capsys.readouterr().err
+
+    def test_green_mc_one_replica_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(walk, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        assert run(["green", "--dim", "3", "--x", "1,0,0", "--method", "mc",
+                    "--replicas", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2 replicas" in captured.err
 
     def test_resource_error_exit_code(self, capsys):
         assert run(["green", "--dim", "3", "--x", "0,0,0", "--method", "dp",
@@ -443,3 +453,82 @@ class TestColdStart:
         assert code == 0, err
         assert run(self.CENSUS) == 0
         assert out == capsys.readouterr().out
+
+
+def _defaulted_options() -> set:
+    """module.function(param) for each defaulted parameter and
+    module.Class.field for each defaulted dataclass field in src/normwalk."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                named = positional[len(positional) - len(a.defaults):]
+                named += [k for k, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+                found.update(f"{prefix}{child.name}({arg.arg})" for arg in named)
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                if any("dataclass" in ast.unparse(d) for d in child.decorator_list):
+                    found.update(f"{prefix}{child.name}.{n.target.id}"
+                                 for n in child.body
+                                 if isinstance(n, ast.AnnAssign) and n.value)
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    for path in sorted(Path(SRC, "normwalk").glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.stem}.")
+    return found
+
+
+class TestOptionInventory:
+    # every value a caller may leave out; adding one is an edit here
+    ALLOWED = {
+        "census.verify_oracle_equivalence(dims)",
+        "census.verify_oracle_equivalence(extra_specs)",
+        "census.verify_oracle_equivalence(k_max)",
+        "cli.main(argv)",
+        "green.GreenEstimate.lower_bound",
+        "green.GreenEstimate.n_max",
+        "green.GreenEstimate.replicas",
+        "green.GreenEstimate.undercovered",
+        "green.green_dp(box_radius)",
+        "green.green_dp(n_max)",
+        "green.green_mc(k_cut)",
+        "jeulin.laplace_check(master_seed)",
+        "jeulin.limit_jeulin_harness(eps_rel)",
+        "jeulin.route_a_scenario(phi_exponent)",
+        "jeulin.sample_stable(size)",
+        "jeulin.shiga3_run(threshold)",
+        "jeulin.shiga3_scenario(alpha)",
+        "measures.distributional_cauchy(seed)",
+        "measures.scaled_samples(k_cut)",
+        "norms.NormSpec.factor",
+        "norms.NormSpec.transform",
+        "norms.make_norm(factor)",
+        "norms.make_norm(transform)",
+        "summability.PowerLaw.shift",
+        "summability.PowerLog.shift",
+        "summability.TableFunction.tail",
+        "summability._decide_weighted(power)",
+        "summability._decide_weighted(stride)",
+        "summability._series_verdict(gamma)",
+        "summability.zero_one_experiment(census)",
+        "walk.LocalTimeRecord.site_counts",
+        "walk.WalkRun.horizon",
+        "walk.WalkRun.replica_index",
+        "walk.WalkRun.stop_radius",
+        "walk._blocks(chunk)",
+        "walk.check_ladder(rungs)",
+        "walk.geometric_tail_report(n_max)",
+        "walk.hitting_probability(k_cut)",
+        "walk.simulate(chunk)",
+        "walk.simulate(track_sites)",
+        "walk.total_level_local_time(k_cut)",
+    }
+
+    def test_defaulted_values_are_the_allowed_ones(self):
+        assert _defaulted_options() == self.ALLOWED

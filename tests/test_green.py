@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from normwalk import walk
 from normwalk.errors import ResourceError, UsageError
 from normwalk.green import (
     GreenField,
@@ -244,6 +245,14 @@ class TestGreenMC:
         est = green_mc(make_simple_walk(3), MAX3, x, replicas=500,
                        master_seed=5, k_cut=64)
         assert not est.undercovered
+
+    def test_one_replica_refused(self, monkeypatch):
+        # ddof=1 has no standard error for one sample, so no error_bound
+        monkeypatch.setattr(walk, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        with pytest.raises(UsageError, match="2 replicas"):
+            green_mc(make_simple_walk(3), MAX3, (1, 0, 0), replicas=1,
+                     master_seed=0)
 
     def test_far_outside_cut_returns_zero_flagged(self):
         sw = make_simple_walk(3)

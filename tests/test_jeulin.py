@@ -227,8 +227,7 @@ class TestHarness:
     def test_zero_mass_scenario_rejected(self):
         sc = route_a_scenario(1.0)
         dead = type(sc)(label="dead", phi_exponent=1.0,
-                        v_sampler=sc.v_sampler, limit_positive_prob=0.0,
-                        limit_descriptor="zero")
+                        v_sampler=sc.v_sampler, limit_positive_prob=0.0)
         with pytest.raises(UsageError):
             limit_jeulin_harness(dead, [PowerLaw(3)], [10, 100], 10, 0)
 

@@ -4,13 +4,13 @@ from scipy import stats
 
 from normwalk.errors import UsageError
 from normwalk.measures import (
+    ScaledLocalTimeSample,
     default_test_functions,
     distributional_cauchy,
     invariance_surrogate,
     ks_statistic,
     mu_k_integral,
     mu_surface_integral_max,
-    positivity_report,
     scaled_samples,
     sphere_measure,
     weak_convergence_report,
@@ -123,7 +123,7 @@ class TestKS:
     def test_obvious_difference_detected(self):
         rng = np.random.default_rng(0)
         chk = distributional_cauchy(rng.normal(0, 1, 400),
-                                    rng.normal(3, 1, 400), n_boot=50)
+                                    rng.normal(3, 1, 400))
         assert chk.statistic > 0.8 and not chk.close()
 
 
@@ -161,15 +161,16 @@ class TestScaledSamples:
             scaled_samples(SW3, spec, 3, replicas=10, master_seed=0)
 
     def test_synthetic_zero_detection(self):
-        assert positivity_report(np.array([0.0, 2.0, 3.0])) == pytest.approx(1 / 3)
-        with pytest.raises(UsageError):
-            positivity_report(np.array([]))
+        s = ScaledLocalTimeSample(spec=MAX3, k=1, k_cut=8, n_level=26,
+                                  samples=np.array([0.0, 2.0, 3.0]),
+                                  bias_bound=0.0)
+        assert s.zero_fraction == pytest.approx(1 / 3)
 
 
 class TestInvarianceSurrogate:
     def test_small_ladder_report(self):
         rep = invariance_surrogate(SW3, MAX3, [4, 8], replicas=120,
-                                   master_seed=3, n_boot=60)
+                                   master_seed=3)
         assert rep.zero_fraction == 0.0
         assert len(rep.ks_sequence) == 1
         assert rep.means_bounded()
@@ -179,5 +180,5 @@ class TestInvarianceSurrogate:
         a = scaled_samples(SW3, MAX3, 8, replicas=250, master_seed=5)
         b = scaled_samples(SW3, make_norm("l1", 3), 8, replicas=250,
                            master_seed=6)
-        chk = distributional_cauchy(a.samples, b.samples, n_boot=60)
+        chk = distributional_cauchy(a.samples, b.samples)
         assert chk.statistic > chk.noise_band

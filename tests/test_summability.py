@@ -157,9 +157,6 @@ class TestZeroOneExperiment:
             probabilities=np.array([0.3, 0.3, 0.1, 0.1, 0.1, 0.1]))
         with pytest.raises(UsageError, match="isotropy"):
             zero_one_experiment(skew, MAX3, PowerLaw(3), 4, [10, 100], 0)
-        rep = zero_one_experiment(skew, MAX3, PowerLaw(3), 4, [10, 100], 0,
-                                  allow_non_a0=True)
-        assert rep.replicas == 4
 
     def test_dichotomy_small_budget(self):
         conv = zero_one_experiment(SW3, MAX3, PowerLaw(3), replicas=40,

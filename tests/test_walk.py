@@ -40,7 +40,7 @@ POLYA_P0 = 0.3405373  # return probability of the simple walk on Z^3
 def reference_simulate(run, norm, chunk):
     """(level counts, site counts, n, truncated) from an (n, d) loop."""
     draw = run.step.sampler(replica_rng(run.master_seed, run.replica_index))
-    limit = run.horizon if run.horizon is not None else run.max_steps
+    limit = run.horizon if run.horizon is not None else walk.MAX_STEPS
     levels = np.zeros(64, dtype=np.int64)
     sites = {}
     pos = np.zeros(run.step.dim, dtype=np.int64)
@@ -90,18 +90,18 @@ class TestStepDistribution:
 
     def test_d1_is_valid_but_recurrent_dimension(self):
         sw = make_simple_walk(1)
-        assert check_a0(sw, 0.0)  # the law itself is fine; d gates elsewhere
+        assert check_a0(sw)  # the law itself is fine; d gates elsewhere
 
     def test_lazy_walk(self):
         lazy = make_lazy_walk(3)
         assert lazy.sigma2 == pytest.approx(1 / 6, abs=1e-15)
-        assert check_a0(lazy, 1e-12)
+        assert check_a0(lazy)
 
     def test_degenerate_axis_law_fails_a0(self):
         deg = StepDistribution(dim=2,
                                support=np.array([[1, 0], [-1, 0]]),
                                probabilities=np.array([0.5, 0.5]))
-        assert not check_a0(deg, 1e-9)
+        assert not check_a0(deg)
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(UsageError):
@@ -361,6 +361,14 @@ class TestHitting:
         bias = 3 / (2 * np.pi) / est.k_cut
         assert bias > est.std_error and est.undercovered
         assert abs(est.p_hat - POLYA_P0) <= 3 * est.std_error + bias
+
+    def test_one_replica_refused(self, monkeypatch):
+        # one replica's p_hat is 0 or 1, whose binomial standard error is 0
+        monkeypatch.setattr(walk, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        with pytest.raises(UsageError, match="2 replicas"):
+            hitting_probability(make_simple_walk(3), MAX3, (1, 0, 0),
+                                replicas=1, master_seed=0)
 
     @pytest.mark.parametrize("x, k_cut, flagged", [
         ((1, 0, 0), 64, False),   # C / 63 = 0.0076 < std_error ~ 0.021
