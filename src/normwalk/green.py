@@ -12,9 +12,13 @@ DP fields hold partial sums for every site of the box at once, so one run
 serves many query points.  Each DP step is a stencil on the flattened box:
 one contiguous add per atom of the step law, after which the boundary
 bands that the flat shift wrapped into are restored; mass stepping out of
-the box is absorbed and counted as ``leak``.  The DP holds four float64
-arrays of the box, 32 bytes per cell, so the 40-million-cell budget
-FIELD_BUDGET is 1.28 GB for every step law.
+the box is absorbed and counted as ``leak``.  A bipartite step law (every
+atom's coordinate sum odd, as for the simple walk) keeps the walk on one
+flat parity class of the box at each step, so the DP stores and steps
+each class as a contiguous half array and touches half the cells; any
+other law runs the same loop on a single class, the whole box.  The DP
+holds 20 bytes per cell for a bipartite law and 32 otherwise, so the
+40-million-cell budget FIELD_BUDGET is 0.8 GB or 1.28 GB.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .norms import NormSpec, sphere_points
 from .walk import (StepDistribution, _exit_bias, default_k_cut, site_visit_samples,
                    spitzer_constant_isotropic)
 
-FIELD_BUDGET = 40_000_000  # box cells, 32 bytes each
+FIELD_BUDGET = 40_000_000  # box cells: 20 B each for a bipartite law, else 32 B
 
 
 def spitzer_asymptotic(q: np.ndarray, x: Sequence[float]) -> float:
@@ -112,72 +116,128 @@ class GreenField:
     Atoms with an offset of at least the box side have no source in the box
     and are skipped.
 
-    Memory: p, q, the partial sums and the scaled copy of p, four float64
-    arrays of the box (32 bytes per cell) for every step law, plus the saved
-    bands; FIELD_BUDGET caps the cells.
+    Parity classes: the side is odd, so a cell's flat index has the parity
+    of its coordinate sum.  When every atom has an odd coordinate sum (the
+    law is bipartite, as the simple walk is) every shift is odd and p lives
+    on one flat parity class at each step, the other class holding zeros.
+    The arrays then keep class c, the flat cells 2 j + c, as one contiguous
+    half array (stride 2); each step adds into the opposite class only, and
+    the skipped cells would only have received additions of 0.0, so
+    ``partial`` is unchanged.  ``leak`` sums the occupied class alone.  Any
+    other law runs the same loop with stride 1 and a single class, the whole
+    box.
+
+    Memory: p, q and the scaled copy of p are one class long and the
+    partial sums cover every class, so a bipartite law holds 2.5 float64
+    arrays of the box (20 bytes per cell) and any other law 4 (32 bytes per
+    cell).  ``partial`` is interleaved from the classes after the others
+    are freed.  The wrapped bands add one index array per axis, width and
+    class, and one shared buffer of band values.  FIELD_BUDGET caps the
+    cells.
     """
 
     def __init__(self, step: StepDistribution, n_max: int, box_radius: int):
         if n_max < 1 or box_radius < 1:
             raise UsageError("n_max and box_radius must be >= 1")
-        cells = (2 * box_radius + 1) ** step.dim
+        side = 2 * box_radius + 1
+        cells = side ** step.dim
         if cells > FIELD_BUDGET:
             raise ResourceError(f"DP box radius {box_radius} needs {cells} "
                                 f"cells, over budget {FIELD_BUDGET}")
         self.step = step
         self.n_max = n_max
         self.box_radius = box_radius
-        self._run(step, n_max, box_radius)
+        g, leak = self._run(step, n_max, box_radius)
+        # row c of g holds the flat cells stride * j + c, so reading g
+        # column by column interleaves the classes back into the box
+        self.partial = np.ascontiguousarray(g.T).reshape(-1)[:cells].reshape(
+            (side,) * step.dim)
+        self.leak = float(leak)
 
-    def _run(self, step: StepDistribution, n_max: int, radius: int) -> None:
+    @staticmethod
+    def _run(step: StepDistribution, n_max: int, radius: int):
+        """(partial sums per parity class, leak); see the class docstring."""
         d = step.dim
         side = 2 * radius + 1
-        shape = (side,) * d
         cells = side ** d
-        p = np.zeros(shape)
-        p[(radius,) * d] = 1.0
-        q = np.empty(shape)
-        g = np.zeros(shape)
-        scaled = np.empty(cells)  # prob * p for the current atom's prob
-        atoms = []
-        for vec, prob in zip(step.support, step.probabilities):
-            off = [int(v) for v in vec]
-            if any(abs(o) >= side for o in off):
-                continue  # no source cell inside the box
-            shift = sum(o * side ** (d - 1 - ax) for ax, o in enumerate(off))
-            lo, hi = max(shift, 0), cells + min(shift, 0)
-            # destinations whose source lies outside the box on an axis
-            # >= 1: the flat add wraps those sources in from a neighbouring row
-            bands = []
-            for ax, o in enumerate(off[1:], start=1):
-                if o:
-                    band = [slice(None)] * d
-                    band[ax] = slice(0, o) if o > 0 else slice(side + o, side)
-                    band = tuple(band)
-                    bands.append((band, np.empty(q[band].shape)))
-            atoms.append((prob, scaled[lo - shift:hi - shift], lo, hi, bands))
-        p_sum = p.sum()
+        weights = [side ** (d - 1 - ax) for ax in range(d)]
+        stride = 2 if np.all(step.support.sum(axis=1) % 2) else 1
+        length = [(cells - c + stride - 1) // stride for c in range(stride)]
+        low_bands = {}  # class indices of low-face slabs by (axis, width, class)
+        tables = []  # the atoms' adds, one table per source class
+        for c_src in range(stride):
+            c_dst = (c_src + 1) % stride
+            table = []
+            for vec, prob in zip(step.support, step.probabilities):
+                off = [int(v) for v in vec]
+                if any(abs(o) >= side for o in off):
+                    continue  # no source cell inside the box
+                shift = sum(o * w for o, w in zip(off, weights))
+                lo, hi = max(shift, 0), cells + min(shift, 0)
+                # class cells j with lo <= stride * j + c_dst < hi read the
+                # source class cell j + k
+                jlo, jhi = -((c_dst - lo) // stride), -((c_dst - hi) // stride)
+                k = (c_dst - c_src - shift) // stride
+                # destinations whose source lies outside the box on an axis
+                # >= 1 (the flat add wraps those sources in from a
+                # neighbouring row): the |o| slabs at the face, which are
+                # the slabs at the low face moved up the flat index by t
+                bands = []
+                for ax, o in enumerate(off[1:], start=1):
+                    if o:
+                        t = (0 if o > 0 else side + o) * weights[ax]
+                        c_low = (c_dst - t) % stride
+                        key = (ax, abs(o), c_low)
+                        if key not in low_bands:
+                            low_bands[key] = _low_band(side, d, ax, abs(o),
+                                                       stride, c_low)
+                        bands.append((low_bands[key],
+                                      (t + c_low - c_dst) // stride))
+                table.append((prob, jlo + k, jlo, jhi, bands))
+            tables.append(table)
+        p = np.zeros(length[0])
+        q = np.empty(length[0])
+        g = np.zeros((stride, length[0]))
+        scaled = np.empty(length[0])  # prob * p for the current atom's prob
+        # one buffer saves every atom's bands: an atom restores them before
+        # the next atom saves its own
+        saved = np.empty(max((sum(len(idx) for idx, _ in bands)
+                              for table in tables for *_, bands in table),
+                             default=0))
+        for table in tables:
+            for i, (prob, at, jlo, jhi, bands) in enumerate(table):
+                views, used = [], 0
+                for idx, band_at in bands:
+                    views.append((idx, band_at, saved[used:used + len(idx)]))
+                    used += len(idx)
+                table[i] = (prob, scaled[at:at + jhi - jlo], jlo, jhi, views)
+        centre = radius * sum(weights)
+        c = centre % stride
+        p[centre // stride] = 1.0
+        p_sum = 1.0
         leak = 0.0
         for _ in range(n_max):
-            q.fill(0.0)
-            flat = q.reshape(-1)
+            table, n_src = tables[c], length[c]
+            c = (c + 1) % stride
+            q_c = q[:length[c]]
+            q_c.fill(0.0)
             last = None
-            for prob, src, lo, hi, bands in atoms:
+            for prob, src, jlo, jhi, bands in table:
                 if prob != last:
-                    np.multiply(p.reshape(-1), prob, out=scaled)
+                    np.multiply(p[:n_src], prob, out=scaled[:n_src])
                     last = prob
-                for band, saved in bands:
-                    np.copyto(saved, q[band])
-                dst = flat[lo:hi]
+                for idx, at, band in bands:
+                    # indices are in range; "clip" avoids take's buffered out
+                    q[at:].take(idx, out=band, mode="clip")
+                dst = q[jlo:jhi]
                 np.add(dst, src, out=dst)
-                for band, saved in bands:
-                    q[band] = saved
-            q_sum = q.sum()
+                for idx, at, band in bands:
+                    q[at:][idx] = band
+            q_sum = q_c.sum()
             leak += p_sum - q_sum
-            g += q
+            g[c, :length[c]] += q_c
             p, q, p_sum = q, p, q_sum
-        self.partial = g
-        self.leak = float(leak)
+        return g, leak
 
     def partial_at(self, x: Sequence[int]) -> float:
         if len(x) != self.step.dim:
@@ -209,6 +269,16 @@ class GreenField:
         """sum of Green values over the norm sphere ||x|| = k (DP + tail)."""
         pts = sphere_points(norm, k)
         return float(sum(self.green(tuple(p)).value for p in pts))
+
+
+def _low_band(side: int, d: int, ax: int, width: int, stride: int,
+              c: int) -> np.ndarray:
+    """Class-c indices of the cells whose coordinate on axis ax is below
+    width, built from the band's own coordinate ranges."""
+    rows = [np.arange(side)] * d
+    rows[ax] = np.arange(width)
+    flat = np.ravel_multi_index(np.ix_(*rows), (side,) * d).reshape(-1)
+    return flat[flat % stride == c] // stride
 
 
 def default_box_radius(x: Sequence[int], n_max: int) -> int:

@@ -30,6 +30,7 @@ from .walk import StepDistribution, check_ladder, total_level_local_time
 TestFn = Callable[[np.ndarray], np.ndarray]
 
 N_BOOT = 200  # bootstrap resamples behind each KS noise band
+MIN_KS_SAMPLES = 100  # fewest samples per set a KS check accepts
 
 
 @dataclass(frozen=True)
@@ -230,8 +231,8 @@ def distributional_cauchy(samples_a: np.ndarray, samples_b: np.ndarray,
     """
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
-    if a.size < 100 or b.size < 100:
-        raise UsageError("need at least 100 samples per set")
+    if a.size < MIN_KS_SAMPLES or b.size < MIN_KS_SAMPLES:
+        raise UsageError(f"need at least {MIN_KS_SAMPLES} samples per set")
     stat = ks_statistic(a, b)
     rng = np.random.default_rng(seed)
     boots = np.empty(N_BOOT)
@@ -266,6 +267,9 @@ def invariance_surrogate(step: StepDistribution, spec: NormSpec,
     ladder needs two levels, since the KS checks compare consecutive ones.
     """
     ladder = check_ladder(k_ladder, "k ladder levels", rungs=2)
+    if replicas < MIN_KS_SAMPLES:
+        # each level's replicas form one KS sample set
+        raise UsageError(f"need at least {MIN_KS_SAMPLES} samples per set")
     sets = [scaled_samples(step, spec, k, replicas,
                            master_seed=master_seed + 7919 * j)
             for j, k in enumerate(ladder)]

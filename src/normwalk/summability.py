@@ -37,7 +37,7 @@ from .census import SphereCensus, growth_bounds
 from .errors import UsageError
 from .norms import NormSpec
 from .walk import (StepDistribution, WalkRun, check_a0, check_ladder,
-                   map_replicas, truncated_f_sum)
+                   check_replicas, map_replicas, truncated_f_sum)
 
 EXCURSION_ALLOWANCE_FACTOR = 5.0
 ALLOWANCE_SUM_CAP = 10_000
@@ -334,6 +334,7 @@ def zero_one_experiment(step: StepDistribution, norm: NormSpec,
                          "(zero mean, covariance sigma^2 I); the experiment "
                          "refuses it")
     horizons = check_ladder(horizons, "horizons", rungs=2)
+    check_replicas(replicas)
     eps_abs = excursion_allowance(f)
     rows = _replica_partials(step, norm, f, horizons, replicas, master_seed)
     stab = stabilized(rows, eps_abs, EPS_REL)

@@ -64,6 +64,12 @@ def check_ladder(values: Sequence, what: str, rungs: int = 1) -> list[int]:
     return out
 
 
+def check_replicas(replicas: int) -> None:
+    """Refuse a replica count below 1, before any replica runs."""
+    if replicas < 1:
+        raise UsageError(f"replicas must be >= 1, got {replicas}")
+
+
 def replica_rng(master_seed: int, replica_index: int) -> Generator:
     """Philox stream keyed by (master_seed, replica_index); no jumping."""
     if master_seed < 0 or replica_index < 0:
@@ -450,6 +456,7 @@ def total_level_local_time(step: StepDistribution, norm: NormSpec, k: int,
         k_cut = 8 * k
     if k_cut < 2 * k:
         raise UsageError(f"k_cut = {k_cut} < 2k leaves the truncation bias uncontrolled")
+    check_replicas(replicas)
     vals = _exit_counts(step, norm, k_cut, replicas, master_seed,
                         lambda cols, norms: int(np.count_nonzero(norms == k)))
     return LevelLocalTimeSample(k=k, k_cut=k_cut, samples=vals,
@@ -465,6 +472,7 @@ def site_visit_samples(step: StepDistribution, norm: NormSpec,
     target = np.asarray(x, dtype=np.int64)
     if target.shape != (step.dim,):
         raise UsageError("x must be a lattice point of the walk's dimension")
+    check_replicas(replicas)
     if norm.value([int(v) for v in target]) >= k_cut:
         # a site at or past the cut is never reached before the exit
         return np.zeros(replicas, dtype=np.int64)

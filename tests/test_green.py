@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,15 +34,24 @@ P0 = G00 / (1 + G00)
 # -- reference: the per-atom slice update the flat stencil replaced -----------
 
 def reference_green_field(step, n_max, radius):
-    """(partial, leak) from a fresh q and one strided slice add per atom."""
+    """(partial, leak, class_leak) from a fresh q and one strided slice add
+    per atom.
+
+    ``leak`` sums p and q over the whole box.  For a bipartite law (every
+    atom's coordinate sum odd) ``class_leak`` sums them over the occupied
+    flat parity class alone, the sums the parity-class DP forms; it is None
+    for any other law.
+    """
     d = step.dim
     shape = (2 * radius + 1,) * d
     p = np.zeros(shape)
     p[(radius,) * d] = 1.0
     g = np.zeros(shape)
     leak = 0.0
+    bipartite = all(int(sum(vec)) % 2 for vec in step.support)
+    class_leak = 0.0 if bipartite else None
     atoms = list(zip(step.support, step.probabilities))
-    for _ in range(n_max):
+    for n in range(n_max):
         q = np.zeros(shape)
         for vec, prob in atoms:
             src = [slice(None)] * d
@@ -61,9 +71,17 @@ def reference_green_field(step, n_max, radius):
             if ok:
                 q[tuple(dst)] += prob * p[tuple(src)]
         leak += p.sum() - q.sum()
+        if bipartite:
+            # the side is odd: a flat index has its coordinate sum's parity
+            c = (radius * d + n) % 2
+            class_leak += _class_sum(p, c) - _class_sum(q, 1 - c)
         p = q
         g += p
-    return g, float(leak)
+    return g, float(leak), class_leak
+
+
+def _class_sum(a, c):
+    return np.ascontiguousarray(a.reshape(-1)[c::2]).sum()
 
 
 def _random_law(d, seed):
@@ -86,6 +104,12 @@ STENCIL_LAWS = {
     "far3": StepDistribution(3, [[1, 0, 0], [0, 5, 0], [-1, 0, 0],
                                  [-7, 0, 1], [0, -2, 3], [2, -1, -3]],
                              [0.3, 0.1, 0.2, 0.05, 0.2, 0.15]),
+    # bipartite (every coordinate sum odd) and asymmetric: multi-axis
+    # offsets, an atom of mass 0, and (0, 5, 0) past a radius-2 box
+    "bipartite3": StepDistribution(3, [[1, 0, 0], [-1, 0, 0], [2, 1, 0],
+                                       [-3, 0, 0], [0, -2, 3], [0, 0, -1],
+                                       [1, 1, -1], [0, 5, 0]],
+                                   [0.2, 0.2, 0.1, 0.1, 0.15, 0.0, 0.15, 0.1]),
 }
 
 
@@ -96,9 +120,41 @@ class TestStencilBitIdentity:
     def test_partial_and_leak_equal_reference(self, law, n_max, radius):
         step = STENCIL_LAWS[law]
         field = GreenField(step, n_max=n_max, box_radius=radius)
-        partial, leak = reference_green_field(step, n_max, radius)
+        partial, leak, class_leak = reference_green_field(step, n_max, radius)
         assert field.partial.tobytes() == partial.tobytes()
-        assert field.leak == leak
+        if class_leak is None:
+            assert field.leak == leak
+        else:
+            # the DP sums the occupied parity class alone; the full-box sums
+            # add the same terms in other pairs
+            assert field.leak == class_leak
+            assert abs(field.leak - leak) <= 4 * n_max * np.spacing(1.0)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 30])
+    def test_box_of_radius_n_max_never_absorbs(self, n_max):
+        # every point reachable in n_max steps lies inside the box, so the
+        # partial sums hold all n_max steps' mass
+        field = GreenField(make_simple_walk(3), n_max=n_max, box_radius=n_max)
+        assert field.leak <= 1e-12
+        assert field.partial.sum() == pytest.approx(n_max, rel=1e-12)
+
+
+class TestFieldMemory:
+    # numpy reports its data allocations to tracemalloc, so the peaks are
+    # deterministic; a float64 box of radius 30 is 8 * 61**3 bytes
+    @pytest.mark.parametrize("law, boxes", [
+        ("simple3", 3.25),  # parity classes: p, q, scaled half a box each
+        ("lazy3", 4.07),    # one class: the full-box loop's 4.07
+    ])
+    def test_peak_in_boxes(self, law, boxes):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            GreenField(STENCIL_LAWS[law], n_max=3, box_radius=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= boxes * 8 * 61 ** 3
 
 
 class TestSpitzer:

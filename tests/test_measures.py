@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from normwalk import walk
 from normwalk.errors import UsageError
 from normwalk.measures import (
     ScaledLocalTimeSample,
@@ -174,6 +175,14 @@ class TestInvarianceSurrogate:
         assert rep.zero_fraction == 0.0
         assert len(rep.ks_sequence) == 1
         assert rep.means_bounded()
+
+    def test_too_few_samples_refused_before_walking(self, monkeypatch):
+        # the KS checks need 100 samples per set; refuse before any level runs
+        monkeypatch.setattr(walk, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        with pytest.raises(UsageError, match="at least 100 samples per set"):
+            invariance_surrogate(SW3, MAX3, [10, 20, 40], replicas=99,
+                                 master_seed=1)
 
     def test_negative_control_norm_mismatch(self):
         # same level, different norms: clearly different scaled laws

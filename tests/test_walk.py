@@ -493,6 +493,34 @@ LADDER_TAKERS = {
 }
 
 
+# each function that takes a replica count, with every other argument valid
+REPLICA_TAKERS = {
+    "zero_one_experiment": lambda n: zero_one_experiment(
+        SW3, MAX3, PowerLaw(3), n, [10, 100], 0),
+    "total_level_local_time": lambda n: total_level_local_time(
+        SW3, MAX3, 2, n, 0),
+    "scaled_samples": lambda n: measures.scaled_samples(SW3, MAX3, 2, n, 0),
+    "site_visit_samples": lambda n: site_visit_samples(
+        SW3, MAX3, (1, 0, 0), n, 0, k_cut=8),
+    # a site past the cut is answered without walking
+    "site_visit_samples_past_cut": lambda n: site_visit_samples(
+        SW3, MAX3, (9, 0, 0), n, 0, k_cut=8),
+}
+
+
+@pytest.mark.parametrize("replicas", [0, -1])
+@pytest.mark.parametrize("take", REPLICA_TAKERS.values(), ids=REPLICA_TAKERS)
+def test_no_replicas_refused_before_any_replica(monkeypatch, take, replicas):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a replica ran without a replica count")
+
+    for module in (walk, summability):
+        monkeypatch.setattr(module, "map_replicas", unreachable)
+    monkeypatch.setattr(walk, "_blocks", unreachable)
+    with pytest.raises(UsageError, match="replicas must be >= 1"):
+        take(replicas)
+
+
 class TestCheckLadder:
     def test_sorted_ints(self):
         assert check_ladder([1e5, 1e4], "horizons", rungs=2) == [10_000, 100_000]
