@@ -10,7 +10,11 @@ Three scripted studies:
   0 < alpha < 1/2.  The weighted series sum f Phi converges while
   sum f(k) V0(k) diverges almost surely -- the converse of the
   limit lemma fails.  The product structure gives the exact Laplace
-  functional exp(-sum_{k<=K} 1/k) to test against.
+  functional exp(-sum_{k<=K} 1/k) to test against.  Only the partial sums
+  at the K-ladder rungs are reported, and by stable closure (Samorodnitsky
+  & Taqqu, Stable Non-Gaussian Random Processes, 1994, Property 1.2.1) the
+  sum over one rung's terms is a single one-sided stable draw, so a
+  replica draws one variable per rung, not one per term.
 * shiga5:  an alpha-stable subordinator (alpha <= 1/2, infinite mean)
   integrated against an explicit heavy measure: finite on (eps, c] for
   every eps yet almost surely infinite on (0, c].  The stated density is
@@ -78,15 +82,12 @@ def laplace_check(alpha: float, lambdas: Sequence[float], draws: int,
     """Empirical E[e^{-lam V}] against e^{-lam^alpha} with z-scores."""
     if draws < 10_000:
         raise UsageError("need at least 1e4 draws for a stable z-score")
-    rng = replica_rng(master_seed, 0)
-    v = sample_stable(alpha, 1.0, rng, draws)
-    out = []
-    for lam in lambdas:
-        if lam < 0:
-            raise UsageError("lambda must be nonnegative")
-        out.append(_laplace_row("lambda", float(lam), np.exp(-lam * v),
-                                math.exp(-lam ** alpha)))
-    return out
+    if any(lam < 0 for lam in lambdas):
+        raise UsageError("lambda must be nonnegative")
+    v = sample_stable(alpha, 1.0, replica_rng(master_seed, 0), draws)
+    return [_laplace_row("lambda", float(lam), np.exp(-lam * v),
+                         math.exp(-lam ** alpha))
+            for lam in lambdas]
 
 
 # -- shiga3: converse failure with i.i.d. stable weights ---------------------
@@ -124,6 +125,15 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
     Exact targets: sum f Phi = sum k^{1-1/alpha} (finite for alpha < 1/2);
     E[exp(-sum_{k<=K} f(k) V0(k))] = exp(-H_K) by independence and
     f(k)^alpha = 1/k.
+
+    Sampled by stable closure (Samorodnitsky & Taqqu 1994, Property 1.2.1):
+    for independent unit one-sided stables, sum_{K'<k<=K} k^{-1/alpha} V0(k)
+    is one-sided stable with E[e^{-lam X}] = exp(-(H_K - H_K') lam^alpha),
+    and the rung increments are independent.  Replica i makes one
+    sample_stable call of len(k_ladder) unit draws from replica_rng(seed, i),
+    scales draw j by gap_j^{1/alpha}, gap_j = math.fsum of 1/k over
+    K_{j-1} < k <= K_j (K_0 = 0), and reports the cumulative sums.  The
+    joint law of the rung partials is exact; the per-term path is not drawn.
     """
     from scipy.special import zeta
 
@@ -132,15 +142,12 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
     if replicas < 2:
         raise UsageError("the Laplace z-scores need at least 2 replicas")
     ladder = check_ladder(k_ladder, "K ladder rungs")
-    k_top = ladder[-1]
-    ks = np.arange(1, k_top + 1, dtype=float)
-    f = ks ** (-1.0 / alpha)
+    scale = np.array([math.fsum(1.0 / k for k in range(lo + 1, hi + 1))
+                      ** (1.0 / alpha) for lo, hi in zip([0] + ladder, ladder)])
 
-    def one(i: int) -> list:
+    def one(i: int) -> np.ndarray:
         rng = replica_rng(master_seed, i)
-        v0 = sample_stable(alpha, 1.0, rng, k_top)
-        csum = np.cumsum(f * v0)
-        return [csum[k - 1] for k in ladder]
+        return np.cumsum(scale * sample_stable(alpha, 1.0, rng, len(ladder)))
 
     partials = np.array(map_replicas(one, replicas), dtype=float)
 
@@ -150,6 +157,7 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
     fractions = tuple(float((partials[:, j] > threshold).mean())
                       for j in range(len(ladder)))
     exponent = 1.0 / alpha - 1.0
+    ks = np.arange(1, ladder[-1] + 1, dtype=float)
     series_partial = float(np.sum(ks ** -exponent))
     return Shiga3Report(alpha=alpha, k_ladder=tuple(ladder), replicas=replicas,
                         weighted_series_partial=series_partial,

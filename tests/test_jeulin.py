@@ -58,6 +58,12 @@ class TestStableSampler:
         row = laplace_check(0.5, [0.0], draws=10_000, master_seed=1)[0]
         assert row["empirical"] == 1.0 and row["target"] == 1.0
 
+    def test_negative_lambda_refused_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(jeulin, "sample_stable",
+                            lambda *a: pytest.fail("draws were made"))
+        with pytest.raises(UsageError, match="nonnegative"):
+            laplace_check(0.5, [1.0, -0.5], draws=10_000)
+
     def test_draw_floor(self):
         with pytest.raises(UsageError):
             laplace_check(0.5, [1.0], draws=100)
@@ -78,6 +84,26 @@ class TestStableSampler:
                                        size=40_000, random_state=11)
         mine = sample_stable(alpha, 1.0, replica_rng(3, 0), 40_000)
         assert ks_statistic(oracle, mine) < 0.015
+
+
+def per_term_partials(alpha, ladder, replicas, master_seed):
+    """Reference: the rung partials of sum_k k^{-1/alpha} V0(k), term by term.
+
+    Each replica draws all K_top unit stables V0(1..K_top) from its own
+    stream and reads the cumulative sum at every rung.
+    """
+    ks = np.arange(1, ladder[-1] + 1, dtype=float)
+    f = ks ** (-1.0 / alpha)
+    rows = []
+    for i in range(replicas):
+        v0 = sample_stable(alpha, 1.0, replica_rng(master_seed, i), ladder[-1])
+        csum = np.cumsum(f * v0)
+        rows.append([csum[k - 1] for k in ladder])
+    return np.array(rows)
+
+
+def serial_map(one, replicas):
+    return [one(i) for i in range(replicas)]
 
 
 class TestShiga3:
@@ -110,6 +136,69 @@ class TestShiga3:
             pytest.approx(math.exp(-harmonic(100)), rel=1e-12)
         assert rep.laplace_rows[0]["target"] == pytest.approx(0.00559, abs=5e-5)
         assert rep.laplace_consistent
+
+    def test_stable_closure_matches_per_term_sums_in_law(self, monkeypatch):
+        # the closure draws one stable per rung; the per-term reference draws
+        # every term.  Their rung partials and the rung increment must agree
+        # in law (two-sample KS, Bonferroni over the 3 tests at family level
+        # 0.01), and both must meet the exact target exp(-H_K) at every rung.
+        alpha, ladder, replicas = 0.4, [10, 50], 4000
+        got = []
+
+        def recorded(one, n):
+            got.extend(serial_map(one, n))
+            return got
+
+        monkeypatch.setattr(jeulin, "map_replicas", recorded)
+        rep = shiga3_run(alpha, ladder, replicas, master_seed=1501)
+        closure = np.array(got)
+        reference = per_term_partials(alpha, ladder, replicas, master_seed=1502)
+
+        pairs = [(closure[:, j], reference[:, j]) for j in range(len(ladder))]
+        pairs.append((closure[:, 1] - closure[:, 0],
+                      reference[:, 1] - reference[:, 0]))
+        level = 0.01 / len(pairs)
+        critical = math.sqrt(-0.5 * math.log(level / 2)) \
+            * math.sqrt(2.0 / replicas)
+        for a, b in pairs:
+            assert ks_statistic(a, b) < critical
+
+        for j, k in enumerate(ladder):
+            target = math.exp(-harmonic(k))
+            assert rep.laplace_rows[j]["target"] == target
+            assert abs(rep.laplace_rows[j]["z"]) <= 3.0
+            w = np.exp(-reference[:, j])
+            se = w.std(ddof=1) / math.sqrt(replicas)
+            assert abs(w.mean() - target) <= 3.0 * se
+
+    def test_one_draw_per_rung_and_declared_stream(self, monkeypatch):
+        # each replica makes one sample_stable call of len(ladder) draws from
+        # replica_rng(seed, i); draw j is scaled by gap_j^{1/alpha}, gap_j the
+        # fsum of 1/k over the rung's own terms, and the scaled draws summed
+        alpha, ladder, seed = 0.4, [100, 1000, 10_000], 7
+        unit = jeulin.sample_stable
+        sizes = []
+
+        def counted(a, t, rng, size=1):
+            sizes.append(size)
+            return unit(a, t, rng, size)
+
+        monkeypatch.setattr(jeulin, "map_replicas", serial_map)
+        monkeypatch.setattr(jeulin, "sample_stable", counted)
+        rep = shiga3_run(alpha, ladder, replicas=4, master_seed=seed)
+        assert sizes == [len(ladder)] * 4
+
+        gaps = [math.fsum(1.0 / k for k in range(lo + 1, hi + 1))
+                for lo, hi in zip([0] + ladder, ladder)]
+        partials = np.array([
+            np.cumsum([g ** (1 / alpha) * v for g, v in
+                       zip(gaps, unit(alpha, 1.0, replica_rng(seed, i),
+                                      len(ladder)))])
+            for i in range(4)])
+        rows = tuple(jeulin._laplace_row("K", k, np.exp(-partials[:, j]),
+                                         math.exp(-harmonic(k)))
+                     for j, k in enumerate(ladder))
+        assert rep.laplace_rows == rows
 
     def test_divergence_fractions_increase(self):
         rep = shiga3_run(0.4, [100, 1000, 10_000], replicas=2000,
