@@ -37,7 +37,7 @@ from .census import SphereCensus, growth_bounds
 from .errors import UsageError
 from .norms import NormSpec
 from .walk import (StepDistribution, WalkRun, check_a0, check_ladder,
-                   check_replicas, map_replicas, truncated_f_sum)
+                   check_replicas, f_sums, level_counts, map_replicas)
 
 EXCURSION_ALLOWANCE_FACTOR = 5.0
 ALLOWANCE_SUM_CAP = 10_000
@@ -295,21 +295,31 @@ def stabilized(partials: np.ndarray, eps_abs: float, eps_rel: float) -> np.ndarr
     return final - partials[:, -2] < eps_abs + eps_rel * final
 
 
+# the last walk set of _replica_partials: its key and its level counts
+_last_walks: dict = {}
+
+
 def _replica_partials(step: StepDistribution, norm: NormSpec,
                       f: LevelFunction, horizons: list, replicas: int,
                       master_seed: int) -> np.ndarray:
     """(replicas, len(horizons)) partial sums of f(||S_n||), n <= horizon.
 
-    Replica i walks the (master_seed, i) path once, up to the last horizon.
+    Replica i walks the (master_seed, i) path once and returns its level
+    counts at the horizons.  The last walk set's counts are kept, read-only,
+    so a call for another f on the same walks runs no replica.
     """
-
-    def one(i: int) -> list:
-        run = WalkRun(step=step, master_seed=master_seed, replica_index=i,
-                      horizon=horizons[-1])
-        ps = truncated_f_sum(run, norm, f, horizons)
-        return [ps[h] for h in horizons]
-
-    return np.array(map_replicas(one, replicas), dtype=float)
+    key = (step.support.tobytes(), step.probabilities.tobytes(), norm,
+           tuple(horizons), replicas, master_seed)
+    if key not in _last_walks:
+        rows = map_replicas(lambda i: level_counts(WalkRun(
+            step=step, master_seed=master_seed, replica_index=i,
+            horizon=horizons[-1]), norm, horizons), replicas)
+        top = max(r.shape[1] for r in rows)
+        counts = np.array([np.pad(r, ((0, 0), (0, top - r.shape[1]))) for r in rows])
+        counts.flags.writeable = False
+        _last_walks.clear()
+        _last_walks[key] = counts
+    return f_sums(_last_walks[key], f)
 
 
 def zero_one_experiment(step: StepDistribution, norm: NormSpec,

@@ -16,12 +16,13 @@ A block is drawn with one call of the replica's generator and cut at the
 first step whose norm reaches the stop radius; nothing past the stopping
 time is emitted.  Chunking never changes the stream: the draws are
 chunk-invariant, so any chunk size gives the same path, bit for bit.
-The block size therefore follows from the run: about the diffusive exit
-time of the stop radius when there is one, DEFAULT_CHUNK otherwise.
+The block size therefore follows from one rule, `_block_size`: about the
+exit time k_cut^2 of a stop radius, capped at BLOCK_CAP to stay in L2.
 
-Every estimator here (level and site counts, partial sums of f(||S_n||),
-truncated total local times) reads the (n0, cols, norms, exited) blocks
-of `_blocks` directly.
+Every estimator here reads the (n0, cols, norms, exited) blocks of
+`_blocks` directly.  A horizon run observes its integer level counts
+L_N(k) (`level_counts`); a partial sum of f(||S_n||) is the math.fsum of
+f(k) L_N(k) (`f_sums`), so it does not depend on the block size either.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from numpy.random import Generator, Philox
 from .errors import UsageError
 from .norms import NormSpec
 
-DEFAULT_CHUNK = 1 << 15
+# the most steps a block holds; its temporaries take about 0.85 MB
+BLOCK_CAP = 8192
 # the steps a run without a horizon may take before it ends unexited
 MAX_STEPS = 10 ** 8
 # the largest mean component and covariance deviation check_a0 accepts
@@ -289,9 +291,10 @@ class LocalTimeRecord:
         return self.site_counts.get(tuple(int(v) for v in x), 0)
 
 
-def _exit_scale_chunk(k_cut: int) -> int:
-    """Chunk sized to the diffusive exit time of radius k_cut."""
-    return int(min(max(2048, 2 * k_cut * k_cut), 1 << 17))
+def _block_size(stop_radius: Optional[int]) -> int:
+    """Steps per block: stop_radius^2 within [256, BLOCK_CAP], else BLOCK_CAP."""
+    return BLOCK_CAP if stop_radius is None else min(max(256, stop_radius ** 2),
+                                                     BLOCK_CAP)
 
 
 def _blocks(run: WalkRun, norm: NormSpec, chunk: Optional[int] = None
@@ -302,14 +305,12 @@ def _blocks(run: WalkRun, norm: NormSpec, chunk: Optional[int] = None
     norms their norms.  Each block draws min(chunk, steps left) increments;
     the block that reaches stop_radius is cut just after that step, comes
     with exited = True and is the last.  Otherwise the blocks end after
-    horizon (or MAX_STEPS) steps.  chunk defaults to the exit-time scale of
-    stop_radius, or DEFAULT_CHUNK for a run without one.
+    horizon (or MAX_STEPS) steps.  chunk defaults to _block_size.
     """
     if norm.dim != run.step.dim:
         raise UsageError("norm and step distribution dimensions differ")
     if chunk is None:
-        chunk = (DEFAULT_CHUNK if run.stop_radius is None
-                 else _exit_scale_chunk(run.stop_radius))
+        chunk = _block_size(run.stop_radius)
     step = run.step
     draw = step._index_sampler(replica_rng(run.master_seed, run.replica_index))
     limit = run.horizon if run.horizon is not None else MAX_STEPS
@@ -337,54 +338,73 @@ def _blocks(run: WalkRun, norm: NormSpec, chunk: Optional[int] = None
         n_done += len(norms)
 
 
+def _plus_levels(counts: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """A new array: counts plus the level histogram of norms."""
+    out = np.bincount(norms, minlength=len(counts))
+    out[:len(counts)] += counts
+    return out
+
+
+def level_counts(run: WalkRun, norm: NormSpec,
+                 checkpoints: Sequence[int]) -> np.ndarray:
+    """L_N(k) = #{1 <= n <= N : ||S_n|| = k}, one int64 row per checkpoint N
+    in sorted order, k up to the highest level reached.  The path runs to
+    the last checkpoint; checkpoints past an earlier stop hold its counts."""
+    checkpoints = check_ladder(checkpoints, "checkpoints")
+    rows, counts = [], np.zeros(0, dtype=np.int64)
+    for n0, _, norms, _ in _blocks(replace(run, horizon=checkpoints[-1]), norm):
+        for c in checkpoints[len(rows):]:
+            if c >= n0 + len(norms):
+                break
+            rows.append(_plus_levels(counts, norms[:c - n0 + 1]))
+        counts = _plus_levels(counts, norms)
+    rows += [counts] * (len(checkpoints) - len(rows))
+    return np.array([np.pad(r, (0, len(counts) - len(r))) for r in rows])
+
+
 def simulate(run: WalkRun, norm: NormSpec, track_sites: bool = False,
              chunk: Optional[int] = None) -> LocalTimeRecord:
     """Generate one replica path and count its visits by level (and site).
 
     Runs for `horizon` steps or until ||S_n|| >= stop_radius, whichever
-    comes first.  Level counts satisfy sum_k counts[k] = n_effective.
+    comes first.  level_counts has one entry per level up to the highest
+    reached, and sum_k level_counts[k] = n_effective.
     """
-    level_counts = np.zeros(64, dtype=np.int64)
     sites: Optional[dict] = {} if track_sites else None
-    n_done = 0
-    truncated = False
-
-    for n0, cols, norms, truncated in _blocks(run, norm, chunk):
-        top = int(norms.max(initial=0))
-        if top >= len(level_counts):
-            grown = np.zeros(max(top + 1, 2 * len(level_counts)), dtype=np.int64)
-            grown[:len(level_counts)] = level_counts
-            level_counts = grown
-        level_counts += np.bincount(norms, minlength=len(level_counts))
-
+    counts = np.zeros(0, dtype=np.int64)
+    for _, cols, norms, _ in _blocks(run, norm, chunk):
+        counts = _plus_levels(counts, norms)
         if sites is not None:
             uniq, cnt = np.unique(cols.T, axis=0, return_counts=True)
             for row, c in zip(map(tuple, uniq.tolist()), cnt.tolist()):
                 sites[row] = sites.get(row, 0) + c
-        n_done = n0 - 1 + len(norms)
-
-    return LocalTimeRecord(level_counts=level_counts, n_effective=n_done,
+    # only the stopping step reaches the stop radius
+    truncated = run.stop_radius is not None and bool(counts[run.stop_radius:].any())
+    return LocalTimeRecord(level_counts=counts, n_effective=int(counts.sum()),
                            truncated=truncated, site_counts=sites)
+
+
+def f_sums(counts: np.ndarray, f: Callable[[np.ndarray], np.ndarray]
+           ) -> np.ndarray:
+    """sum_k f(k) counts[..., k] over the last axis, each by math.fsum.
+    f is evaluated once, on the levels some row visits; a row reads only
+    the levels it visits, so an f infinite elsewhere leaves it finite."""
+    rows = counts.reshape(-1, counts.shape[-1])
+    visited = np.flatnonzero(rows.any(axis=0))
+    vals = np.zeros(rows.shape[1])
+    vals[visited] = f(visited)
+    sums = [math.fsum((r[r > 0] * vals[r > 0]).tolist()) for r in rows]
+    return np.array(sums).reshape(counts.shape[:-1])
 
 
 def truncated_f_sum(run: WalkRun, norm: NormSpec,
                     f: Callable[[np.ndarray], np.ndarray],
                     checkpoints: Sequence[int]) -> dict[int, float]:
-    """Partial sums sum_{n<=N} f(||S_n||) at each checkpoint N."""
+    """Partial sums sum_{n<=N} f(||S_n||) = sum_k f(k) L_N(k) at each
+    checkpoint N, from level_counts and f_sums."""
     checkpoints = check_ladder(checkpoints, "checkpoints")
-    out: dict[int, float] = {}
-    total = 0.0
-    for n0, _, norms, _ in _blocks(replace(run, horizon=checkpoints[-1]), norm):
-        vals = np.asarray(f(norms), dtype=float)
-        hits = [c for c in checkpoints if n0 <= c < n0 + len(norms)]
-        if hits:
-            csum = np.cumsum(vals)
-            for c in hits:
-                out[c] = total + float(csum[c - n0])
-        total += float(vals.sum())
-    for c in checkpoints:  # checkpoints past an early stop hold the final sum
-        out.setdefault(c, total)
-    return out
+    return dict(zip(checkpoints,
+                    f_sums(level_counts(run, norm, checkpoints), f).tolist()))
 
 
 # -- truncated total local times and hitting statistics --------------------

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from normwalk import summability, walk
 from normwalk.census import census_for
 from normwalk.errors import UsageError
 from normwalk.green import GreenField
@@ -22,7 +27,7 @@ from normwalk.summability import (
     stabilized,
     zero_one_experiment,
 )
-from normwalk.walk import StepDistribution, make_simple_walk
+from normwalk.walk import StepDistribution, make_lazy_walk, make_simple_walk
 
 MAX3 = make_norm("max", 3)
 SW3 = make_simple_walk(3)
@@ -190,6 +195,95 @@ class TestZeroOneExperiment:
         for horizons in ([1000, 1000], [100, 1000, 1000], [100, 100, 1000]):
             with pytest.raises(UsageError, match="distinct"):
                 zero_one_experiment(SW3, MAX3, PowerLaw(1.5), 20, horizons, 1)
+
+
+# (law, norm, horizons, replicas, master seed): a base walk set and, after
+# it, one variant per key part
+KEPT_BASE = ("simple", "max", (100, 1000), 6, 31)
+KEPT_VARIANTS = {
+    "seed": ("simple", "max", (100, 1000), 6, 32),
+    "replicas": ("simple", "max", (100, 1000), 7, 31),
+    "horizons": ("simple", "max", (100, 2000), 6, 31),
+    "norm": ("simple", "l1", (100, 1000), 6, 31),
+    "law": ("lazy", "max", (100, 1000), 6, 31),
+    # after the lazy walk: its support, staying put with probability 1/4
+    "probabilities": ("lazy_quarter", "max", (100, 1000), 6, 31),
+}
+
+
+def lazy_quarter(d):
+    lazy = make_lazy_walk(d)
+    return StepDistribution(dim=d, support=lazy.support, probabilities=np.concatenate(
+        [[0.25], np.full(2 * d, 0.75 / (2 * d))]))
+
+
+def kept_partials(law, norm, horizons, replicas, seed):
+    step = {"simple": make_simple_walk, "lazy": make_lazy_walk,
+            "lazy_quarter": lazy_quarter}[law](3)
+    return zero_one_experiment(step, make_norm(norm, 3), PowerLaw(3.0), replicas,
+                               list(horizons), seed).partials
+
+
+@pytest.fixture(scope="module")
+def fresh_process_partials():
+    """Each variant's partials from a process that never ran the base."""
+    script = ("import sys\n"
+              "from test_summability import KEPT_VARIANTS, kept_partials\n"
+              "for part, variant in KEPT_VARIANTS.items():\n"
+              "    print(part, kept_partials(*variant).tobytes().hex())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)])})
+    return dict(line.split() for line in proc.stdout.splitlines())
+
+
+class TestKeptWalkSet:
+    """_replica_partials keeps the last walk set for the next f."""
+
+    def test_second_call_runs_no_replica(self, monkeypatch):
+        summability._last_walks.clear()
+        first = zero_one_experiment(SW3, MAX3, PowerLaw(3.0), 6, [100, 1000], 31)
+        fresh = zero_one_experiment(SW3, MAX3, PowerLaw(1.5), 6, [100, 1000], 31)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a replica ran for a kept walk set")
+
+        monkeypatch.setattr(summability, "map_replicas", unreachable)
+        monkeypatch.setattr(walk, "_blocks", unreachable)
+        again = zero_one_experiment(SW3, MAX3, PowerLaw(1.5), 6, [100, 1000], 31)
+        assert again.partials.tobytes() == fresh.partials.tobytes()
+        assert not np.array_equal(first.partials, again.partials)
+        rows = expectation_vs_criterion(SW3, MAX3, PowerLaw(3.0), census_for(MAX3, 16),
+                                        6, [100, 1000], 31).rows
+        assert [r["mc_mean"] for r in rows] == first.partials.mean(axis=0).tolist()
+
+    @pytest.mark.parametrize("part", KEPT_VARIANTS)
+    def test_any_key_part_recomputes(self, monkeypatch, part,
+                                     fresh_process_partials):
+        variant = KEPT_VARIANTS[part]
+        calls = []
+
+        def counted(one, replicas):
+            calls.append(replicas)
+            return walk.map_replicas(one, replicas)
+
+        monkeypatch.setattr(summability, "map_replicas", counted)
+        base = (("lazy",) + KEPT_BASE[1:]) if part == "probabilities" else KEPT_BASE
+        summability._last_walks.clear()
+        kept_partials(*base)
+        got = kept_partials(*variant)
+        assert calls == [base[3], variant[3]]
+        assert got.tobytes().hex() == fresh_process_partials[part]
+
+    def test_kept_counts_are_read_only(self):
+        summability._last_walks.clear()
+        kept_partials(*KEPT_BASE)
+        (counts,) = summability._last_walks.values()
+        assert counts.shape[:2] == (6, 2) and not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0, 0, 0] = 1
 
 
 class TestExpectationVsCriterion:

@@ -1,4 +1,7 @@
+import math
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,17 +10,18 @@ from normwalk import jeulin, measures, summability, walk
 from normwalk.census import census_for
 from normwalk.errors import UsageError
 from normwalk.norms import make_norm
-from normwalk.summability import PowerLaw, zero_one_experiment
+from normwalk.summability import PowerLaw, PowerLog, zero_one_experiment
 from normwalk.walk import (
-    DEFAULT_CHUNK,
+    BLOCK_CAP,
     StepDistribution,
     WalkRun,
+    _block_size,
     _blocks,
-    _exit_scale_chunk,
     check_a0,
     check_ladder,
     geometric_tail_report,
     hitting_probability,
+    level_counts,
     make_lazy_walk,
     make_simple_walk,
     map_replicas,
@@ -69,6 +73,24 @@ def reference_simulate(run, norm, chunk):
     return levels, sites, n_done, truncated
 
 
+def reference_f_sum(run, norm, f, checkpoints):
+    """The per-step partial sums the level-count sums replaced: f at every
+    step, a float cumsum per block, in the old 32768-step blocks."""
+    out, total = {}, 0.0
+    for n0, _, norms, _ in _blocks(replace(run, horizon=checkpoints[-1]), norm,
+                                   1 << 15):
+        vals = np.asarray(f(norms), dtype=float)
+        hits = [c for c in checkpoints if n0 <= c < n0 + len(norms)]
+        if hits:
+            csum = np.cumsum(vals)
+            for c in hits:
+                out[c] = total + float(csum[c - n0])
+        total += float(vals.sum())
+    for c in checkpoints:  # checkpoints past an early stop hold the final sum
+        out.setdefault(c, total)
+    return out
+
+
 def reference_site_visits(step, norm, x, replicas, master_seed, k_cut, chunk):
     out = []
     for i in range(replicas):
@@ -116,11 +138,16 @@ PER_REPLICA = {
     "total_level_local_time":
         lambda n: total_level_local_time(make_simple_walk(3), MAX3, 2,
                                          replicas=n, master_seed=9).samples,
-    "zero_one_experiment":
-        lambda n: zero_one_experiment(make_simple_walk(3), MAX3, PowerLaw(3.0),
-                                      replicas=n, horizons=[50, 200],
-                                      master_seed=9).partials,
+    "zero_one_experiment": lambda n: fresh_zero_one(n, [50, 200], 9),
 }
+
+
+def fresh_zero_one(replicas, horizons, master_seed):
+    """zero_one_experiment's partials from walks run now, not kept ones."""
+    summability._last_walks.clear()
+    return zero_one_experiment(make_simple_walk(3), MAX3, PowerLaw(3.0),
+                               replicas=replicas, horizons=horizons,
+                               master_seed=master_seed).partials
 
 
 class TestDeterminism:
@@ -170,13 +197,13 @@ class TestKernelBitIdentity:
     def test_simulate(self, walk, norm, stopping):
         run = WalkRun(step=WALKS[walk], master_seed=29, replica_index=3,
                       **stopping)
-        derived = (DEFAULT_CHUNK if run.stop_radius is None
-                   else _exit_scale_chunk(run.stop_radius))
+        derived = _block_size(run.stop_radius)
         for chunk, ref_chunk in ((17, 17), (None, derived)):
             levels, sites, n, truncated = reference_simulate(run, KERNEL_NORMS[norm],
                                                              ref_chunk)
             rec = simulate(run, KERNEL_NORMS[norm], track_sites=True, chunk=chunk)
-            assert np.array_equal(rec.level_counts, levels)
+            # one entry per level up to the highest reached
+            assert np.array_equal(rec.level_counts, np.trim_zeros(levels, "b"))
             assert rec.site_counts == sites
             assert (rec.n_effective, rec.truncated) == (n, truncated)
 
@@ -278,7 +305,7 @@ class TestTruncatedFSum:
 
     def test_checkpoints_across_block_boundary(self):
         run = WalkRun(step=make_simple_walk(3), master_seed=3, horizon=10)
-        cps = [3, DEFAULT_CHUNK, DEFAULT_CHUNK + 1]
+        cps = [3, BLOCK_CAP, BLOCK_CAP + 1]
         ps = truncated_f_sum(run, MAX3, lambda k: np.ones(len(k)), cps)
         assert ps == {c: float(c) for c in cps}
 
@@ -286,6 +313,136 @@ class TestTruncatedFSum:
         run = WalkRun(step=make_simple_walk(3), master_seed=3, horizon=10)
         with pytest.raises(UsageError):
             truncated_f_sum(run, MAX3, lambda k: np.ones(len(k)), [0, 5])
+
+
+def f_of_k(k):
+    return np.asarray(k, dtype=float)
+
+
+def inf_at_zero(k):
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.asarray(k, dtype=float)
+
+
+class TestFSums:
+    """Level-count sums against the per-step reference."""
+
+    CHECKPOINTS = [1, 10, 4097, 50_000, 100_000]
+
+    @pytest.mark.parametrize("f", [PowerLaw(3.0), PowerLaw(1.5), PowerLog(3.0, 1.0)],
+                             ids=["powerlaw3", "powerlaw1.5", "powerlog3_1"])
+    @pytest.mark.parametrize("norm", ["max", "l1_transformed"])
+    def test_within_1e12_of_per_step_sums(self, f, norm):
+        for i in range(3):
+            run = WalkRun(step=SW3, master_seed=2024, replica_index=i,
+                          horizon=100_000)
+            got = truncated_f_sum(run, KERNEL_NORMS[norm], f, self.CHECKPOINTS)
+            want = reference_f_sum(run, KERNEL_NORMS[norm], f, self.CHECKPOINTS)
+            for c in self.CHECKPOINTS:
+                assert got[c] == pytest.approx(want[c], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("f", [lambda k: np.ones(len(k)), f_of_k],
+                             ids=["ones", "k"])
+    @pytest.mark.parametrize("stopping", [{}, {"stop_radius": 30}])
+    def test_exact_for_integer_valued_f(self, f, stopping):
+        run = WalkRun(step=SW3, master_seed=6, horizon=100_000, **stopping)
+        got = truncated_f_sum(run, MAX3, f, self.CHECKPOINTS)
+        assert got == reference_f_sum(run, MAX3, f, self.CHECKPOINTS)
+
+    def test_unvisited_infinite_level_adds_nothing(self):
+        # f(0) = inf on a path that never returns to the origin: 0 * inf
+        # would be nan
+        run = WalkRun(step=SW3, master_seed=3, replica_index=0, horizon=20_000)
+        counts = level_counts(run, MAX3, [20_000])
+        assert counts[0, 0] == 0 and counts[0, 1] > 0
+        got = truncated_f_sum(run, MAX3, inf_at_zero, [1000, 20_000])
+        want = reference_f_sum(run, MAX3, inf_at_zero, [1000, 20_000])
+        assert all(math.isfinite(v) for v in got.values())
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_rows_apart(self):
+        # a row that visits an infinite level is infinite, the others not
+        counts = np.array([[[0, 2, 1]], [[1, 1, 0]]])
+        got = walk.f_sums(counts, inf_at_zero)
+        assert got.shape == (2, 1)
+        assert got[0, 0] == 2.5 and got[1, 0] == math.inf
+
+
+class TestLevelCounts:
+    def test_rows_are_cumulative_counts(self):
+        run = WalkRun(step=SW3, master_seed=4, horizon=5000)
+        rows = level_counts(run, MAX3, [5000, 1, 2048, 2049])
+        norms = np.concatenate([nm for _, _, nm, _ in _blocks(run, MAX3)])
+        assert rows.shape == (4, norms.max() + 1)
+        for row, c in zip(rows, [1, 2048, 2049, 5000]):
+            assert np.array_equal(row, np.bincount(norms[:c],
+                                                   minlength=rows.shape[1]))
+
+    def test_checkpoints_past_the_stop_hold_the_final_counts(self):
+        run = WalkRun(step=SW3, master_seed=21, stop_radius=12, horizon=10)
+        rows = level_counts(run, MAX3, [10, 10 ** 6])
+        rec = simulate(replace(run, horizon=10 ** 6), MAX3)
+        assert rec.truncated and rec.n_effective < 10 ** 6
+        assert np.array_equal(rows[1], rec.level_counts)
+        assert rows[0].sum() == 10
+
+    def test_peak_memory_under_1mb(self):
+        # a 1e5-step run holds one block of temporaries at a time: about
+        # 0.85 MB at 8192 steps, 3.4 MB at the old 32768
+        run = WalkRun(step=SW3, master_seed=3, horizon=100_000)
+        level_counts(run, MAX3, [10_000, 100_000])  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            level_counts(run, MAX3, [10_000, 100_000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+BLOCK_SIZES = [17, 8192, 1 << 15]
+
+
+class TestBlockRule:
+    def test_rule(self):
+        assert [_block_size(r) for r in (None, 1, 16, 64, 90, 91, 1000)] == \
+            [BLOCK_CAP, 256, 256, 4096, 8100, BLOCK_CAP, BLOCK_CAP]
+
+    def test_f_sums_independent_of_block_size(self, monkeypatch):
+        run = WalkRun(step=SW3, master_seed=9, replica_index=3, horizon=100_000)
+        f = PowerLaw(3.0)
+        got = []
+        for size in BLOCK_SIZES:
+            monkeypatch.setattr(walk, "_block_size", lambda r, size=size: size)
+            sums = truncated_f_sum(run, MAX3, f, [10_000, 100_000])
+            got.append(fresh_zero_one(6, [1000, 20_000], 9).tobytes()
+                       + np.array(list(sums.values())).tobytes())
+        assert got[0] == got[1] == got[2]
+
+    @pytest.mark.parametrize("stop_radius", [12, 64])
+    def test_counts_equal_those_at_the_old_sizes(self, stop_radius):
+        # the old rule: 2^15 steps without a stop radius, else
+        # 2 k_cut^2 within [2048, 2^17]
+        old_exit = min(max(2048, 2 * stop_radius ** 2), 1 << 17)
+        for i in range(3):
+            for run, old in (
+                    (WalkRun(step=SW3, master_seed=77, replica_index=i,
+                             horizon=20_000), 1 << 15),
+                    (WalkRun(step=SW3, master_seed=77, replica_index=i,
+                             stop_radius=stop_radius), old_exit)):
+                new = simulate(run, MAX3, track_sites=True)
+                was = simulate(run, MAX3, track_sites=True, chunk=old)
+                assert np.array_equal(new.level_counts, was.level_counts)
+                assert new.site_counts == was.site_counts
+                assert (new.n_effective, new.truncated) == \
+                    (was.n_effective, was.truncated)
+        visits = site_visit_samples(SW3, MAX3, (1, 0, 0), replicas=6,
+                                    master_seed=77, k_cut=stop_radius)
+        assert visits.tolist() == [
+            simulate(WalkRun(step=SW3, master_seed=77, replica_index=i,
+                             stop_radius=stop_radius),
+                     MAX3, track_sites=True, chunk=old_exit).site((1, 0, 0))
+            for i in range(6)]
 
 
 class TestTotalLevelLocalTime:
@@ -324,7 +481,7 @@ class TestTotalLevelLocalTime:
                                  stop_radius=k_cut), MAX3, chunk=17)
                 for i in range(12)]
         assert got.samples.tolist() == [int(rec.level_counts[k]) for rec in recs]
-        assert max(rec.n_effective for rec in recs) > _exit_scale_chunk(k_cut)
+        assert max(rec.n_effective for rec in recs) > _block_size(k_cut)
 
     def test_bias_bound_formula(self):
         assert truncation_bias_bound(MAX3, 10, 80) == \
