@@ -9,16 +9,10 @@ Three routes:
 * the |x| -> infinity asymptotic constant Gamma(d/2-1)/(2 pi^{d/2}).
 
 DP fields hold partial sums for every site of the box at once, so one run
-serves many query points.  Each DP step is a stencil on the flattened box:
-one contiguous add per atom of the step law, after which the boundary
-bands that the flat shift wrapped into are restored; mass stepping out of
-the box is absorbed and counted as ``leak``.  A bipartite step law (every
-atom's coordinate sum odd, as for the simple walk) keeps the walk on one
-flat parity class of the box at each step, so the DP stores and steps
-each class as a contiguous half array and touches half the cells; any
-other law runs the same loop on a single class, the whole box.  The DP
-holds 20 bytes per cell for a bipartite law and 32 otherwise, so the
-40-million-cell budget FIELD_BUDGET is 0.8 GB or 1.28 GB.
+serves many query points.  The DP steps one value per orbit of the box
+cells under the axis flips and swaps that keep the step law (a law with
+none has one cell per orbit), gathering each atom's sources through a
+precomputed table; mass stepping out of the box is absorbed as ``leak``.
 """
 
 from __future__ import annotations
@@ -31,10 +25,10 @@ import numpy as np
 
 from .errors import ResourceError, UsageError
 from .norms import NormSpec, sphere_points
-from .walk import (StepDistribution, _exit_bias, default_k_cut, site_visit_samples,
-                   spitzer_constant_isotropic)
+from .walk import (StepDistribution, _exit_bias, check_replicas, default_k_cut,
+                   site_visit_samples, spitzer_constant_isotropic)
 
-FIELD_BUDGET = 40_000_000  # box cells: 20 B each for a bipartite law, else 32 B
+FIELD_BUDGET = 1_280_000_000  # bytes the DP may hold; see GreenField
 
 
 def spitzer_asymptotic(q: np.ndarray, x: Sequence[float]) -> float:
@@ -101,143 +95,86 @@ class GreenField:
     box of side 2 * box_radius + 1, and ``leak`` the probability mass that
     stepped out of the box (and was absorbed) by step n_max.
 
-    One step computes q(y) = sum_atoms prob * p(y - off) as a stencil on the
-    flattened arrays.  The box is C-ordered, so an atom is the flat shift
-    sum_ax off_ax * side^(d-1-ax) and one contiguous add over the flat range
-    [max(shift, 0), cells + min(shift, 0)).  On an axis ax >= 1 that shift
-    wraps sources from the opposite face into the band of |off_ax|
-    destination slabs next to the face; those bands are saved before the add
-    and restored after it (axis 0 cannot wrap: its overflow leaves the flat
-    range).  Atoms
-    are added in support order onto a zeroed q, so every cell receives the
-    same float additions as a per-atom slice update.  The product prob * p
-    is formed again only when the probability differs from the previous
-    atom's (once per step for the simple walk, twice for the lazy walk).
-    Atoms with an offset of at least the box side have no source in the box
-    and are skipped.
+    The box and the start at 0 are invariant under the signed permutations
+    of the axes, so P(S_n = .) is invariant under those that keep the step
+    law, and the DP keeps one value per orbit of `_orbits`.  A step sets
+    q[j] = sum_atoms prob * p[src[j]], where src[j] is the representative
+    index of rep_j - off, or a zero sentinel past the box.  The atoms are
+    added in support order onto a zeroed q, so ``partial`` is bit for bit
+    the per-atom slice update over the box with every cell set to its
+    representative's value after each step.  ``leak`` weights each
+    representative by its orbit size.  Atoms with an offset of at least the
+    box side have no source in the box and are skipped.
 
-    Parity classes: the side is odd, so a cell's flat index has the parity
-    of its coordinate sum.  When every atom has an odd coordinate sum (the
-    law is bipartite, as the simple walk is) every shift is odd and p lives
-    on one flat parity class at each step, the other class holding zeros.
-    The arrays then keep class c, the flat cells 2 j + c, as one contiguous
-    half array (stride 2); each step adds into the opposite class only, and
-    the skipped cells would only have received additions of 0.0, so
-    ``partial`` is unchanged.  ``leak`` sums the occupied class alone.  Any
-    other law runs the same loop with stride 1 and a single class, the whole
-    box.
-
-    Memory: p, q and the scaled copy of p are one class long and the
-    partial sums cover every class, so a bipartite law holds 2.5 float64
-    arrays of the box (20 bytes per cell) and any other law 4 (32 bytes per
-    cell).  ``partial`` is interleaved from the classes after the others
-    are freed.  The wrapped bands add one index array per axis, width and
-    class, and one shared buffer of band values.  FIELD_BUDGET caps the
-    cells.
+    FIELD_BUDGET bounds the bytes held, counted before anything large is
+    allocated, as the larger of two phases.  The orbit pass holds 4 (d + 1)
+    bytes per cell but at least 12, and 8 per representative.  The DP holds
+    ``rep_of`` (4 bytes per cell), the int32 index box padded by the largest
+    offset, one int32 table per atom and 48 bytes per representative (p, q,
+    the sums, a gather buffer, the orbit sizes and take's intp copy of a
+    table).  Expanding ``partial`` at the end holds less than the DP.
     """
 
     def __init__(self, step: StepDistribution, n_max: int, box_radius: int):
         if n_max < 1 or box_radius < 1:
             raise UsageError("n_max and box_radius must be >= 1")
-        side = 2 * box_radius + 1
-        cells = side ** step.dim
-        if cells > FIELD_BUDGET:
-            raise ResourceError(f"DP box radius {box_radius} needs {cells} "
-                                f"cells, over budget {FIELD_BUDGET}")
+        d, side = step.dim, 2 * box_radius + 1
+        flips, classes = _symmetries(step)
+        atoms = [(vec, prob) for vec, prob in zip(step.support, step.probabilities)
+                 if np.abs(vec).max() < side]
+        pad = max((int(np.abs(vec).max()) for vec, _ in atoms), default=0)
+        # nonincreasing runs of |y| (flippable) or of y along each class
+        n_reps = math.prod(math.comb((box_radius + 1 if c[0] in flips else side)
+                                     + len(c) - 1, len(c)) for c in classes)
+        held = max(side ** d * 4 * max(d + 1, 3) + 8 * n_reps,
+                   4 * side ** d + 4 * (side + 2 * pad) ** d
+                   + n_reps * (48 + 4 * len(atoms)))
+        if held > FIELD_BUDGET:
+            raise ResourceError(f"DP box radius {box_radius} needs {held} "
+                                f"bytes, over budget {FIELD_BUDGET}")
         self.step = step
         self.n_max = n_max
         self.box_radius = box_radius
-        g, leak = self._run(step, n_max, box_radius)
-        # row c of g holds the flat cells stride * j + c, so reading g
-        # column by column interleaves the classes back into the box
-        self.partial = np.ascontiguousarray(g.T).reshape(-1)[:cells].reshape(
-            (side,) * step.dim)
+        partial, leak = self._run(atoms, flips, classes, pad)
+        self.partial = partial.reshape((side,) * d)
         self.leak = float(leak)
 
-    @staticmethod
-    def _run(step: StepDistribution, n_max: int, radius: int):
-        """(partial sums per parity class, leak); see the class docstring."""
-        d = step.dim
-        side = 2 * radius + 1
-        cells = side ** d
-        weights = [side ** (d - 1 - ax) for ax in range(d)]
-        stride = 2 if np.all(step.support.sum(axis=1) % 2) else 1
-        length = [(cells - c + stride - 1) // stride for c in range(stride)]
-        low_bands = {}  # class indices of low-face slabs by (axis, width, class)
-        tables = []  # the atoms' adds, one table per source class
-        for c_src in range(stride):
-            c_dst = (c_src + 1) % stride
-            table = []
-            for vec, prob in zip(step.support, step.probabilities):
-                off = [int(v) for v in vec]
-                if any(abs(o) >= side for o in off):
-                    continue  # no source cell inside the box
-                shift = sum(o * w for o, w in zip(off, weights))
-                lo, hi = max(shift, 0), cells + min(shift, 0)
-                # class cells j with lo <= stride * j + c_dst < hi read the
-                # source class cell j + k
-                jlo, jhi = -((c_dst - lo) // stride), -((c_dst - hi) // stride)
-                k = (c_dst - c_src - shift) // stride
-                # destinations whose source lies outside the box on an axis
-                # >= 1 (the flat add wraps those sources in from a
-                # neighbouring row): the |o| slabs at the face, which are
-                # the slabs at the low face moved up the flat index by t
-                bands = []
-                for ax, o in enumerate(off[1:], start=1):
-                    if o:
-                        t = (0 if o > 0 else side + o) * weights[ax]
-                        c_low = (c_dst - t) % stride
-                        key = (ax, abs(o), c_low)
-                        if key not in low_bands:
-                            low_bands[key] = _low_band(side, d, ax, abs(o),
-                                                       stride, c_low)
-                        bands.append((low_bands[key],
-                                      (t + c_low - c_dst) // stride))
-                table.append((prob, jlo + k, jlo, jhi, bands))
-            tables.append(table)
-        p = np.zeros(length[0])
-        q = np.empty(length[0])
-        g = np.zeros((stride, length[0]))
-        scaled = np.empty(length[0])  # prob * p for the current atom's prob
-        # one buffer saves every atom's bands: an atom restores them before
-        # the next atom saves its own
-        saved = np.empty(max((sum(len(idx) for idx, _ in bands)
-                              for table in tables for *_, bands in table),
-                             default=0))
-        for table in tables:
-            for i, (prob, at, jlo, jhi, bands) in enumerate(table):
-                views, used = [], 0
-                for idx, band_at in bands:
-                    views.append((idx, band_at, saved[used:used + len(idx)]))
-                    used += len(idx)
-                table[i] = (prob, scaled[at:at + jhi - jlo], jlo, jhi, views)
-        centre = radius * sum(weights)
-        c = centre % stride
-        p[centre // stride] = 1.0
-        p_sum = 1.0
-        leak = 0.0
-        for _ in range(n_max):
-            table, n_src = tables[c], length[c]
-            c = (c + 1) % stride
-            q_c = q[:length[c]]
-            q_c.fill(0.0)
-            last = None
-            for prob, src, jlo, jhi, bands in table:
-                if prob != last:
-                    np.multiply(p[:n_src], prob, out=scaled[:n_src])
-                    last = prob
-                for idx, at, band in bands:
-                    # indices are in range; "clip" avoids take's buffered out
-                    q[at:].take(idx, out=band, mode="clip")
-                dst = q[jlo:jhi]
-                np.add(dst, src, out=dst)
-                for idx, at, band in bands:
-                    q[at:][idx] = band
-            q_sum = q_c.sum()
+    def _run(self, atoms: list, flips: list, classes: list, pad: int):
+        """(partial over the flat box, leak); see the class docstring."""
+        d, side = self.step.dim, 2 * self.box_radius + 1
+        rep_of, reps = _orbits(flips, classes, d, self.box_radius)
+        n = len(reps)
+        # flat indices in the box padded by `pad` sentinel cells on every
+        # face, where no atom's shift wraps
+        padded = np.pad(rep_of.reshape((side,) * d), pad,
+                        constant_values=n).reshape(-1)
+        strides = (side + 2 * pad) ** np.arange(d - 1, -1, -1)
+        at = np.zeros(n, dtype=np.intp)
+        for ax in range(d):
+            at += (reps // side ** (d - 1 - ax) % side + pad) * strides[ax]
+        del reps
+        tables = [(prob, padded[at - int(vec @ strides)]) for vec, prob in atoms]
+        del padded, at
+        sizes = np.bincount(rep_of, minlength=n).astype(float)
+        p = np.zeros(n + 1)  # entry n is the sentinel: always 0
+        q = np.zeros(n + 1)
+        g = np.zeros(n)
+        tmp = np.empty(n)
+        p[rep_of[rep_of.size // 2]] = 1.0
+        p_sum, leak = 1.0, 0.0
+        for _ in range(self.n_max):
+            q.fill(0.0)
+            for prob, src in tables:
+                # indices are in range; "clip" avoids take's buffered out
+                np.take(p, src, out=tmp, mode="clip")
+                tmp *= prob
+                q[:n] += tmp
+            q_sum = np.multiply(q[:n], sizes, out=tmp).sum()
             leak += p_sum - q_sum
-            g[c, :length[c]] += q_c
+            g += q[:n]
             p, q, p_sum = q, p, q_sum
-        return g, leak
+        del p, q, tmp, tables
+        return g[rep_of], leak
 
     def partial_at(self, x: Sequence[int]) -> float:
         if len(x) != self.step.dim:
@@ -271,14 +208,65 @@ class GreenField:
         return float(sum(self.green(tuple(p)).value for p in pts))
 
 
-def _low_band(side: int, d: int, ax: int, width: int, stride: int,
-              c: int) -> np.ndarray:
-    """Class-c indices of the cells whose coordinate on axis ax is below
-    width, built from the band's own coordinate ranges."""
-    rows = [np.arange(side)] * d
-    rows[ax] = np.arange(width)
-    flat = np.ravel_multi_index(np.ix_(*rows), (side,) * d).reshape(-1)
-    return flat[flat % stride == c] // stride
+def _symmetries(step: StepDistribution) -> tuple[list, list]:
+    """(flips, classes): the axes whose sign flip alone keeps the multiset
+    of (atom, probability > 0), and the classes of axes any two of which
+    can be swapped keeping it.  Swaps compose, so an axis that swaps with a
+    class's first axis swaps with all of it; a swap carries one axis's flip
+    to the other's, so a class is all flippable or none."""
+    d, live = step.dim, step.probabilities > 0
+    sup, probs = step.support[live], step.probabilities[live].tolist()
+
+    def law(s):
+        return sorted(zip(map(tuple, s.tolist()), probs))
+
+    axes, base = list(range(d)), law(sup)
+    flips = [ax for ax in axes if law(sup * np.where(np.arange(d) == ax, -1, 1)) == base]
+    classes = []
+    for ax in axes:
+        for cls in classes:
+            perm = axes.copy()
+            perm[ax], perm[cls[0]] = cls[0], ax
+            if law(sup[:, perm]) == base:
+                cls.append(ax)
+                break
+        else:
+            classes.append([ax])
+    return flips, classes
+
+
+def _orbits(flips: list, classes: list, d: int, radius: int):
+    """(rep_of, reps): the representative index of every box cell (int32,
+    flat C order) and the representatives' flat indices (ascending).
+
+    A cell's representative has |y| on the flippable axes and each class
+    in nonincreasing order; with no symmetry every cell is its own.  Time
+    O(cells * d); memory 4 (d + 1) bytes per cell but at least 12.
+    """
+    side = 2 * radius + 1
+    y = np.indices((side,) * d, dtype=np.int32).reshape(d, -1)
+    y -= radius
+    for ax in flips:
+        np.abs(y[ax], out=y[ax])
+    low = np.empty(y.shape[1], dtype=np.int32)
+    for cls in classes:
+        for _ in cls[1:]:  # bubble passes sort the class nonincreasing
+            for a, b in zip(cls, cls[1:]):
+                np.minimum(y[a], y[b], out=low)
+                np.maximum(y[a], y[b], out=y[a])
+                y[b] = low
+    flat = np.add(y[0], radius, out=low)  # the representative's flat index
+    for ax in range(1, d):
+        flat *= side
+        flat += y[ax]
+        flat += radius
+    del y
+    rank = np.zeros(flat.size, dtype=np.int32)
+    rank[flat] = 1
+    reps = np.flatnonzero(rank)
+    np.cumsum(rank, out=rank)
+    rank -= 1
+    return rank[flat], reps
 
 
 def default_box_radius(x: Sequence[int], n_max: int) -> int:
@@ -302,8 +290,7 @@ def green_mc(step: StepDistribution, norm: NormSpec, x: Sequence[int],
     """Mean truncated site local time at x across replicas; ``undercovered``
     when `_exit_bias`, the visits missed after the exit of k_cut, exceeds
     the standard error (error_bound / 3), which needs at least 2 replicas."""
-    if replicas < 2:
-        raise UsageError("the MC standard error needs at least 2 replicas")
+    check_replicas(replicas, 2)
     x = tuple(int(v) for v in x)
     if k_cut is None:
         k_cut = default_k_cut(norm.value(x))

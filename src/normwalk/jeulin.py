@@ -41,7 +41,7 @@ from numpy.random import Generator
 from .errors import UsageError
 from .summability import (EPS_REL, LevelFunction, Verdict, _decide_weighted,
                           stabilized)
-from .walk import check_ladder, map_replicas, replica_rng
+from .walk import check_ladder, check_replicas, map_replicas, replica_rng
 
 SHIGA5_UPPER = 0.5  # right end c of the shiga5 measure, inside (0, 1)
 
@@ -139,8 +139,7 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
 
     if not (0.0 < alpha < 0.5):
         raise UsageError("shiga3 requires 0 < alpha < 1/2")
-    if replicas < 2:
-        raise UsageError("the Laplace z-scores need at least 2 replicas")
+    check_replicas(replicas, 2)
     ladder = check_ladder(k_ladder, "K ladder rungs")
     scale = np.array([math.fsum(1.0 / k for k in range(lo + 1, hi + 1))
                       ** (1.0 / alpha) for lo, hi in zip([0] + ladder, ladder)])
@@ -228,8 +227,7 @@ def shiga5_run(alpha: float, levels: int, replicas: int,
         raise UsageError("shiga5 requires 0 < alpha <= 1/2")
     if levels < 3:
         raise UsageError("need a grid refining toward 0 (levels >= 3)")
-    if replicas < 2:
-        raise UsageError("the Laplace z-scores need at least 2 replicas")
+    check_replicas(replicas, 2)
     edges = [SHIGA5_UPPER * 0.5 ** j for j in range(levels + 1)]  # decreasing
     rho = shiga5_density(alpha)
     cell_mass = np.array([quad(rho, edges[j + 1], edges[j])[0]

@@ -128,7 +128,8 @@ def weak_convergence_report(spec: NormSpec, testfns: dict,
     """Per-k discrepancies |mu_k(f) - reference(f)| along the ladder.
 
     The reference is the analytic cube-surface average for the
-    untransformed max norm and the proxy measure mu_{k_ref} otherwise,
+    untransformed max shape with factor 1 (``max``, or ``scaled_max`` at
+    factor 1) and the proxy measure mu_{k_ref} otherwise,
     with k_ref = 4 * max(ladder).  The analytic reference is the
     normalised (probability) surface average of mu_surface_integral_max:
     the quadrature sum is divided by the rule's own weight total and both
@@ -136,7 +137,7 @@ def weak_convergence_report(spec: NormSpec, testfns: dict,
     1, like mu_k, and its discrepancies are exactly 0.
     """
     ladder = check_ladder(k_ladder, "k ladder levels")
-    analytic = spec.family == "max" and spec.transform is None
+    analytic = spec.max_shaped and spec.factor == 1 and spec.transform is None
     if analytic:
         ref = {label: mu_surface_integral_max(spec.dim, fn)
                for label, fn in testfns.items()}

@@ -127,8 +127,9 @@ class NormSpec:
 
     @property
     def degenerate(self) -> bool:
-        """True when the norm has empty levels (scaled_max with factor > 1)."""
-        return self.family == "scaled_max" and self.factor > 1
+        """True when the norm has empty levels (scaled_max with factor > 1;
+        construction fixes every other family's factor at 1)."""
+        return self.factor > 1
 
     @property
     def max_shaped(self) -> bool:

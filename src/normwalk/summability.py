@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -119,9 +120,10 @@ class PowerLog(LevelFunction):
 class TableFunction(LevelFunction):
     """Finite table of values with a declared tail extension.
 
-    tail is "zero" (values vanish past the table) or ("power", beta):
-    f(k) = last_value * (k_last / k)^beta for k past the table.  Without a
-    tail declaration no verdict beyond Undecidable is ever issued.
+    tail is "zero" (values vanish past the table) or ("power", beta) with a
+    finite real beta: f(k) = last_value * (k_last / k)^beta for k past the
+    table.  Without a tail declaration (None) no verdict beyond Undecidable
+    is ever issued.  Anything else is refused at construction.
     """
 
     table: tuple
@@ -132,6 +134,16 @@ class TableFunction(LevelFunction):
             raise UsageError("level functions must be nonnegative")
         if not self.table:
             raise UsageError("table must be nonempty")
+        beta = None  # the power tail's exponent, parsed once
+        if isinstance(self.tail, tuple) and len(self.tail) == 2 \
+                and self.tail[0] == "power" and isinstance(self.tail[1], Real) \
+                and math.isfinite(self.tail[1]):
+            beta = float(self.tail[1])
+        elif self.tail is not None and not (isinstance(self.tail, str)
+                                            and self.tail == "zero"):
+            raise UsageError(f"tail must be None, 'zero' or ('power', beta) "
+                             f"with a finite real beta, got {self.tail!r}")
+        object.__setattr__(self, "_beta", beta)
 
     @property
     def label(self) -> str:
@@ -143,12 +155,10 @@ class TableFunction(LevelFunction):
         inside = k < len(self.table)
         tab = np.asarray(self.table, dtype=float)
         vals[inside] = tab[k[inside]]
-        if isinstance(self.tail, tuple) and self.tail and self.tail[0] == "power":
-            beta = float(self.tail[1])
-            k_last = len(self.table) - 1
-            out = ~inside
-            if k_last >= 1 and np.any(out):
-                vals[out] = tab[-1] * (k_last / k[out].astype(float)) ** beta
+        k_last = len(self.table) - 1
+        out = ~inside
+        if self._beta is not None and k_last >= 1 and np.any(out):
+            vals[out] = tab[-1] * (k_last / k[out].astype(float)) ** self._beta
         return vals
 
 
@@ -214,13 +224,13 @@ def _decide_weighted(f: LevelFunction, stride: int = 1,
         inner, _ = _decide_weighted(f.inner, stride, power)
         return inner, "symbolic"
     if isinstance(f, TableFunction):
-        tail = isinstance(f.tail, tuple) and f.tail and f.tail[0] == "power"
+        power_tail = f._beta is not None
         # a power tail anchored at k = 0 or at a zero last entry vanishes
         # past the table, as values() computes it
-        if f.tail == "zero" or (tail and (len(f.table) == 1 or f.table[-1] == 0)):
+        if f.tail == "zero" or (power_tail and (len(f.table) == 1 or f.table[-1] == 0)):
             return Verdict.CONVERGES, "partial-sum"
-        if tail:
-            return _series_verdict(float(f.tail[1]) - power), "partial-sum"
+        if power_tail:
+            return _series_verdict(f._beta - power), "partial-sum"
         return Verdict.UNDECIDABLE, "partial-sum"
     return Verdict.UNDECIDABLE, "partial-sum"
 
@@ -344,7 +354,7 @@ def zero_one_experiment(step: StepDistribution, norm: NormSpec,
                          "(zero mean, covariance sigma^2 I); the experiment "
                          "refuses it")
     horizons = check_ladder(horizons, "horizons", rungs=2)
-    check_replicas(replicas)
+    check_replicas(replicas, 1)
     eps_abs = excursion_allowance(f)
     rows = _replica_partials(step, norm, f, horizons, replicas, master_seed)
     stab = stabilized(rows, eps_abs, EPS_REL)
@@ -387,8 +397,7 @@ def expectation_vs_criterion(step: StepDistribution, norm: NormSpec,
     """
     d = norm.dim
     horizons = check_ladder(horizons, "horizons")
-    if replicas < 2:
-        raise UsageError("the MC standard error needs at least 2 replicas")
+    check_replicas(replicas, 2)
     ks = np.arange(1, census.k_max + 1)
     f_ks = np.asarray(f(ks), dtype=float)
     f0 = float(np.asarray(f(np.zeros(1, dtype=np.int64)))[0])

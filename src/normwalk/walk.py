@@ -66,10 +66,11 @@ def check_ladder(values: Sequence, what: str, rungs: int = 1) -> list[int]:
     return out
 
 
-def check_replicas(replicas: int) -> None:
-    """Refuse a replica count below 1, before any replica runs."""
-    if replicas < 1:
-        raise UsageError(f"replicas must be >= 1, got {replicas}")
+def check_replicas(replicas: int, floor: int) -> None:
+    """Refuse a replica count below floor, before any replica runs: 1 for a
+    sample, 2 for a standard error."""
+    if replicas < floor:
+        raise UsageError(f"replicas must be >= {floor}, got {replicas}")
 
 
 def replica_rng(master_seed: int, replica_index: int) -> Generator:
@@ -476,7 +477,7 @@ def total_level_local_time(step: StepDistribution, norm: NormSpec, k: int,
         k_cut = 8 * k
     if k_cut < 2 * k:
         raise UsageError(f"k_cut = {k_cut} < 2k leaves the truncation bias uncontrolled")
-    check_replicas(replicas)
+    check_replicas(replicas, 1)
     vals = _exit_counts(step, norm, k_cut, replicas, master_seed,
                         lambda cols, norms: int(np.count_nonzero(norms == k)))
     return LevelLocalTimeSample(k=k, k_cut=k_cut, samples=vals,
@@ -492,7 +493,7 @@ def site_visit_samples(step: StepDistribution, norm: NormSpec,
     target = np.asarray(x, dtype=np.int64)
     if target.shape != (step.dim,):
         raise UsageError("x must be a lattice point of the walk's dimension")
-    check_replicas(replicas)
+    check_replicas(replicas, 1)
     if norm.value([int(v) for v in target]) >= k_cut:
         # a site at or past the cut is never reached before the exit
         return np.zeros(replicas, dtype=np.int64)
@@ -554,8 +555,7 @@ def hitting_probability(step: StepDistribution, norm: NormSpec,
     ``undercovered`` is set when `_exit_bias` estimates more than the standard
     error for them.  That standard error needs at least 2 replicas.
     """
-    if replicas < 2:
-        raise UsageError("the standard error needs at least 2 replicas")
+    check_replicas(replicas, 2)
     target = tuple(int(v) for v in x)
     if k_cut is None:
         k_cut = default_k_cut(norm.value(target))

@@ -90,7 +90,7 @@ class TestExitCodes:
     def test_shiga3_one_replica_usage_error(self, capsys):
         assert run(["jeulin", "--scenario", "shiga3", "--K", "100",
                     "--replicas", "1"]) == 1
-        assert "2 replicas" in capsys.readouterr().err
+        assert "replicas must be >= 2" in capsys.readouterr().err
 
     def test_green_mc_one_replica_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(walk, "map_replicas",
@@ -99,7 +99,7 @@ class TestExitCodes:
                     "--replicas", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "2 replicas" in captured.err
+        assert "replicas must be >= 2" in captured.err
 
     def test_resource_error_exit_code(self, capsys):
         assert run(["green", "--dim", "3", "--x", "0,0,0", "--method", "dp",

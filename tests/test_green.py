@@ -1,13 +1,15 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from normwalk import walk
+from normwalk import green, walk
 from normwalk.errors import ResourceError, UsageError
 from normwalk.green import (
     GreenField,
+    _symmetries,
     clt_tail_estimate,
     green_dp,
     green_mc,
@@ -31,27 +33,63 @@ G00 = 0.516386
 P0 = G00 / (1 + G00)
 
 
-# -- reference: the per-atom slice update the flat stencil replaced -----------
+# -- reference: the per-atom slice update, set to orbit representatives ------
 
-def reference_green_field(step, n_max, radius):
-    """(partial, leak, class_leak) from a fresh q and one strided slice add
-    per atom.
+def law_symmetries(step):
+    """(flippable axes, swap classes) from the law's atom -> mass map, built
+    apart from `green._symmetries`: a swap class is an axis with every axis
+    it can be swapped with."""
+    d = step.dim
+    law = {}
+    for vec, prob in zip(step.support.tolist(), step.probabilities.tolist()):
+        if prob > 0:
+            law[tuple(vec)] = law.get(tuple(vec), 0.0) + prob
 
-    ``leak`` sums p and q over the whole box.  For a bipartite law (every
-    atom's coordinate sum odd) ``class_leak`` sums them over the occupied
-    flat parity class alone, the sums the parity-class DP forms; it is None
-    for any other law.
-    """
+    def kept(image):
+        return {image(list(a)): m for a, m in law.items()} == law
+
+    def flip(ax):
+        return lambda a: tuple(-v if i == ax else v for i, v in enumerate(a))
+
+    def swap(i, j):
+        return lambda a: tuple(a[j] if k == i else a[i] if k == j else a[k]
+                               for k in range(d))
+
+    flips = [ax for ax in range(d) if kept(flip(ax))]
+    classes = sorted({tuple(b for b in range(d) if b == ax or kept(swap(ax, b)))
+                      for ax in range(d)})
+    return flips, [list(cls) for cls in classes]
+
+
+def representative_map(step, radius):
+    """Flat index of every cell's representative: |y| on the flippable axes,
+    each swap class in nonincreasing order."""
+    flips, classes = law_symmetries(step)
+    shape = (2 * radius + 1,) * step.dim
+    rep = []
+    for cell in np.ndindex(shape):
+        y = [abs(c - radius) if ax in flips else c - radius
+             for ax, c in enumerate(cell)]
+        for cls in classes:
+            for ax, v in zip(cls, sorted((y[ax] for ax in cls), reverse=True)):
+                y[ax] = v
+        rep.append(np.ravel_multi_index(tuple(v + radius for v in y), shape))
+    return np.array(rep)
+
+
+def reference_green_field(step, n_max, radius, symmetrize=True):
+    """(partial, leak) from a fresh q and one strided slice add per atom;
+    with `symmetrize`, every cell then takes its representative's value.
+    ``leak`` sums p and q over the whole box."""
     d = step.dim
     shape = (2 * radius + 1,) * d
+    rep = representative_map(step, radius) if symmetrize else None
     p = np.zeros(shape)
     p[(radius,) * d] = 1.0
     g = np.zeros(shape)
     leak = 0.0
-    bipartite = all(int(sum(vec)) % 2 for vec in step.support)
-    class_leak = 0.0 if bipartite else None
     atoms = list(zip(step.support, step.probabilities))
-    for n in range(n_max):
+    for _ in range(n_max):
         q = np.zeros(shape)
         for vec, prob in atoms:
             src = [slice(None)] * d
@@ -70,18 +108,12 @@ def reference_green_field(step, n_max, radius):
                     dst[ax] = slice(0, shape[ax] + off)
             if ok:
                 q[tuple(dst)] += prob * p[tuple(src)]
+        if rep is not None:
+            q = q.reshape(-1)[rep].reshape(shape)
         leak += p.sum() - q.sum()
-        if bipartite:
-            # the side is odd: a flat index has its coordinate sum's parity
-            c = (radius * d + n) % 2
-            class_leak += _class_sum(p, c) - _class_sum(q, 1 - c)
         p = q
         g += p
-    return g, float(leak), class_leak
-
-
-def _class_sum(a, c):
-    return np.ascontiguousarray(a.reshape(-1)[c::2]).sum()
+    return g, float(leak)
 
 
 def _random_law(d, seed):
@@ -95,6 +127,18 @@ def _random_law(d, seed):
     return StepDistribution(d, support, probs / probs.sum())
 
 
+def _mixed_law():
+    """Flipping axis 0 or 1 and swapping them keep this law; nothing moves
+    axis 2."""
+    mass = {}
+    for (a, b, c), prob in [((1, 0, 2), 0.2), ((2, -1, 0), 0.3),
+                            ((0, 0, -1), 0.25), ((-1, -1, 1), 0.25)]:
+        for s, t in itertools.product((1, -1), repeat=2):
+            for image in ((s * a, t * b, c), (t * b, s * a, c)):
+                mass[image] = mass.get(image, 0.0) + prob / 8
+    return StepDistribution(3, list(mass), list(mass.values()))
+
+
 STENCIL_LAWS = {
     **{f"simple{d}": make_simple_walk(d) for d in (1, 2, 3, 4)},
     "lazy3": make_lazy_walk(3),
@@ -104,6 +148,7 @@ STENCIL_LAWS = {
     "far3": StepDistribution(3, [[1, 0, 0], [0, 5, 0], [-1, 0, 0],
                                  [-7, 0, 1], [0, -2, 3], [2, -1, -3]],
                              [0.3, 0.1, 0.2, 0.05, 0.2, 0.15]),
+    "mixed3": _mixed_law(),
     # bipartite (every coordinate sum odd) and asymmetric: multi-axis
     # offsets, an atom of mass 0, and (0, 5, 0) past a radius-2 box
     "bipartite3": StepDistribution(3, [[1, 0, 0], [-1, 0, 0], [2, 1, 0],
@@ -113,22 +158,59 @@ STENCIL_LAWS = {
 }
 
 
+SYMMETRIC_LAWS = ["lazy3", "mixed3", "simple1", "simple2", "simple3", "simple4"]
+
+
 class TestStencilBitIdentity:
+    def test_law_symmetries(self):
+        for law, step in STENCIL_LAWS.items():
+            flips, classes = law_symmetries(step)
+            d = step.dim
+            if law == "mixed3":
+                assert (flips, classes) == ([0, 1], [[0, 1], [2]])
+            elif law in SYMMETRIC_LAWS:
+                assert (flips, classes) == (list(range(d)), [list(range(d))])
+            else:
+                assert (flips, classes) == ([], [[ax] for ax in range(d)])
+            assert _symmetries(step) == (flips, classes)
+
     @pytest.mark.parametrize("law", sorted(STENCIL_LAWS))
     @pytest.mark.parametrize("n_max", [1, 40])
     @pytest.mark.parametrize("radius", [2, 6])
     def test_partial_and_leak_equal_reference(self, law, n_max, radius):
         step = STENCIL_LAWS[law]
         field = GreenField(step, n_max=n_max, box_radius=radius)
-        partial, leak, class_leak = reference_green_field(step, n_max, radius)
+        partial, leak = reference_green_field(step, n_max, radius)
         assert field.partial.tobytes() == partial.tobytes()
-        if class_leak is None:
-            assert field.leak == leak
-        else:
-            # the DP sums the occupied parity class alone; the full-box sums
-            # add the same terms in other pairs
-            assert field.leak == class_leak
+        if law in SYMMETRIC_LAWS:
+            # the DP weights each orbit's value by its size; the full-box
+            # sums add the same terms in other pairs
             assert abs(field.leak - leak) <= 4 * n_max * np.spacing(1.0)
+        else:
+            # every cell is its own representative
+            assert field.leak == leak
+
+    @pytest.mark.parametrize("law", SYMMETRIC_LAWS)
+    def test_partial_invariant_under_law_symmetries(self, law):
+        step = STENCIL_LAWS[law]
+        partial = GreenField(step, n_max=40, box_radius=6).partial
+        flips, classes = law_symmetries(step)
+        for ax in flips:
+            assert np.flip(partial, ax).tobytes() == partial.tobytes()
+        for cls in classes:
+            for a, b in zip(cls, cls[1:]):
+                assert np.swapaxes(partial, a, b).tobytes() == partial.tobytes()
+
+    @pytest.mark.parametrize("law", SYMMETRIC_LAWS)
+    def test_drift_from_unsymmetrized_reference(self, law):
+        # each cell of the plain slice update adds its atoms in one fixed
+        # order, so it breaks the symmetry in the last bits; setting cells to
+        # their representatives moves them by at most 5 ulps here
+        step = STENCIL_LAWS[law]
+        partial = GreenField(step, n_max=40, box_radius=6).partial
+        plain, _ = reference_green_field(step, 40, 6, symmetrize=False)
+        ulps = np.abs(partial - plain) / np.spacing(np.maximum(partial, plain))
+        assert ulps.max() <= 5
 
     @pytest.mark.parametrize("n_max", [1, 2, 30])
     def test_box_of_radius_n_max_never_absorbs(self, n_max):
@@ -143,8 +225,11 @@ class TestFieldMemory:
     # numpy reports its data allocations to tracemalloc, so the peaks are
     # deterministic; a float64 box of radius 30 is 8 * 61**3 bytes
     @pytest.mark.parametrize("law, boxes", [
-        ("simple3", 3.25),  # parity classes: p, q, scaled half a box each
-        ("lazy3", 4.07),    # one class: the full-box loop's 4.07
+        ("simple3", 3.25),   # the orbit pass: 16 B per cell
+        ("lazy3", 4.07),
+        # every cell its own orbit: rep_of, nine int32 tables, p, q, sums,
+        # gather buffer, sizes and take's intp index copy, 88 B per cell
+        ("random3", 11.1),
     ])
     def test_peak_in_boxes(self, law, boxes):
         tracemalloc.start()
@@ -155,6 +240,33 @@ class TestFieldMemory:
         finally:
             tracemalloc.stop()
         assert peak <= boxes * 8 * 61 ** 3
+
+    def test_budget_refuses_before_allocating(self):
+        # 261**3 cells of an asymmetric nine-atom law need about 1.6 GB
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            with pytest.raises(ResourceError, match="bytes, over budget"):
+                GreenField(STENCIL_LAWS["random3"], n_max=1, box_radius=130)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_symmetric_law_admits_a_larger_box(self, monkeypatch):
+        # 351**3 cells is over 40 million, the cap of a full-box DP at 32 B
+        # per cell; the simple walk's orbit DP holds about 16 B per cell
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setattr(green, "_orbits", admitted)
+        with pytest.raises(Admitted):
+            GreenField(make_simple_walk(3), n_max=1, box_radius=175)
+        with pytest.raises(ResourceError):
+            GreenField(STENCIL_LAWS["random3"], n_max=1, box_radius=175)
 
 
 class TestSpitzer:
@@ -257,6 +369,42 @@ class TestGreenDP:
         assert est.value == pytest.approx(G00, abs=0.01)
 
 
+def green_exact(x):
+    """G(0,x) of the simple walk: int_0^inf prod_i ive(|x_i|, t/d) dt minus
+    the n = 0 term (Lawler & Limic, Random Walk: A Modern Introduction,
+    2010, ch. 4)."""
+    from scipy.integrate import quad
+    from scipy.special import ive
+
+    d = len(x)
+    val = quad(lambda t: math.prod(ive(abs(v), t / d) for v in x), 0, np.inf,
+               epsabs=1e-13, epsrel=1e-12, limit=500)[0]
+    return val - (not any(x))
+
+
+@pytest.fixture(scope="module")
+def lazy_field():
+    return GreenField(make_lazy_walk(3), n_max=600, box_radius=24)
+
+
+class TestDPBoundAgainstExact:
+    # the realised error is below 5e-4 of error_bound at these points
+    POINTS = [(0, 0, 0), (1, 0, 0), (3, 0, 0), (2, 2, 1), (6, 0, 0)]
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_simple_walk(self, field, x):
+        est = field.green(x)
+        assert abs(est.value - green_exact(x)) <= est.error_bound
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_lazy_walk(self, lazy_field, x):
+        # half the steps stay put: the lazy walk's Green function with the
+        # n = 0 term is twice the simple walk's
+        est = lazy_field.green(x)
+        exact = 2 * green_exact(x) + (not any(x))
+        assert abs(est.value - exact) <= est.error_bound
+
+
 def test_clt_tail_estimate_matches_series():
     # windowed integral against the directly summed local-CLT series
     q = np.eye(3) / 3
@@ -306,7 +454,7 @@ class TestGreenMC:
         # ddof=1 has no standard error for one sample, so no error_bound
         monkeypatch.setattr(walk, "map_replicas",
                             lambda *a: pytest.fail("replicas ran"))
-        with pytest.raises(UsageError, match="2 replicas"):
+        with pytest.raises(UsageError, match="replicas must be >= 2"):
             green_mc(make_simple_walk(3), MAX3, (1, 0, 0), replicas=1,
                      master_seed=0)
 

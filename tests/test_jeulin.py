@@ -122,7 +122,7 @@ class TestShiga3:
         # one replica has no standard error, so every z-score would read 0
         monkeypatch.setattr(jeulin, "map_replicas",
                             lambda *a: pytest.fail("replicas ran"))
-        with pytest.raises(UsageError, match="2 replicas"):
+        with pytest.raises(UsageError, match="replicas must be >= 2"):
             shiga3_run(0.4, [100], replicas=1, master_seed=0)
 
     def test_series_side_converges_under_zeta_bound(self):
@@ -238,7 +238,7 @@ class TestShiga5:
     def test_one_replica_refused(self, monkeypatch):
         monkeypatch.setattr(jeulin, "map_replicas",
                             lambda *a: pytest.fail("replicas ran"))
-        with pytest.raises(UsageError, match="2 replicas"):
+        with pytest.raises(UsageError, match="replicas must be >= 2"):
             shiga5_run(0.4, levels=8, replicas=1, master_seed=0)
 
     def test_heavy_tail_mean_instability(self):

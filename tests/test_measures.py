@@ -94,6 +94,18 @@ class TestWeakConvergence:
         d8, d24 = rep.discrepancies("sq")
         assert d24 < d8
 
+    def test_reference_follows_the_norm_shape(self):
+        # scaled_max at factor 1 is the max norm, so it gets the same
+        # analytic reference and the same rows
+        same = weak_convergence_report(make_norm("scaled_max", 3, factor=1),
+                                       {"sq": SQ1}, [8, 24])
+        base = weak_convergence_report(MAX3, {"sq": SQ1}, [8, 24])
+        assert same.reference == base.reference == "analytic"
+        assert same.rows == base.rows
+        scaled = weak_convergence_report(make_norm("scaled_max", 3, factor=2),
+                                         {"sq": SQ1}, [8, 24])
+        assert scaled.reference == "proxy(k=96)"
+
     def test_lipschitz_rate_constant(self):
         # |mu_k(f) - surface(f)| <= C/k with a moderate fitted constant
         rep = weak_convergence_report(MAX3, {"sq": SQ1}, [10, 20, 40, 80])

@@ -325,7 +325,7 @@ class TestExpectationVsCriterion:
         # one replica has no standard error: mc_se would be nan
         monkeypatch.setattr("normwalk.summability.map_replicas",
                             lambda *a: pytest.fail("replicas ran"))
-        with pytest.raises(UsageError, match="2 replicas"):
+        with pytest.raises(UsageError, match="replicas must be >= 2"):
             expectation_vs_criterion(SW3, MAX3, PowerLaw(4), census_for(MAX3, 16),
                                      replicas=1, horizons=[100], master_seed=0)
 
@@ -386,6 +386,22 @@ class TestFunctionSpecs:
         assert vals[0] == 4.0 and vals[2] == 1.0
         assert vals[3] == pytest.approx(1.0 * (2 / 4) ** 2)
         assert vals[4] == pytest.approx(1.0 * (2 / 8) ** 2)
+
+    @pytest.mark.parametrize("tail", [["power", 2.0], "garbage", ("power",),
+                                      ("power", "x"), ("power", 2.0, 1.0),
+                                      ("power", float("nan")), ("zero",)])
+    def test_malformed_tail_refused_at_construction(self, tail):
+        # none of these may read as undeclared (zeros past the table) or
+        # fail only when evaluated
+        with pytest.raises(UsageError, match="tail must be"):
+            TableFunction((1.0, 0.5), tail=tail)
+
+    def test_integer_power_tail_accepted(self):
+        f = TableFunction((4.0, 2.0, 1.0), tail=("power", 2))
+        g = TableFunction((4.0, 2.0, 1.0), tail=("power", 2.0))
+        ks = np.arange(12)
+        assert f(ks).tobytes() == g(ks).tobytes()
+        assert decide_v(f) == decide_v(g)
 
     def test_parity_mask_values(self):
         f = odd_only(PowerLaw(1))

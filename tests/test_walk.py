@@ -523,7 +523,7 @@ class TestHitting:
         # one replica's p_hat is 0 or 1, whose binomial standard error is 0
         monkeypatch.setattr(walk, "map_replicas",
                             lambda *a: pytest.fail("replicas ran"))
-        with pytest.raises(UsageError, match="2 replicas"):
+        with pytest.raises(UsageError, match="replicas must be >= 2"):
             hitting_probability(make_simple_walk(3), MAX3, (1, 0, 0),
                                 replicas=1, master_seed=0)
 
