@@ -41,7 +41,8 @@ from numpy.random import Generator
 from .errors import UsageError
 from .summability import (EPS_REL, LevelFunction, Verdict, _decide_weighted,
                           stabilized)
-from .walk import check_ladder, check_replicas, map_replicas, replica_rng
+from .walk import (check_ladder, check_replicas, map_replicas, replica_rng,
+                   replica_stream)
 
 SHIGA5_UPPER = 0.5  # right end c of the shiga5 measure, inside (0, 1)
 
@@ -50,20 +51,30 @@ def sample_stable(alpha: float, t: float, rng: Generator,
                   size: int = 1) -> np.ndarray:
     """One-sided stable draws with E[e^{-lam V}] = e^{-t lam^alpha}.
 
-    Kanter's transform: V = (a(U)/E)^{(1-alpha)/alpha} with U ~ U(0, pi),
-    E ~ Exp(1) and a(u) = (sin(a u)^a sin((1-a)u)^{1-a} / sin u)^{1/(1-a)}.
-    The scale-t draw is t^{1/alpha} times a unit draw.
+    Kanter's transform (`_kanter`) of the inputs U ~ U(0, pi) and
+    E ~ Exp(1) (`_kanter_inputs`) gives a unit draw; the scale-t draw is
+    t^{1/alpha} times it.  A replica study draws only the inputs per
+    replica and runs the transform once, on the stacked inputs.
     """
     if not (0.0 < alpha < 1.0):
         raise UsageError("alpha must lie in (0, 1)")
     if t <= 0:
         raise UsageError("scale t must be positive")
-    u = rng.uniform(0.0, math.pi, size)
-    e = rng.standard_exponential(size)
+    return t ** (1.0 / alpha) * _kanter(alpha, *_kanter_inputs(rng, size))
+
+
+def _kanter_inputs(rng: Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """U ~ U(0, pi) then E ~ Exp(1), size of each, in that stream order."""
+    return rng.uniform(0.0, math.pi, size), rng.standard_exponential(size)
+
+
+def _kanter(alpha: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Unit one-sided alpha-stable draws V = (a(U)/E)^{(1-alpha)/alpha},
+    a(u) = (sin(a u)^a sin((1-a)u)^{1-a} / sin u)^{1/(1-a)}, elementwise."""
     a = (np.sin(alpha * u) ** alpha
          * np.sin((1.0 - alpha) * u) ** (1.0 - alpha)
          / np.sin(u)) ** (1.0 / (1.0 - alpha))
-    return t ** (1.0 / alpha) * (a / e) ** ((1.0 - alpha) / alpha)
+    return (a / e) ** ((1.0 - alpha) / alpha)
 
 
 def _laplace_row(key: str, label, w: np.ndarray, target: float) -> dict:
@@ -129,11 +140,13 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
     Sampled by stable closure (Samorodnitsky & Taqqu 1994, Property 1.2.1):
     for independent unit one-sided stables, sum_{K'<k<=K} k^{-1/alpha} V0(k)
     is one-sided stable with E[e^{-lam X}] = exp(-(H_K - H_K') lam^alpha),
-    and the rung increments are independent.  Replica i makes one
-    sample_stable call of len(k_ladder) unit draws from replica_rng(seed, i),
-    scales draw j by gap_j^{1/alpha}, gap_j = math.fsum of 1/k over
-    K_{j-1} < k <= K_j (K_0 = 0), and reports the cumulative sums.  The
-    joint law of the rung partials is exact; the per-term path is not drawn.
+    and the rung increments are independent.  Replica i draws the Kanter
+    inputs of len(k_ladder) unit draws from stream (seed, i), as one
+    sample_stable call would; the transform then runs once on the stacked
+    inputs, scales draw j by gap_j^{1/alpha}, gap_j = math.fsum of 1/k over
+    K_{j-1} < k <= K_j (K_0 = 0), and takes each replica's cumulative sums.
+    The joint law of the rung partials is exact; the per-term path is not
+    drawn.
     """
     from scipy.special import zeta
 
@@ -144,11 +157,13 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
     scale = np.array([math.fsum(1.0 / k for k in range(lo + 1, hi + 1))
                       ** (1.0 / alpha) for lo, hi in zip([0] + ladder, ladder)])
 
-    def one(i: int) -> np.ndarray:
-        rng = replica_rng(master_seed, i)
-        return np.cumsum(scale * sample_stable(alpha, 1.0, rng, len(ladder)))
+    def one(i: int) -> np.ndarray:  # U(n), E(n)
+        with replica_stream(master_seed, i) as rng:
+            return np.concatenate(_kanter_inputs(rng, len(ladder)))
 
-    partials = np.array(map_replicas(one, replicas), dtype=float)
+    inputs = np.array(map_replicas(one, replicas))
+    units = _kanter(alpha, *np.hsplit(inputs, 2))
+    partials = np.cumsum(scale * units, axis=1)
 
     laplace_rows = [_laplace_row("K", k, np.exp(-partials[:, j]),
                                  math.exp(-harmonic(k)))
@@ -220,6 +235,10 @@ def shiga5_run(alpha: float, levels: int, replicas: int,
     mean_trace holds running means of X(upper) over the replicas: each
     replica adds a draw for the rest of the interval, (0, grid[-1]], to its
     cell increments, after the cell draws, so its rows do not depend on it.
+
+    Replica i draws only its Kanter inputs from stream (seed, i), in the
+    order two sample_stable calls would (the cells', then the rest's); the
+    transform, the scalings and the sums run once on the stacked inputs.
     """
     from scipy.integrate import quad
 
@@ -246,19 +265,21 @@ def shiga5_run(alpha: float, levels: int, replicas: int,
             total += cell_len[i] * coeff ** alpha
         return float(total)
 
-    def one(i: int) -> np.ndarray:
-        rng = replica_rng(master_seed, i)
-        unit = sample_stable(alpha, 1.0, rng, levels)
-        incs = cell_len ** (1.0 / alpha) * unit  # stable scaling per cell
-        # X at the left endpoint of cell j < levels - 1: the increments below
-        x_left = np.cumsum(incs[::-1])[::-1][1:]
-        # X(upper): every cell's increment plus that of the rest, (0, grid[-1]]
-        x_upper = incs.sum() + sample_stable(alpha, edges[levels], rng, 1)[0]
-        # the partial integrals down to each eps, then X(upper)
-        return np.append(np.cumsum(x_left * cell_mass), x_upper)
+    def one(i: int) -> np.ndarray:  # U(levels), U(1), E(levels), E(1)
+        with replica_stream(master_seed, i) as rng:
+            (u, e), (u1, e1) = (_kanter_inputs(rng, levels),
+                                _kanter_inputs(rng, 1))
+        return np.concatenate([u, u1, e, e1])
 
-    out = np.array(map_replicas(one, replicas), dtype=float)
-    rows, xs = out[:, :-1], out[:, -1]
+    inputs = np.array(map_replicas(one, replicas))
+    units = _kanter(alpha, *np.hsplit(inputs, 2))
+    incs = cell_len ** (1.0 / alpha) * units[:, :levels]  # scaling per cell
+    # X at the left endpoint of cell j < levels - 1: the increments below
+    x_left = np.cumsum(incs[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    # the partial integrals down to each eps
+    rows = np.cumsum(x_left * cell_mass, axis=1)
+    # X(upper): every cell's increment plus that of the rest, (0, grid[-1]]
+    xs = incs.sum(axis=1) + edges[levels] ** (1.0 / alpha) * units[:, levels]
 
     laplace_rows = [_laplace_row("eps", edges[j + 1], np.exp(-rows[:, j]),
                                  math.exp(-exact_exponent(j)))
@@ -413,8 +434,8 @@ def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunct
     f_vals = {label: np.asarray(f(ks), dtype=float) for label, f in family.items()}
 
     def one(i: int) -> dict:
-        rng = replica_rng(master_seed, i)
-        v = scenario.v_sampler(rng, k_top)
+        with replica_stream(master_seed, i) as rng:
+            v = scenario.v_sampler(rng, k_top)
         out = {}
         for label, fv in f_vals.items():
             csum = np.cumsum(fv * v)

@@ -2,11 +2,14 @@
 
 Each replica's path is a pure function of (master_seed, replica_index):
 streams come from counter-based Philox generators keyed by that pair, so
-replica i's result does not depend on how many replicas run.  Every
-replica loop goes through `map_replicas`, which splits the replicas into
-one contiguous range per CPU this process may run on and runs all but the
-first in forked children; since a replica reads only its own stream, the
-results do not depend on the CPU count either.
+replica i's result does not depend on how many replicas run.  A replica
+loop leases its stream (`replica_stream`): a pooled generator re-keyed to
+the pair, which gives the stream a fresh one would, bit for bit, without
+building one per replica.  Every replica loop goes through
+`map_replicas`, which splits the replicas into one contiguous range per
+CPU this process may run on and runs all but the first in forked
+children; since a replica reads only its own stream, the results do not
+depend on the CPU count either.
 
 Every walk is stepped by one kernel, `_blocks`, in structure-of-arrays
 layout: a block holds the positions S_{n0}, ..., S_{n0+m-1} as a (d, m)
@@ -73,12 +76,57 @@ def check_replicas(replicas: int, floor: int) -> None:
         raise UsageError(f"replicas must be >= {floor}, got {replicas}")
 
 
+def _key(master_seed: int, replica_index: int) -> np.ndarray:
+    """The Philox key of stream (master_seed, replica_index): the one
+    derivation of a replica's stream.  Each part must lie in [0, 2^64)."""
+    if not (0 <= master_seed < 1 << 64 and 0 <= replica_index < 1 << 64):
+        raise UsageError("seeds and replica indices must be nonnegative and "
+                         f"below 2^64, got ({master_seed}, {replica_index})")
+    return np.array([master_seed, replica_index], dtype=np.uint64)
+
+
 def replica_rng(master_seed: int, replica_index: int) -> Generator:
-    """Philox stream keyed by (master_seed, replica_index); no jumping."""
-    if master_seed < 0 or replica_index < 0:
-        raise UsageError("seeds and replica indices must be nonnegative")
-    key = np.array([master_seed, replica_index], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    """A fresh Philox stream keyed by (master_seed, replica_index), for
+    one-off draws; replica loops lease theirs from replica_stream."""
+    return Generator(Philox(key=_key(master_seed, replica_index)))
+
+
+_ZEROS = np.zeros(4, dtype=np.uint64)  # a Philox counter or buffer at rest
+_idle: list[tuple[Philox, Generator]] = []  # this process's unleased pairs
+
+
+class replica_stream:
+    """`with replica_stream(seed, i) as rng:` leases stream (seed, i).
+
+    rng draws exactly what replica_rng(seed, i) draws, bit for bit: a
+    pooled (Philox, Generator) pair is set to key (seed, i), counter 0 and
+    an empty buffer, and Philox streams are keyed, not seeded, so no
+    generator is built once the pool holds one.  rng is valid only inside
+    the with block: on exit, error or not, the pair goes back to the pool
+    and a later lease re-keys it.  Nested leases hold different pairs, and
+    a forked child works on its own copy of the pool.
+    """
+
+    __slots__ = ("_state", "_pair")
+
+    def __init__(self, master_seed: int, replica_index: int):
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": _ZEROS,
+                                 "key": _key(master_seed, replica_index)},
+                       "buffer": _ZEROS, "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+
+    def __enter__(self) -> Generator:
+        try:
+            self._pair = _idle.pop()
+        except IndexError:
+            bits = Philox()
+            self._pair = (bits, Generator(bits))
+        self._pair[0].state = self._state  # copies the arrays in
+        return self._pair[1]
+
+    def __exit__(self, *exc) -> None:
+        _idle.append(self._pair)
 
 
 _mapping = False  # True during a parallel map_replicas call, in its children too
@@ -190,6 +238,12 @@ class StepDistribution:
             raise UsageError(f"probabilities sum to {p.sum()!r}, not 1")
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "probabilities", p)
+        # the index sampler's table, fixed here: None for a uniform law
+        cum = None
+        if not np.all(p == p[0]):
+            cum = np.cumsum(p)
+            cum[-1] = 1.0
+        object.__setattr__(self, "_cum", cum)
 
     @property
     def mean(self) -> np.ndarray:
@@ -213,16 +267,14 @@ class StepDistribution:
 
     @property
     def uniform(self) -> bool:
-        p = self.probabilities
-        return bool(np.all(p == p[0]))
+        return self._cum is None
 
     def _index_sampler(self, rng: Generator) -> Callable[[int], np.ndarray]:
         """Returns a function n -> (n,) int64 indices into the support."""
-        if self.uniform:
+        cum = self._cum
+        if cum is None:
             m = self.support.shape[0]
             return lambda n: rng.integers(0, m, size=n)
-        cum = np.cumsum(self.probabilities)
-        cum[-1] = 1.0
         return lambda n: np.searchsorted(cum, rng.random(n), side="right")
 
     def sampler(self, rng: Generator) -> Callable[[int], np.ndarray]:
@@ -306,37 +358,42 @@ def _blocks(run: WalkRun, norm: NormSpec, chunk: Optional[int] = None
     norms their norms.  Each block draws min(chunk, steps left) increments;
     the block that reaches stop_radius is cut just after that step, comes
     with exited = True and is the last.  Otherwise the blocks end after
-    horizon (or MAX_STEPS) steps.  chunk defaults to _block_size.
+    horizon (or MAX_STEPS) steps.  chunk defaults to _block_size.  The
+    iterator holds the replica's stream lease until it ends or is closed.
     """
     if norm.dim != run.step.dim:
         raise UsageError("norm and step distribution dimensions differ")
     if chunk is None:
         chunk = _block_size(run.stop_radius)
     step = run.step
-    draw = step._index_sampler(replica_rng(run.master_seed, run.replica_index))
     limit = run.horizon if run.horizon is not None else MAX_STEPS
     last = np.zeros(step.dim, dtype=np.int64)
     n_done = 0
-    while n_done < limit:
-        steps = np.take(step.support, draw(min(chunk, limit - n_done)), axis=0)
-        steps[0] += last
-        # numpy (2.4) accumulates int64 about 3x faster along a strided axis
-        # than along a contiguous one, so the running sum reads the
-        # row-major steps and writes the (d, m) block through its transpose.
-        cols = np.empty((step.dim, len(steps)), dtype=np.int64)
-        np.cumsum(steps, axis=0, out=cols.T)
-        norms = norm.values(cols.T)
-        exited = False
-        if run.stop_radius is not None:
-            over = norms >= run.stop_radius
-            stop = int(over.argmax())
-            if over[stop]:
-                cols, norms, exited = cols[:, :stop + 1], norms[:stop + 1], True
-        yield n_done + 1, cols, norms, exited
-        if exited:
-            return
-        last = cols[:, -1]
-        n_done += len(norms)
+    with replica_stream(run.master_seed, run.replica_index) as rng:
+        draw = step._index_sampler(rng)
+        while n_done < limit:
+            steps = np.take(step.support, draw(min(chunk, limit - n_done)),
+                            axis=0)
+            steps[0] += last
+            # numpy (2.4) accumulates int64 about 3x faster along a strided
+            # axis than along a contiguous one, so the running sum reads the
+            # row-major steps and writes the (d, m) block through its
+            # transpose.
+            cols = np.empty((step.dim, len(steps)), dtype=np.int64)
+            np.cumsum(steps, axis=0, out=cols.T)
+            norms = norm.values(cols.T)
+            exited = False
+            if run.stop_radius is not None:
+                over = norms >= run.stop_radius
+                stop = int(over.argmax())
+                if over[stop]:
+                    cols, norms = cols[:, :stop + 1], norms[:stop + 1]
+                    exited = True
+            yield n_done + 1, cols, norms, exited
+            if exited:
+                return
+            last = cols[:, -1]
+            n_done += len(norms)
 
 
 def _plus_levels(counts: np.ndarray, norms: np.ndarray) -> np.ndarray:

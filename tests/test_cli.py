@@ -87,6 +87,12 @@ class TestExitCodes:
                 assert run([*argv, "--replicas", bad]) == 1
                 assert "--replicas" in capsys.readouterr().err
 
+    def test_seed_past_64_bits_usage_error(self, capsys):
+        # refused as a usage error, not an OverflowError in a replica
+        assert run(["simulate", "--dim", "3", "--horizon", "10", "--replicas",
+                    "2", "--seed", str(2 ** 64)]) == 1
+        assert "below 2^64" in capsys.readouterr().err
+
     def test_shiga3_one_replica_usage_error(self, capsys):
         assert run(["jeulin", "--scenario", "shiga3", "--K", "100",
                     "--replicas", "1"]) == 1

@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 
 from normwalk import jeulin
 from normwalk.errors import UsageError
 from normwalk.jeulin import (
+    SHIGA5_UPPER,
     bernoulli_non_unifiable,
     bernoulli_scenario,
     harmonic,
@@ -106,6 +108,77 @@ def serial_map(one, replicas):
     return [one(i) for i in range(replicas)]
 
 
+def rung_scales(alpha, ladder):
+    """gap_j^{1/alpha}, gap_j the fsum of 1/k over rung j's own terms."""
+    return np.array([math.fsum(1.0 / k for k in range(lo + 1, hi + 1))
+                     ** (1.0 / alpha) for lo, hi in zip([0] + ladder, ladder)])
+
+
+def per_replica_shiga3(alpha, ladder, replicas, master_seed):
+    """Reference: the draw-dependent shiga3 fields, each replica's rung
+    partials made by its own sample_stable call and cumulative sum."""
+    scale = rung_scales(alpha, ladder)
+    partials = np.array([
+        np.cumsum(scale * sample_stable(alpha, 1.0, replica_rng(master_seed, i),
+                                        len(ladder)))
+        for i in range(replicas)])
+    return {"laplace_rows": tuple(
+                jeulin._laplace_row("K", k, np.exp(-partials[:, j]),
+                                    math.exp(-harmonic(k)))
+                for j, k in enumerate(ladder)),
+            "divergence_fractions": tuple(
+                float((partials[:, j] > 10.0).mean())
+                for j in range(len(ladder)))}
+
+
+def per_replica_shiga5(alpha, levels, replicas, master_seed, targets):
+    """Reference: the draw-dependent shiga5 fields, each replica transformed,
+    scaled and summed alone from two sample_stable calls (the cells', then
+    the rest's)."""
+    edges = [SHIGA5_UPPER * 0.5 ** j for j in range(levels + 1)]
+    rho = shiga5_density(alpha)
+    cell_mass = np.array([quad(rho, edges[j + 1], edges[j])[0]
+                          for j in range(levels - 1)])
+    cell_len = np.array([edges[j] - edges[j + 1] for j in range(levels)])
+    out = []
+    for i in range(replicas):
+        rng = replica_rng(master_seed, i)
+        incs = cell_len ** (1.0 / alpha) * sample_stable(alpha, 1.0, rng, levels)
+        x_left = np.cumsum(incs[::-1])[::-1][1:]
+        x_upper = incs.sum() + sample_stable(alpha, edges[levels], rng, 1)[0]
+        out.append(np.append(np.cumsum(x_left * cell_mass), x_upper))
+    out = np.array(out)
+    rows, xs = out[:, :-1], out[:, -1]
+    return {"laplace_rows": tuple(
+                jeulin._laplace_row("eps", edges[j + 1], np.exp(-rows[:, j]),
+                                    target)
+                for j, target in enumerate(targets)),
+            "partial_medians": tuple(float(np.median(rows[:, j]))
+                                     for j in range(levels - 1)),
+            "mean_trace": tuple(
+                float(xs[:n].mean()) for n in
+                np.unique(np.geomspace(10, replicas, 6).astype(int)))}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+class TestStackedTransform:
+    # the transform, scalings and sums run once on the stacked inputs and
+    # give exactly the reports of one transform per replica
+    def test_shiga3(self, cpus, workers, seed):
+        cpus(workers)
+        rep = shiga3_run(0.4, [10, 100, 1000], 301, seed)
+        want = per_replica_shiga3(0.4, [10, 100, 1000], 301, seed)
+        assert {f: getattr(rep, f) for f in want} == want
+
+    def test_shiga5(self, cpus, workers, seed):
+        cpus(workers)
+        rep = shiga5_run(0.4, 16, 301, seed)
+        targets = [r["target"] for r in rep.laplace_rows]
+        want = per_replica_shiga5(0.4, 16, 301, seed, targets)
+        assert {f: getattr(rep, f) for f in want} == want
+
+
 class TestShiga3:
     def test_alpha_gate(self):
         with pytest.raises(UsageError):
@@ -142,16 +215,20 @@ class TestShiga3:
         # every term.  Their rung partials and the rung increment must agree
         # in law (two-sample KS, Bonferroni over the 3 tests at family level
         # 0.01), and both must meet the exact target exp(-H_K) at every rung.
+        # The closure's unit draws are read off its one stacked transform.
         alpha, ladder, replicas = 0.4, [10, 50], 4000
         got = []
+        transform = jeulin._kanter
 
-        def recorded(one, n):
-            got.extend(serial_map(one, n))
-            return got
+        def recorded(a, u, e):
+            got.append(transform(a, u, e))
+            return got[-1]
 
-        monkeypatch.setattr(jeulin, "map_replicas", recorded)
+        monkeypatch.setattr(jeulin, "map_replicas", serial_map)
+        monkeypatch.setattr(jeulin, "_kanter", recorded)
         rep = shiga3_run(alpha, ladder, replicas, master_seed=1501)
-        closure = np.array(got)
+        (units,) = got
+        closure = np.cumsum(rung_scales(alpha, ladder) * units, axis=1)
         reference = per_term_partials(alpha, ladder, replicas, master_seed=1502)
 
         pairs = [(closure[:, j], reference[:, j]) for j in range(len(ladder))]
@@ -172,21 +249,30 @@ class TestShiga3:
             assert abs(w.mean() - target) <= 3.0 * se
 
     def test_one_draw_per_rung_and_declared_stream(self, monkeypatch):
-        # each replica makes one sample_stable call of len(ladder) draws from
-        # replica_rng(seed, i); draw j is scaled by gap_j^{1/alpha}, gap_j the
-        # fsum of 1/k over the rung's own terms, and the scaled draws summed
+        # each replica draws the Kanter inputs of len(ladder) unit draws from
+        # stream (seed, i), and the transform runs once, on the stacked
+        # inputs; draw j is scaled by gap_j^{1/alpha}, gap_j the fsum of 1/k
+        # over the rung's own terms, and the scaled draws summed.  The
+        # partials are those of one sample_stable call on replica_rng(seed, i)
         alpha, ladder, seed = 0.4, [100, 1000, 10_000], 7
         unit = jeulin.sample_stable
-        sizes = []
+        inputs, transform = jeulin._kanter_inputs, jeulin._kanter
+        sizes, shapes = [], []
 
-        def counted(a, t, rng, size=1):
+        def counted_inputs(rng, size):
             sizes.append(size)
-            return unit(a, t, rng, size)
+            return inputs(rng, size)
+
+        def counted_transform(a, u, e):
+            shapes.append(u.shape)
+            return transform(a, u, e)
 
         monkeypatch.setattr(jeulin, "map_replicas", serial_map)
-        monkeypatch.setattr(jeulin, "sample_stable", counted)
+        monkeypatch.setattr(jeulin, "_kanter_inputs", counted_inputs)
+        monkeypatch.setattr(jeulin, "_kanter", counted_transform)
         rep = shiga3_run(alpha, ladder, replicas=4, master_seed=seed)
         assert sizes == [len(ladder)] * 4
+        assert shapes == [(4, len(ladder))]
 
         gaps = [math.fsum(1.0 / k for k in range(lo + 1, hi + 1))
                 for lo, hi in zip([0] + ladder, ladder)]

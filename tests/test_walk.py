@@ -1,10 +1,13 @@
 import math
 import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from normwalk import jeulin, measures, summability, walk
 from normwalk.census import census_for
@@ -26,6 +29,7 @@ from normwalk.walk import (
     make_simple_walk,
     map_replicas,
     replica_rng,
+    replica_stream,
     simulate,
     site_visit_samples,
     total_level_local_time,
@@ -124,6 +128,25 @@ class TestStepDistribution:
                                support=np.array([[1, 0], [-1, 0]]),
                                probabilities=np.array([0.5, 0.5]))
         assert not check_a0(deg)
+
+    @pytest.mark.parametrize("law, uniform", [(make_simple_walk(3), True),
+                                              (make_lazy_walk(3), False)],
+                             ids=["simple", "lazy"])
+    def test_sampler_draws_the_index_formula(self, law, uniform):
+        # uniform laws draw bounded ints, the others invert the cumulative
+        # table with its last entry pinned to 1
+        assert law.uniform == uniform
+        rng = replica_rng(4, 2)
+        if uniform:
+            idx = [rng.integers(0, len(law.support), size=n) for n in (999, 37)]
+        else:
+            cum = np.cumsum(law.probabilities)
+            cum[-1] = 1.0
+            idx = [np.searchsorted(cum, rng.random(n), side="right")
+                   for n in (999, 37)]
+        draw = law.sampler(replica_rng(4, 2))
+        for n, want in zip((999, 37), idx):
+            assert draw(n).tobytes() == law.support[want].tobytes()
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(UsageError):
@@ -557,12 +580,119 @@ def test_replica_rng_streams_are_stable():
         replica_rng(-1, 0)
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Sets the CPU count map_replicas sees, without touching the real mask."""
-    def set_count(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    return set_count
+@pytest.mark.parametrize("key", [(2 ** 64, 0), (0, 2 ** 64), (-1, 0)])
+def test_keys_outside_64_bits_refused(key):
+    for stream in (replica_rng, replica_stream):
+        with pytest.raises(UsageError, match=r"below 2\^64"):
+            stream(*key)
+    assert replica_rng(2 ** 64 - 1, 2 ** 64 - 1).random() < 1.0
+
+
+def drawn(rng):
+    """Bounded ints, doubles, uniforms and exponentials, in that order."""
+    return (rng.integers(0, 6, 7).tolist(), rng.random(5).tolist(),
+            rng.uniform(0.0, math.pi, 3).tolist(),
+            rng.standard_exponential(9).tolist())
+
+
+def exit_walks(replicas):
+    return site_visit_samples(make_simple_walk(3), MAX3, (1, 0, 0),
+                              replicas=replicas, master_seed=3, k_cut=8)
+
+
+class TestReplicaStream:
+    @pytest.mark.parametrize("key", [(0, 0), (7, 3), (2 ** 64 - 1, 12345)])
+    def test_equals_a_fresh_philox(self, key):
+        want = drawn(Generator(Philox(key=np.array(key, dtype=np.uint64))))
+        assert drawn(replica_rng(*key)) == want
+        # the pair the next lease gets back holds a half-used uint32 from an
+        # odd count of bounded ints, and a partly used Philox buffer
+        with replica_stream(1, 2) as used:
+            used.integers(0, 6, 3)
+            state = used.bit_generator.state
+        assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+        with replica_stream(*key) as rng:
+            assert rng is used
+            assert drawn(rng) == want
+
+    def test_blocks_in_lockstep_keep_their_own_paths(self):
+        runs = [WalkRun(step=make_lazy_walk(3), master_seed=5, replica_index=i,
+                        horizon=3000) for i in (0, 1)]
+        alone = [[cols.tobytes() for _, cols, _, _ in _blocks(r, MAX3, 256)]
+                 for r in runs]
+        assert alone[0] != alone[1]
+        both = zip(_blocks(runs[0], MAX3, 256), _blocks(runs[1], MAX3, 256))
+        assert [list(p) for p in zip(*[(a[1].tobytes(), b[1].tobytes())
+                                       for a, b in both])] == alone
+
+    def test_nested_map_replicas(self, cpus):
+        cpus(2)
+
+        def inner(j):
+            with replica_stream(8, j) as rng:
+                return rng.random(2).tolist()
+
+        def one(i):
+            with replica_stream(7, i) as rng:
+                return rng.random(2).tolist(), map_replicas(inner, 3), \
+                    rng.random(2).tolist()
+
+        def fresh(i):
+            rng = replica_rng(7, i)
+            return rng.random(2).tolist(), \
+                [replica_rng(8, j).random(2).tolist() for j in range(3)], \
+                rng.random(2).tolist()
+
+        assert map_replicas(one, 4) == [fresh(i) for i in range(4)]
+        no_child_left()
+
+    def test_threads_never_share_a_stream(self):
+        # more threads than cores, switching often: a pair handed to two
+        # live leases would interleave their draws
+        def lease(t, out):
+            for i in range(100):
+                with replica_stream(t, i) as rng:
+                    out.append(rng.random(3).tolist() + rng.random(3).tolist())
+
+        results = [[] for _ in range(6)]
+        threads = [threading.Thread(target=lease, args=(t, results[t]))
+                   for t in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [[replica_rng(t, i).random(6).tolist()
+                            for i in range(100)] for t in range(6)]
+
+    def test_error_inside_a_lease_returns_it(self):
+        with pytest.raises(KeyError):
+            with replica_stream(1, 1) as leased:
+                raise KeyError(1)
+        with replica_stream(2, 2) as rng:
+            assert rng is leased
+            assert drawn(rng) == drawn(replica_rng(2, 2))
+
+    @pytest.mark.parametrize("loop", [
+        lambda n: jeulin.shiga3_run(0.4, [10, 100], n, 11), exit_walks],
+        ids=["shiga3", "exit_walks"])
+    def test_serial_loop_builds_at_most_one_philox(self, cpus, monkeypatch,
+                                                    loop):
+        cpus(1)
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return Philox(*args, **kwargs)
+
+        monkeypatch.setattr(walk, "Philox", counted)
+        loop(50)
+        assert len(built) <= 1
 
 
 def no_child_left():
