@@ -115,6 +115,11 @@ class NormSpec:
             if not validate_unimodular(arr):
                 raise UsageError("transform must be unimodular (|det| = 1)")
             object.__setattr__(self, "transform", arr.astype(np.int64))
+        weights = (np.arange(1, self.dim + 1, dtype=np.int64) if self.family == "w1"
+                   else np.ones(self.dim, dtype=np.int64))
+        weights.flags.writeable = False
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_weight_list", weights.tolist())
 
     # frozen dataclass with ndarray field: compare/hash by content description
     def __eq__(self, other):
@@ -138,10 +143,9 @@ class NormSpec:
 
     @property
     def weights(self) -> np.ndarray:
-        """Coordinate weights of the weighted l1 shape: 1..dim for w1, else 1."""
-        if self.family == "w1":
-            return np.arange(1, self.dim + 1, dtype=np.int64)
-        return np.ones(self.dim, dtype=np.int64)
+        """Coordinate weights of the weighted l1 shape: 1..dim for w1, else 1
+        (read-only, fixed at construction)."""
+        return self._weights
 
     # -- evaluation -------------------------------------------------------
 
@@ -159,7 +163,7 @@ class NormSpec:
         y = self._apply_transform_exact(x)
         if self.max_shaped:
             return self.factor * max(abs(v) for v in y)
-        return sum(w * abs(v) for w, v in zip(self.weights.tolist(), y))
+        return sum(w * abs(v) for w, v in zip(self._weight_list, y))
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Vectorised norm of an (n, dim) int array; returns int64 array.
@@ -175,10 +179,11 @@ class NormSpec:
             raise UsageError(f"points have dim {pts.shape[1]}, norm expects {self.dim}")
         if pts.dtype != np.int64:
             pts = pts.astype(np.int64)
-        max_shaped, weights = self.max_shaped, self.weights.tolist()
-        out = self._abs_coordinate(pts, 0)  # weight 1 in the weighted l1 shape
+        max_shaped, weights = self.max_shaped, self._weight_list
+        out = self._abs_coordinate(pts, 0, None)  # weight 1 in the weighted l1 shape
+        a = None  # one temporary, reused by every later coordinate
         for i in range(1, self.dim):
-            a = self._abs_coordinate(pts, i)
+            a = self._abs_coordinate(pts, i, a)
             if max_shaped:
                 np.maximum(out, a, out=out)
                 continue
@@ -189,17 +194,19 @@ class NormSpec:
             out *= self.factor
         return out
 
-    def _abs_coordinate(self, pts: np.ndarray, i: int) -> np.ndarray:
-        """|(A x)^i| for every row x of pts, as a new int64 array."""
+    def _abs_coordinate(self, pts: np.ndarray, i: int,
+                        out: Optional[np.ndarray]) -> np.ndarray:
+        """|(A x)^i| for every row x of pts, written into the int64 array
+        out (a new one when out is None)."""
         if self.transform is None:
-            return np.abs(pts[:, i])
+            return np.abs(pts[:, i], out=out)
         acc = None
         for j, a in enumerate(self.transform[i].tolist()):
             if a == 0:
                 continue
             col = pts[:, j]
             if acc is None:
-                acc = col * a
+                acc = np.multiply(col, a, out=out)
             elif a == 1:
                 acc += col
             elif a == -1:
@@ -303,24 +310,24 @@ def iter_box_slabs(dim: int, radius: int) -> Iterator[np.ndarray]:
     """Yield the lattice cube [-radius, radius]^dim in coordinate slabs.
 
     Slabs are sliced along the first coordinate so peak memory stays below
-    2^20 points; iteration order is deterministic.
+    2^20 points.  The points come in lexicographic order (the order of
+    ``np.meshgrid(..., indexing="ij")``), slab after slab.  Each slab is the
+    (n, dim) transposed view of a (dim, n) int64 block, the walk kernel's
+    layout: coordinate i of every point is one contiguous row, which
+    `NormSpec.values` reads.
     """
     side = 2 * radius + 1
     per_slab = side ** (dim - 1)
-    if dim == 1:
-        yield np.arange(-radius, radius + 1, dtype=np.int64)[:, None]
-        return
-    axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * (dim - 1)
-    rest = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim - 1)
+    axis = np.arange(-radius, radius + 1, dtype=np.int64)
     first_per_chunk = max(1, (1 << 20) // per_slab)
-    firsts = np.arange(-radius, radius + 1, dtype=np.int64)
     for i in range(0, side, first_per_chunk):
-        chunk_firsts = firsts[i:i + first_per_chunk]
-        m = chunk_firsts.size
-        block = np.empty((m * per_slab, dim), dtype=np.int64)
-        block[:, 0] = np.repeat(chunk_firsts, per_slab)
-        block[:, 1:] = np.tile(rest, (m, 1))
-        yield block
+        firsts = axis[i:i + first_per_chunk]
+        block = np.empty((dim, firsts.size * per_slab), dtype=np.int64)
+        block[0].reshape(firsts.size, per_slab)[:] = firsts[:, None]
+        for j in range(1, dim):
+            # coordinate j holds each axis value for side^(dim-1-j) points in a row
+            block[j].reshape(-1, side, side ** (dim - 1 - j))[:] = axis[:, None]
+        yield block.T
 
 
 def _cube_shell(dim: int, k: int) -> np.ndarray:

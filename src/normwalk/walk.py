@@ -221,21 +221,30 @@ def _child(one: Callable[[int], T], indices: range, write: int) -> None:
 
 @dataclass(frozen=True)
 class StepDistribution:
-    """Finite-support increment law with moment certificates."""
+    """Finite-support increment law with moment certificates.
+
+    The support, the probabilities and the moments are read-only arrays,
+    fixed at construction with the sampler's table.
+    """
 
     dim: int
     support: np.ndarray        # (m, dim) int64
     probabilities: np.ndarray  # (m,) float, sums to 1
 
     def __post_init__(self):
-        sup = np.asarray(self.support, dtype=np.int64)
-        p = np.asarray(self.probabilities, dtype=float)
+        # own copies: the tables and moments below are derived from them
+        sup = np.array(self.support, dtype=np.int64)
+        p = np.array(self.probabilities, dtype=float)
         if sup.ndim != 2 or sup.shape[1] != self.dim:
             raise UsageError("support must be an (m, dim) integer array")
-        if p.shape != (sup.shape[0],) or np.any(p < 0):
-            raise UsageError("probabilities must be nonnegative, one per atom")
+        # a nan compares False, so it would pass the sign and sum checks
+        if (p.shape != (sup.shape[0],) or not np.all(np.isfinite(p))
+                or np.any(p < 0)):
+            raise UsageError("probabilities must be finite and nonnegative, "
+                             "one per atom")
         if abs(p.sum() - 1.0) > 1e-12:
             raise UsageError(f"probabilities sum to {p.sum()!r}, not 1")
+        sup.flags.writeable = p.flags.writeable = False
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "probabilities", p)
         # the index sampler's table, fixed here: None for a uniform law
@@ -244,26 +253,31 @@ class StepDistribution:
             cum = np.cumsum(p)
             cum[-1] = 1.0
         object.__setattr__(self, "_cum", cum)
+        # the moments, fixed here
+        x = sup.astype(float)
+        mean = p @ x
+        cov = ((x - mean).T * p) @ (x - mean)
+        mean.flags.writeable = cov.flags.writeable = False
+        object.__setattr__(self, "_mean", mean)
+        object.__setattr__(self, "_covariance", cov)
+        object.__setattr__(self, "_sigma2", float(np.trace(cov) / self.dim))
 
     @property
     def mean(self) -> np.ndarray:
-        return self.probabilities @ self.support.astype(float)
+        return self._mean
 
     @property
     def covariance(self) -> np.ndarray:
-        x = self.support.astype(float)
-        m = self.mean
-        return ((x - m).T * self.probabilities) @ (x - m)
+        return self._covariance
 
     @property
     def sigma2(self) -> float:
-        return float(np.trace(self.covariance) / self.dim)
+        return self._sigma2
 
     @property
     def isotropy_deviation(self) -> float:
         """max |Q_ij - sigma^2 delta_ij|; 0 means exactly isotropic."""
-        q = self.covariance
-        return float(np.abs(q - self.sigma2 * np.eye(self.dim)).max())
+        return float(np.abs(self._covariance - self._sigma2 * np.eye(self.dim)).max())
 
     @property
     def uniform(self) -> bool:

@@ -387,6 +387,15 @@ def lazy_field():
     return GreenField(make_lazy_walk(3), n_max=600, box_radius=24)
 
 
+class TestGreenQueryPinned:
+    def test_value_and_bound_bits(self):
+        # recorded before the step moments were fixed at construction
+        field = GreenField(make_simple_walk(3), n_max=200, box_radius=12)
+        est = field.green((3, 1, 0))
+        assert est.value.hex() == "0x1.39822d25a3106p-3"
+        assert est.error_bound.hex() == "0x1.41809aba8e377p-4"
+
+
 class TestDPBoundAgainstExact:
     # the realised error is below 5e-4 of error_bound at these points
     POINTS = [(0, 0, 0), (1, 0, 0), (3, 0, 0), (2, 2, 1), (6, 0, 0)]

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -31,6 +32,15 @@ class TestNormValues:
 
     def test_weighted_l1(self):
         assert make_norm("w1", 3).value([1, -2, 3]) == 1 * 1 + 2 * 2 + 3 * 3
+
+    @pytest.mark.parametrize("family, want", [("w1", [1, 2, 3]), ("l1", [1, 1, 1]),
+                                              ("max", [1, 1, 1])])
+    def test_weights_fixed_at_construction(self, family, want):
+        spec = make_norm(family, 3)
+        assert spec.weights is spec.weights
+        assert spec.weights.dtype == np.int64 and spec.weights.tolist() == want
+        with pytest.raises(ValueError):
+            spec.weights[0] = 5
 
     def test_unimodular_example(self):
         spec = make_norm("l1", 3, transform=UNIMODULAR)
@@ -181,6 +191,44 @@ class TestSpherePointsAndCounts:
         spec = make_norm("scaled_max", 3, factor=2)
         assert sphere_points(spec, 3).shape[0] == 0
         assert sphere_points(spec, 4).shape[0] == 98
+
+
+class TestBoxSlabs:
+    @pytest.mark.parametrize("dim, radius", [(1, 3), (2, 4), (3, 3), (4, 2), (4, 16)])
+    def test_lexicographic_order_and_layout(self, dim, radius):
+        # d = 4, radius 16 spans 33 first coordinates in two slabs
+        slabs = list(iter_box_slabs(dim, radius))
+        axis = np.arange(-radius, radius + 1, dtype=np.int64)
+        ref = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
+                       axis=-1).reshape(-1, dim)
+        assert len(slabs) == (2 if (dim, radius) == (4, 16) else 1)
+        for slab in slabs:
+            assert slab.dtype == np.int64 and slab.shape[1] == dim
+            assert slab.T.flags.c_contiguous
+        assert np.array_equal(np.concatenate(slabs), ref)
+
+
+def product_sphere(spec, k):
+    """Points of norm k in lexicographic order, by spec.value over the box."""
+    r = spec.enclosing_box_radius(k)
+    pts = [p for p in itertools.product(range(-r, r + 1), repeat=spec.dim)
+           if spec.value(p) == k]
+    return np.array(pts, dtype=np.int64).reshape(-1, spec.dim)
+
+
+class TestSpherePointsOracle:
+    SPECS = [make_norm("l1", 2), make_norm("w1", 2),
+             make_norm("l1", 2, transform=[[2, 1], [1, 1]]),
+             make_norm("l1", 3), make_norm("w1", 3),
+             make_norm("l1", 3, transform=UNIMODULAR)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: json.dumps(s.describe()))
+    def test_equals_product_enumeration_in_order(self, spec):
+        for k in range(7):
+            got = sphere_points(spec, k)
+            want = product_sphere(spec, k)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestEuclidRange:

@@ -153,6 +153,53 @@ class TestStepDistribution:
             StepDistribution(dim=1, support=np.array([[1], [-1]]),
                              probabilities=np.array([0.6, 0.6]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_refused(self, bad):
+        # a nan compares False, so it slips past the sign and sum checks
+        with pytest.raises(UsageError, match="finite"):
+            StepDistribution(dim=1, support=np.array([[1], [-1]]),
+                             probabilities=np.array([bad, 1.0]))
+
+
+ASYMMETRIC = StepDistribution(dim=2,
+                              support=np.array([[1, 0], [0, 1], [-1, -2]]),
+                              probabilities=np.array([0.5, 0.3, 0.2]))
+
+
+class TestMoments:
+    """Mean, covariance and sigma^2 are fixed at construction, read-only."""
+
+    LAWS = [make_simple_walk(3), make_lazy_walk(3), ASYMMETRIC]
+
+    @pytest.mark.parametrize("law", LAWS, ids=["simple", "lazy", "asymmetric"])
+    def test_read_only_and_the_same_object(self, law):
+        for name in ("mean", "covariance"):
+            arr = getattr(law, name)
+            assert arr is getattr(law, name)
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_law_arrays_are_read_only_copies(self):
+        support, probs = np.array([[1], [-1]]), np.array([0.5, 0.5])
+        law = StepDistribution(dim=1, support=support, probabilities=probs)
+        for arr in (law.support, law.probabilities):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        probs[0] = 0.0  # the caller's arrays stay the caller's
+        assert law.probabilities.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("law", LAWS, ids=["simple", "lazy", "asymmetric"])
+    def test_bit_equal_to_the_formulas(self, law):
+        x = law.support.astype(float)
+        mean = law.probabilities @ x
+        cov = ((x - mean).T * law.probabilities) @ (x - mean)
+        sigma2 = float(np.trace(cov) / law.dim)
+        assert law.mean.tobytes() == mean.tobytes()
+        assert law.covariance.tobytes() == cov.tobytes()
+        assert law.sigma2.hex() == sigma2.hex()
+        dev = float(np.abs(cov - sigma2 * np.eye(law.dim)).max())
+        assert law.isotropy_deviation.hex() == dev.hex()
+
 
 PER_REPLICA = {
     "site_visit_samples":
