@@ -36,6 +36,7 @@ from .norms import FAMILIES, NormSpec, make_norm
 from .summability import PowerLaw, PowerLog, zero_one_experiment
 from .walk import (
     WalkRun,
+    lattice_point,
     make_simple_walk,
     map_replicas,
     simulate,
@@ -192,9 +193,7 @@ def _cmd_simulate(args, em: Emitter) -> None:
 
 def _cmd_green(args, em: Emitter) -> None:
     step = make_simple_walk(args.dim)
-    x = tuple(int(v) for v in args.x.split(","))
-    if len(x) != args.dim:
-        raise UsageError("--x must have --dim coordinates")
+    x = lattice_point(_parse_int_list(args.x), args.dim)
     if args.method == "dp":
         est = green_dp(step, x, n_max=args.nmax, box_radius=args.box_radius)
         value, bound = est.value, est.error_bound
@@ -266,6 +265,13 @@ def _cmd_invariance(args, em: Emitter) -> None:
     }
 
 
+def _laplace_report(rows: Sequence[dict]) -> dict:
+    """The targets, empirical means and z-scores of Laplace rows, as lists."""
+    return {"laplace_targets": [r["target"] for r in rows],
+            "laplace_empirical": [r["empirical"] for r in rows],
+            "z_scores": [r["z"] for r in rows]}
+
+
 def _cmd_jeulin(args, em: Emitter) -> None:
     if args.scenario == "bernoulli":
         rep = bernoulli_non_unifiable()
@@ -279,24 +285,16 @@ def _cmd_jeulin(args, em: Emitter) -> None:
                     [(row["K"], row["target"], row["empirical"], row["z"], fr)
                      for row, fr in zip(rep.laplace_rows,
                                         rep.divergence_fractions)])
-        em.report = {
-            "laplace_targets": [r["target"] for r in rep.laplace_rows],
-            "laplace_empirical": [r["empirical"] for r in rep.laplace_rows],
-            "z_scores": [r["z"] for r in rep.laplace_rows],
-            "divergence_fractions": list(rep.divergence_fractions),
-        }
+        em.report = {**_laplace_report(rep.laplace_rows),
+                     "divergence_fractions": list(rep.divergence_fractions)}
     elif args.scenario == "shiga5":
         rep = shiga5_run(args.alpha, args.levels, args.replicas, args.seed)
         em.csv_rows(["eps", "target", "empirical", "z"],
                     [(r["eps"], r["target"], r["empirical"], r["z"])
                      for r in rep.laplace_rows])
-        em.report = {
-            "phi_integral": rep.phi_integral,
-            "laplace_targets": [r["target"] for r in rep.laplace_rows],
-            "laplace_empirical": [r["empirical"] for r in rep.laplace_rows],
-            "z_scores": [r["z"] for r in rep.laplace_rows],
-            "partial_medians": list(rep.partial_medians),
-        }
+        em.report = {"phi_integral": rep.phi_integral,
+                     **_laplace_report(rep.laplace_rows),
+                     "partial_medians": list(rep.partial_medians)}
     else:  # harness; argparse choices admit no other scenario
         scen = shiga3_scenario(args.alpha) if args.alpha < 0.5 else route_a_scenario(2.0)
         fam = [PowerLaw(4.0), PowerLaw(2.5), PowerLaw(1.0 / args.alpha)] \

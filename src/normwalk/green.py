@@ -25,27 +25,35 @@ import numpy as np
 
 from .errors import ResourceError, UsageError
 from .norms import NormSpec, sphere_points
-from .walk import (StepDistribution, _exit_bias, check_replicas, default_k_cut,
-                   site_visit_samples, spitzer_constant_isotropic)
+from .walk import (StepDistribution, _site_statistic, check_transient,
+                   lattice_point, spitzer_constant_isotropic)
 
 FIELD_BUDGET = 1_280_000_000  # bytes the DP may hold; see GreenField
 
 
-def spitzer_asymptotic(q: np.ndarray, x: Sequence[float]) -> float:
-    """Leading-order G(0,x): Gamma(d/2-1)/(2 pi^{d/2}) |det Q|^{-1/2} (x,Q^{-1}x)^{1-d/2}."""
+def _gauss_form(q: np.ndarray, x: Sequence[float]) -> tuple[int, float, float]:
+    """(d, det Q, x.Q^{-1}x) for a covariance Q of a transient walk (d >= 3,
+    det Q > 0) and a point x of R^d: the Gaussian form of the local CLT."""
     q = np.asarray(q, dtype=float)
     d = q.shape[0]
     if q.shape != (d, d):
         raise UsageError("Q must be square")
-    const = spitzer_constant_isotropic(d, 1.0)  # refuses d < 3
-    det = np.linalg.det(q)
+    check_transient(d, "the local-CLT Green terms")
+    det = float(np.linalg.det(q))
     if det <= 0:
         raise UsageError("Q must be positive definite")
     v = np.asarray(x, dtype=float)
-    quad = float(v @ np.linalg.solve(q, v))
+    if v.shape != (d,):
+        raise UsageError(f"point {x} does not have dimension {d}")
+    return d, det, float(v @ np.linalg.solve(q, v))
+
+
+def spitzer_asymptotic(q: np.ndarray, x: Sequence[float]) -> float:
+    """Leading-order G(0,x): Gamma(d/2-1)/(2 pi^{d/2}) |det Q|^{-1/2} (x,Q^{-1}x)^{1-d/2}."""
+    d, det, quad = _gauss_form(q, x)
     if quad <= 0:
         raise UsageError("x must be nonzero")
-    return const * det ** -0.5 * quad ** (1 - d / 2)
+    return spitzer_constant_isotropic(d, 1.0) * det ** -0.5 * quad ** (1 - d / 2)
 
 
 def clt_tail_estimate(q: np.ndarray, x: Sequence[float], n_from: int) -> float:
@@ -57,11 +65,8 @@ def clt_tail_estimate(q: np.ndarray, x: Sequence[float], n_from: int) -> float:
     """
     from scipy.special import gammainc
 
-    q = np.asarray(q, dtype=float)
-    d = q.shape[0]
-    det = float(np.linalg.det(q))
-    v = np.asarray(x, dtype=float)
-    a = float(v @ np.linalg.solve(q, v)) / 2.0
+    d, det, quad = _gauss_form(q, x)
+    a = quad / 2.0
     c = det ** -0.5 * (2 * math.pi) ** (-d / 2)
     s = d / 2 - 1
     if a == 0.0:
@@ -71,6 +76,7 @@ def clt_tail_estimate(q: np.ndarray, x: Sequence[float], n_from: int) -> float:
 
 def clt_tail_bound(d: int, sigma2: float, n_from: int) -> float:
     """Conservative tail bound 2 (2 pi sigma^2)^{-d/2} sum_{n>N} n^{-d/2}."""
+    check_transient(d, "the CLT tail bound")
     s = d / 2
     zeta_tail = n_from ** (1 - s) / (s - 1) + 0.5 * n_from ** -s
     return 2.0 * (2 * math.pi * sigma2) ** (-s) * zeta_tail
@@ -177,17 +183,15 @@ class GreenField:
         return g[rep_of], leak
 
     def partial_at(self, x: Sequence[int]) -> float:
-        if len(x) != self.step.dim:
-            raise UsageError(f"point {tuple(x)} does not have the walk's "
-                             f"dimension {self.step.dim}")
-        idx = tuple(int(v) + self.box_radius for v in x)
+        idx = tuple(v + self.box_radius for v in lattice_point(x, self.step.dim))
         if any(i < 0 or i > 2 * self.box_radius for i in idx):
             raise UsageError(f"point {tuple(x)} lies outside the DP box")
         return float(self.partial[idx])
 
     def green(self, x: Sequence[int]) -> GreenEstimate:
-        """Partial sum plus CLT tail; leak and tail slack in the bound."""
-        x = tuple(int(v) for v in x)
+        """Partial sum plus CLT tail; leak and tail slack in the bound.
+        Refuses d <= 2, where the tail diverges."""
+        x = lattice_point(x, self.step.dim)
         q = self.step.covariance
         partial = self.partial_at(x)
         tail = clt_tail_estimate(q, x, self.n_max)
@@ -277,7 +281,10 @@ def default_box_radius(x: Sequence[int], n_max: int) -> int:
 
 def green_dp(step: StepDistribution, x: Sequence[int], n_max: int = 4000,
              box_radius: Optional[int] = None) -> GreenEstimate:
-    """Single-point DP estimate; build a GreenField directly to batch queries."""
+    """Single-point DP estimate; build a GreenField directly to batch queries.
+    x and d >= 3 are checked before the field is built."""
+    x = lattice_point(x, step.dim)
+    check_transient(step.dim, "the Green function")
     if box_radius is None:
         box_radius = default_box_radius(x, n_max)
     field = GreenField(step, n_max=n_max, box_radius=box_radius)
@@ -288,17 +295,13 @@ def green_mc(step: StepDistribution, norm: NormSpec, x: Sequence[int],
              replicas: int, master_seed: int,
              k_cut: Optional[int] = None) -> GreenEstimate:
     """Mean truncated site local time at x across replicas; ``undercovered``
-    when `_exit_bias`, the visits missed after the exit of k_cut, exceeds
-    the standard error (error_bound / 3), which needs at least 2 replicas."""
-    check_replicas(replicas, 2)
-    x = tuple(int(v) for v in x)
-    if k_cut is None:
-        k_cut = default_k_cut(norm.value(x))
-    visits = site_visit_samples(step, norm, x, replicas, master_seed,
-                                k_cut=k_cut)
+    when the bias `_site_statistic` estimates for the visits missed after
+    the exit of k_cut exceeds the standard error (error_bound / 3), which
+    needs at least 2 replicas."""
+    x, _, visits, bias = _site_statistic(step, norm, x, replicas, master_seed,
+                                         k_cut)
     mean = float(visits.mean())
     se = float(visits.std(ddof=1) / math.sqrt(replicas))
-    bias = _exit_bias(step, norm, x, k_cut)
     return GreenEstimate(x=x, value=mean, method="mc", error_bound=3 * se,
                          replicas=replicas, undercovered=bool(bias > se))
 

@@ -77,6 +77,24 @@ def _kanter(alpha: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
     return (a / e) ** ((1.0 - alpha) / alpha)
 
 
+def _stacked_units(alpha: float, sizes: Sequence[int], replicas: int,
+                   master_seed: int) -> np.ndarray:
+    """Unit one-sided stable draws, one row of sum(sizes) per replica.
+
+    Replica i draws from stream (seed, i) the Kanter inputs of each size in
+    turn, as consecutive sample_stable calls would; the transform runs
+    once, on the stacked inputs (all U, then all E, per row).
+    """
+
+    def one(i: int) -> np.ndarray:
+        with replica_stream(master_seed, i) as rng:
+            drawn = [_kanter_inputs(rng, n) for n in sizes]
+        return np.concatenate([u for u, _ in drawn] + [e for _, e in drawn])
+
+    inputs = np.array(map_replicas(one, replicas))
+    return _kanter(alpha, *np.hsplit(inputs, 2))
+
+
 def _laplace_row(key: str, label, w: np.ndarray, target: float) -> dict:
     """Sample mean of the Laplace weights w against its exact target.
 
@@ -157,12 +175,7 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
     scale = np.array([math.fsum(1.0 / k for k in range(lo + 1, hi + 1))
                       ** (1.0 / alpha) for lo, hi in zip([0] + ladder, ladder)])
 
-    def one(i: int) -> np.ndarray:  # U(n), E(n)
-        with replica_stream(master_seed, i) as rng:
-            return np.concatenate(_kanter_inputs(rng, len(ladder)))
-
-    inputs = np.array(map_replicas(one, replicas))
-    units = _kanter(alpha, *np.hsplit(inputs, 2))
+    units = _stacked_units(alpha, [len(ladder)], replicas, master_seed)
     partials = np.cumsum(scale * units, axis=1)
 
     laplace_rows = [_laplace_row("K", k, np.exp(-partials[:, j]),
@@ -265,14 +278,7 @@ def shiga5_run(alpha: float, levels: int, replicas: int,
             total += cell_len[i] * coeff ** alpha
         return float(total)
 
-    def one(i: int) -> np.ndarray:  # U(levels), U(1), E(levels), E(1)
-        with replica_stream(master_seed, i) as rng:
-            (u, e), (u1, e1) = (_kanter_inputs(rng, levels),
-                                _kanter_inputs(rng, 1))
-        return np.concatenate([u, u1, e, e1])
-
-    inputs = np.array(map_replicas(one, replicas))
-    units = _kanter(alpha, *np.hsplit(inputs, 2))
+    units = _stacked_units(alpha, [levels, 1], replicas, master_seed)
     incs = cell_len ** (1.0 / alpha) * units[:, :levels]  # scaling per cell
     # X at the left endpoint of cell j < levels - 1: the increments below
     x_left = np.cumsum(incs[:, ::-1], axis=1)[:, ::-1][:, 1:]
@@ -431,23 +437,20 @@ def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunct
     ks = np.arange(1, k_top + 1, dtype=np.int64)
 
     family = {f.label: f for f in f_family}  # one row per distinct f
-    f_vals = {label: np.asarray(f(ks), dtype=float) for label, f in family.items()}
+    f_vals = np.array([np.asarray(f(ks), dtype=float) for f in family.values()]
+                      ).reshape(len(family), k_top)
+    at = np.array(ladder) - 1
 
-    def one(i: int) -> dict:
+    def one(i: int) -> np.ndarray:  # (len(family), len(ladder)) partials
         with replica_stream(master_seed, i) as rng:
             v = scenario.v_sampler(rng, k_top)
-        out = {}
-        for label, fv in f_vals.items():
-            csum = np.cumsum(fv * v)
-            out[label] = [csum[k - 1] for k in ladder]
-        return out
+        return np.cumsum(f_vals * v, axis=1)[:, at]
 
-    per_replica = map_replicas(one, replicas)
+    partials = np.array(map_replicas(one, replicas))
 
     rows = []
-    for label, f in family.items():
-        mat = np.array([r[label] for r in per_replica], dtype=float)
-        stab = float(stabilized(mat, 1e-9, eps_rel).mean())
+    for j, (label, f) in enumerate(family.items()):
+        stab = float(stabilized(partials[:, j], 1e-9, eps_rel).mean())
         verdict, _ = _decide_weighted(f, power=scenario.phi_exponent)
         finite_evidence = stab >= stabilized_threshold
         violated = finite_evidence and verdict == Verdict.DIVERGES

@@ -38,7 +38,8 @@ from .census import SphereCensus, growth_bounds
 from .errors import UsageError
 from .norms import NormSpec
 from .walk import (StepDistribution, WalkRun, check_a0, check_ladder,
-                   check_replicas, f_sums, level_counts, map_replicas)
+                   check_replicas, check_transient, f_sums, level_counts,
+                   map_replicas)
 
 EXCURSION_ALLOWANCE_FACTOR = 5.0
 ALLOWANCE_SUM_CAP = 10_000
@@ -346,9 +347,7 @@ def zero_one_experiment(step: StepDistribution, norm: NormSpec,
     criticality; boundary exponents need longer ladders).  A step law
     that fails check_a0 (zero mean, isotropic covariance) is refused.
     """
-    if norm.dim <= 2:
-        raise UsageError("d <= 2 walks are recurrent; finiteness forces f = 0, "
-                         "so the experiment is unsupported there")
+    check_transient(norm.dim, "the zero-one experiment")
     if not check_a0(step):
         raise UsageError("step law violates the isotropy assumption "
                          "(zero mean, covariance sigma^2 I); the experiment "

@@ -76,6 +76,28 @@ def check_replicas(replicas: int, floor: int) -> None:
         raise UsageError(f"replicas must be >= {floor}, got {replicas}")
 
 
+def check_transient(dim: int, what: str) -> None:
+    """Refuse d <= 2: the walk is recurrent there, so G(0, x) and the total
+    local times are infinite and `what` has no finite value."""
+    if dim < 3:
+        raise UsageError(f"{what}: d = {dim} walks are recurrent, only "
+                         "transient ones (d >= 3) are supported")
+
+
+def lattice_point(x: Sequence, dim: int) -> tuple[int, ...]:
+    """x as a tuple of ints: dim coordinates, each an integer (1.0 and
+    numpy integers count, 1.5 does not)."""
+    values = tuple(x)
+    try:
+        point = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
+        point = None
+    if point is None or len(point) != dim or point != values:
+        raise UsageError(f"point ({', '.join(map(str, values))}) is not a "
+                         f"lattice point of dimension {dim}")
+    return point
+
+
 def _key(master_seed: int, replica_index: int) -> np.ndarray:
     """The Philox key of stream (master_seed, replica_index): the one
     derivation of a replica's stream.  Each part must lie in [0, 2^64)."""
@@ -283,18 +305,15 @@ class StepDistribution:
     def uniform(self) -> bool:
         return self._cum is None
 
-    def _index_sampler(self, rng: Generator) -> Callable[[int], np.ndarray]:
-        """Returns a function n -> (n,) int64 indices into the support."""
-        cum = self._cum
-        if cum is None:
-            m = self.support.shape[0]
-            return lambda n: rng.integers(0, m, size=n)
-        return lambda n: np.searchsorted(cum, rng.random(n), side="right")
-
     def sampler(self, rng: Generator) -> Callable[[int], np.ndarray]:
-        """Returns a function n -> (n, dim) int64 increments."""
-        draw = self._index_sampler(rng)
-        return lambda n: self.support[draw(n)]
+        """Returns a function n -> (n, dim) int64 increments, a new array
+        per call: n support indices from rng, gathered."""
+        sup, cum = self.support, self._cum
+        if cum is None:
+            m = sup.shape[0]
+            return lambda n: np.take(sup, rng.integers(0, m, size=n), axis=0)
+        return lambda n: np.take(
+            sup, np.searchsorted(cum, rng.random(n), side="right"), axis=0)
 
 
 def make_simple_walk(d: int) -> StepDistribution:
@@ -384,10 +403,9 @@ def _blocks(run: WalkRun, norm: NormSpec, chunk: Optional[int] = None
     last = np.zeros(step.dim, dtype=np.int64)
     n_done = 0
     with replica_stream(run.master_seed, run.replica_index) as rng:
-        draw = step._index_sampler(rng)
+        draw = step.sampler(rng)
         while n_done < limit:
-            steps = np.take(step.support, draw(min(chunk, limit - n_done)),
-                            axis=0)
+            steps = draw(min(chunk, limit - n_done))
             steps[0] += last
             # numpy (2.4) accumulates int64 about 3x faster along a strided
             # axis than along a contiguous one, so the running sum reads the
@@ -540,8 +558,7 @@ def total_level_local_time(step: StepDistribution, norm: NormSpec, k: int,
 
     Requires d >= 3 (transient regime) and k_cut >= 2k; default k_cut = 8k.
     """
-    if norm.dim < 3:
-        raise UsageError("total local times require d >= 3 (transient walk)")
+    check_transient(norm.dim, "total local times")
     if k < 1:
         raise UsageError("k must be >= 1")
     if k_cut is None:
@@ -559,13 +576,10 @@ def site_visit_samples(step: StepDistribution, norm: NormSpec,
                        x: Sequence[int], replicas: int, master_seed: int,
                        k_cut: int) -> np.ndarray:
     """Per-replica visit counts to the site x before exiting k_cut."""
-    if norm.dim < 3:
-        raise UsageError("total local times require d >= 3 (transient walk)")
-    target = np.asarray(x, dtype=np.int64)
-    if target.shape != (step.dim,):
-        raise UsageError("x must be a lattice point of the walk's dimension")
+    check_transient(norm.dim, "site visit counts")
+    target = lattice_point(x, step.dim)
     check_replicas(replicas, 1)
-    if norm.value([int(v) for v in target]) >= k_cut:
+    if norm.value(target) >= k_cut:
         # a site at or past the cut is never reached before the exit
         return np.zeros(replicas, dtype=np.int64)
 
@@ -578,32 +592,37 @@ def site_visit_samples(step: StepDistribution, norm: NormSpec,
     return _exit_counts(step, norm, k_cut, replicas, master_seed, visits)
 
 
-def default_k_cut(norm_x: int) -> int:
-    """Default truncation radius for site statistics at x: max(4||x|| + 4, 16)."""
-    return max(4 * norm_x + 4, 16)
-
-
 def spitzer_constant_isotropic(d: int, sigma2: float) -> float:
     """Limit of |x|^{d-2} G(0,x) when Q = sigma^2 I."""
-    if d < 3:
-        raise UsageError("the asymptotic requires d >= 3")
+    check_transient(d, "the Green asymptotic")
     return math.gamma(d / 2 - 1) / (2 * math.pi ** (d / 2)) / sigma2
 
 
-def _exit_bias(step: StepDistribution, norm: NormSpec, x: Sequence[int],
-               k_cut: int) -> float:
-    """Estimated bias at x of a site statistic stopped at the exit of k_cut.
+def _site_statistic(step: StepDistribution, norm: NormSpec, x: Sequence[int],
+                    replicas: int, master_seed: int, k_cut: Optional[int]
+                    ) -> tuple[tuple[int, ...], int, np.ndarray, float]:
+    """(x, k_cut, visits, bias) behind a site statistic with a standard
+    error (so at least 2 replicas): the lattice point x, k_cut (default
+    max(4||x|| + 4, 16)), the per-replica visit counts to x before the exit
+    of k_cut, and the estimated bias of stopping there.
 
     The exit point lies at Euclidean distance at least
     gap = k_cut * lo - |x|_2 from x (lo the shortest Euclidean length on the
     norm's unit sphere).  The visits to x after the exit, and so the chance
-    of reaching x only then, are about the Green value at that distance,
-    C gap^{2-d} with C the isotropic Spitzer constant; infinite when
+    of reaching x only then, are about the Green value at that distance:
+    bias = C gap^{2-d} with C the isotropic Spitzer constant, infinite when
     gap <= 0.
     """
+    check_replicas(replicas, 2)
+    x = lattice_point(x, step.dim)
+    if k_cut is None:
+        k_cut = max(4 * norm.value(x) + 4, 16)
+    visits = site_visit_samples(step, norm, x, replicas, master_seed,
+                                k_cut=k_cut)
     gap = k_cut * norm.euclid_range_on_unit_sphere()[0] - math.hypot(*x)
-    return (spitzer_constant_isotropic(step.dim, step.sigma2) * gap ** (2 - step.dim)
+    bias = (spitzer_constant_isotropic(step.dim, step.sigma2) * gap ** (2 - step.dim)
             if gap > 0 else math.inf)
+    return x, k_cut, visits, bias
 
 
 @dataclass(frozen=True)
@@ -620,22 +639,16 @@ def hitting_probability(step: StepDistribution, norm: NormSpec,
                         x: Sequence[int], replicas: int, master_seed: int,
                         k_cut: Optional[int] = None) -> HittingEstimate:
     """P(T_x < infinity) estimated by the fraction of replicas hitting x
-    before exiting norm-radius k_cut; default k_cut = default_k_cut(||x||).
+    before exiting norm-radius k_cut (default max(4||x|| + 4, 16)).
 
     The estimate misses the walks that reach x only after exiting k_cut;
-    ``undercovered`` is set when `_exit_bias` estimates more than the standard
-    error for them.  That standard error needs at least 2 replicas.
+    ``undercovered`` is set when `_site_statistic`'s bias estimate for
+    them exceeds the standard error.  That standard error needs at least 2 replicas.
     """
-    check_replicas(replicas, 2)
-    target = tuple(int(v) for v in x)
-    if k_cut is None:
-        k_cut = default_k_cut(norm.value(target))
-    visits = site_visit_samples(step, norm, target, replicas, master_seed,
-                                k_cut=k_cut)
-    hits = visits >= 1
-    p = float(hits.mean())
+    target, k_cut, visits, bias = _site_statistic(step, norm, x, replicas,
+                                                  master_seed, k_cut)
+    p = float((visits >= 1).mean())
     se = float(np.sqrt(max(p * (1 - p), 1e-12) / replicas))
-    bias = _exit_bias(step, norm, target, k_cut)
     return HittingEstimate(x=target, k_cut=k_cut, replicas=replicas,
                            p_hat=p, std_error=se, undercovered=bool(bias > se))
 

@@ -107,6 +107,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert "replicas must be >= 2" in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--dim", "2", "--x", "1,0", "--method", "dp"], "walks are recurrent"),
+        (["--dim", "2", "--x", "0,0", "--method", "dp"], "walks are recurrent"),
+        (["--dim", "3", "--x", "1.5,0,0"], "'1.5' is not an integer"),
+        (["--dim", "3", "--x", "1,0"], "lattice point of dimension 3"),
+    ], ids=["recurrent", "recurrent-origin", "non-integer", "short-point"])
+    def test_green_point_and_dimension_usage_errors(self, capsys, argv, message):
+        # a usage error, not a traceback from the tail formulas or int()
+        assert run(["green", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and message in captured.err
+
     def test_resource_error_exit_code(self, capsys):
         assert run(["green", "--dim", "3", "--x", "0,0,0", "--method", "dp",
                     "--nmax", "10", "--box-radius", "900"]) == 3

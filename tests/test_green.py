@@ -10,6 +10,7 @@ from normwalk.errors import ResourceError, UsageError
 from normwalk.green import (
     GreenField,
     _symmetries,
+    clt_tail_bound,
     clt_tail_estimate,
     green_dp,
     green_mc,
@@ -23,6 +24,7 @@ from normwalk.walk import (
     hitting_probability,
     make_lazy_walk,
     make_simple_walk,
+    site_visit_samples,
 )
 
 MAX3 = make_norm("max", 3)
@@ -412,6 +414,62 @@ class TestDPBoundAgainstExact:
         est = lazy_field.green(x)
         exact = 2 * green_exact(x) + (not any(x))
         assert abs(est.value - exact) <= est.error_bound
+
+
+class TestTailBoundAgainstExact:
+    # clt_tail_bound is documented as conservative: it must cover the exact
+    # tail sum_{m > n} P(S_m = x), the Bessel-integral G(0, x) minus the
+    # partial sum of a field of radius n, which never absorbs in n steps
+    LAWS = {"simple": (make_simple_walk(3), lambda x: green_exact(x)),
+            "lazy": (make_lazy_walk(3), lambda x: 2 * green_exact(x) + (not any(x)))}
+
+    @pytest.mark.parametrize("n", [20, 50])
+    @pytest.mark.parametrize("law", LAWS)
+    def test_bound_covers_exact_tail(self, law, n):
+        step, exact = self.LAWS[law]
+        field = GreenField(step, n_max=n, box_radius=n)
+        assert field.leak == pytest.approx(0.0, abs=1e-12)  # rounding only
+        claimed = clt_tail_bound(3, step.sigma2, n)
+        for x in TestDPBoundAgainstExact.POINTS:
+            realised = exact(x) - field.partial_at(x)
+            assert 0.0 < realised <= claimed, (x, realised, claimed)
+
+
+class TestRefusals:
+    """Recurrent walks and points off the lattice are usage errors, not a
+    traceback from inside the formulas or a silently truncated point."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: GreenField(make_simple_walk(2), n_max=10, box_radius=5).green((1, 0)),
+        lambda: green_dp(make_simple_walk(1), (1,), n_max=10),
+        lambda: green_dp(make_simple_walk(2), (1, 0), n_max=10),
+        lambda: green_dp(make_simple_walk(2), (0, 0), n_max=10),
+        lambda: clt_tail_estimate(np.eye(2) / 2, (1, 0), 10),
+        lambda: clt_tail_bound(2, 0.5, 10),
+    ], ids=["field-2d", "dp-1d", "dp-2d", "dp-2d-origin", "clt-estimate-2d",
+            "clt-bound-2d"])
+    def test_recurrent(self, call):
+        with pytest.raises(UsageError, match="walks are recurrent"):
+            call()
+
+    def test_asymptotic_point_of_wrong_dimension(self):
+        with pytest.raises(UsageError, match="dimension 3"):
+            spitzer_asymptotic(np.eye(3), (1, 0))
+
+    @pytest.mark.parametrize("call", [
+        lambda field: field.green((1.7, 0, 0)),
+        lambda field: field.partial_at((1.7, 0, 0)),
+        lambda field: green_mc(make_simple_walk(3), MAX3, (1.5, 0, 0), 4, 0),
+        lambda field: hitting_probability(make_simple_walk(3), MAX3, (1.5, 0, 0), 4, 0),
+        lambda field: site_visit_samples(make_simple_walk(3), MAX3, (1.5, 0, 0),
+                                         4, 0, k_cut=8),
+    ], ids=["green", "partial_at", "green_mc", "hitting_probability",
+            "site_visit_samples"])
+    def test_non_integer_point(self, monkeypatch, field, call):
+        monkeypatch.setattr(walk, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        with pytest.raises(UsageError, match="lattice point of dimension 3"):
+            call(field)
 
 
 def test_clt_tail_estimate_matches_series():

@@ -24,6 +24,7 @@ from normwalk.walk import (
     check_ladder,
     geometric_tail_report,
     hitting_probability,
+    lattice_point,
     level_counts,
     make_lazy_walk,
     make_simple_walk,
@@ -886,3 +887,43 @@ class TestCheckLadder:
         monkeypatch.setattr(measures, "sphere_measure", unreachable)
         with pytest.raises(UsageError, match="distinct"):
             take(ladder)
+
+
+# -- lattice points and transience: one rule each ----------------------------
+
+
+class TestLatticePoint:
+    def test_integral_coordinates_count(self):
+        got = lattice_point((np.int64(2), 1.0, -3), 3)
+        assert got == (2, 1, -3) and all(type(v) is int for v in got)
+        assert lattice_point(np.array([0, 4]), 2) == (0, 4)
+
+    @pytest.mark.parametrize("x", [(1.5, 0, 0), (1, 0), (1, 0, 0, 0),
+                                   (float("nan"), 0, 0), (float("inf"), 0, 0),
+                                   (None, 0, 0), ("1", 0, 0)])
+    def test_refused(self, x):
+        with pytest.raises(UsageError, match="lattice point of dimension 3"):
+            lattice_point(x, 3)
+
+
+# each transient-only function, on a d = 2 walk, with every other argument valid
+SW2, MAX2 = make_simple_walk(2), make_norm("max", 2)
+TRANSIENT_ONLY = {
+    "total_level_local_time": lambda: total_level_local_time(SW2, MAX2, 2, 4, 0),
+    "site_visit_samples": lambda: site_visit_samples(SW2, MAX2, (1, 0), 4, 0, k_cut=8),
+    "hitting_probability": lambda: hitting_probability(SW2, MAX2, (1, 0), 4, 0),
+    "zero_one_experiment": lambda: zero_one_experiment(
+        SW2, MAX2, PowerLaw(3), 4, [10, 100], 0),
+    "spitzer_constant_isotropic": lambda: walk.spitzer_constant_isotropic(2, 0.5),
+}
+
+
+@pytest.mark.parametrize("take", TRANSIENT_ONLY.values(), ids=TRANSIENT_ONLY)
+def test_recurrent_refused_before_any_replica(monkeypatch, take):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a replica ran on a recurrent walk")
+
+    for module in (walk, summability):
+        monkeypatch.setattr(module, "map_replicas", unreachable)
+    with pytest.raises(UsageError, match="d = 2 walks are recurrent"):
+        take()
