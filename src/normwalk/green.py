@@ -11,14 +11,16 @@ Three routes:
 DP fields hold partial sums for every site of the box at once, so one run
 serves many query points.  The DP steps one value per orbit of the box
 cells under the axis flips and swaps that keep the step law (a law with
-none has one cell per orbit), gathering each atom's sources through a
-precomputed table; mass stepping out of the box is absorbed as ``leak``.
+none has one cell per orbit).  Each step gathers every atom's sources at
+once through one stacked index table and adds them in support order;
+mass stepping out of the box is absorbed as ``leak``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,28 +31,41 @@ from .walk import (StepDistribution, _site_statistic, check_transient,
                    lattice_point, spitzer_constant_isotropic)
 
 FIELD_BUDGET = 1_280_000_000  # bytes the DP may hold; see GreenField
+_GATHER_BYTES = 1 << 18  # the largest gather a DP step makes
 
 
-def _gauss_form(q: np.ndarray, x: Sequence[float]) -> tuple[int, float, float]:
-    """(d, det Q, x.Q^{-1}x) for a covariance Q of a transient walk (d >= 3,
-    det Q > 0) and a point x of R^d: the Gaussian form of the local CLT."""
-    q = np.asarray(q, dtype=float)
-    d = q.shape[0]
-    if q.shape != (d, d):
+@lru_cache(maxsize=8)
+def _covariance_terms(shape: tuple, data: bytes) -> tuple[int, float, float, float]:
+    """(d, det Q, c, Gamma(d/2 - 1)) for the covariance Q with this shape and
+    float64 bytes, c = (det Q)^{-1/2} (2 pi)^{-d/2} the local-CLT constant.
+    Refuses a non-square or non-positive-definite Q and d <= 2.  Cached, so
+    the queries of a field compute them once."""
+    d = shape[0]
+    if shape != (d, d):
         raise UsageError("Q must be square")
     check_transient(d, "the local-CLT Green terms")
-    det = float(np.linalg.det(q))
+    det = float(np.linalg.det(np.frombuffer(data).reshape(shape)))
     if det <= 0:
         raise UsageError("Q must be positive definite")
+    return d, det, det ** -0.5 * (2 * math.pi) ** (-d / 2), math.gamma(d / 2 - 1)
+
+
+def _gauss_form(q: np.ndarray, x: Sequence[float]
+                ) -> tuple[int, float, float, float, float]:
+    """(d, det Q, c, Gamma(d/2 - 1), x.Q^{-1}x) for a covariance Q of a
+    transient walk (d >= 3, det Q > 0) and a point x of R^d: the Gaussian
+    form of the local CLT, with the terms of `_covariance_terms`."""
+    q = np.asarray(q, dtype=float)
+    d, det, c, gamma_s = _covariance_terms(q.shape, q.tobytes())
     v = np.asarray(x, dtype=float)
     if v.shape != (d,):
         raise UsageError(f"point {x} does not have dimension {d}")
-    return d, det, float(v @ np.linalg.solve(q, v))
+    return d, det, c, gamma_s, float(v @ np.linalg.solve(q, v))
 
 
 def spitzer_asymptotic(q: np.ndarray, x: Sequence[float]) -> float:
     """Leading-order G(0,x): Gamma(d/2-1)/(2 pi^{d/2}) |det Q|^{-1/2} (x,Q^{-1}x)^{1-d/2}."""
-    d, det, quad = _gauss_form(q, x)
+    d, det, _, _, quad = _gauss_form(q, x)
     if quad <= 0:
         raise UsageError("x must be nonzero")
     return spitzer_constant_isotropic(d, 1.0) * det ** -0.5 * quad ** (1 - d / 2)
@@ -65,13 +80,12 @@ def clt_tail_estimate(q: np.ndarray, x: Sequence[float], n_from: int) -> float:
     """
     from scipy.special import gammainc
 
-    d, det, quad = _gauss_form(q, x)
+    d, _, c, gamma_s, quad = _gauss_form(q, x)
     a = quad / 2.0
-    c = det ** -0.5 * (2 * math.pi) ** (-d / 2)
     s = d / 2 - 1
     if a == 0.0:
         return c * n_from ** (-s) / s
-    return c * a ** (-s) * math.gamma(s) * float(gammainc(s, a / n_from))
+    return c * a ** (-s) * gamma_s * float(gammainc(s, a / n_from))
 
 
 def clt_tail_bound(d: int, sigma2: float, n_from: int) -> float:
@@ -99,26 +113,42 @@ class GreenField:
 
     ``partial`` holds sum_{n=1}^{n_max} P(S_n = y, no exit before n) over the
     box of side 2 * box_radius + 1, and ``leak`` the probability mass that
-    stepped out of the box (and was absorbed) by step n_max.
+    stepped out of the box (and was absorbed) by step n_max, clamped at 0:
+    a box that cannot absorb would otherwise read its rounding residue.
 
     The box and the start at 0 are invariant under the signed permutations
     of the axes, so P(S_n = .) is invariant under those that keep the step
     law, and the DP keeps one value per orbit of `_orbits`.  A step sets
     q[j] = sum_atoms prob * p[src[j]], where src[j] is the representative
-    index of rep_j - off, or a zero sentinel past the box.  The atoms are
-    added in support order onto a zeroed q, so ``partial`` is bit for bit
+    index of rep_j - off, or a zero sentinel past the box.  One (atoms x
+    representatives) index table holds every atom's sources, pointing into
+    a stack of copies of p: one scaled by each probability that two or more
+    atoms share, and a plain one whose gathered rows are scaled by their
+    atom's own probability.  A step gathers a chunk of columns with one
+    ``take`` and adds its rows in support order with one ``add.reduce``.
+    As prob * p[src] == (prob * p)[src], and (0 + a_1) + a_2 + ... ==
+    a_1 + a_2 + ... for these nonnegative terms, ``partial`` is bit for bit
     the per-atom slice update over the box with every cell set to its
     representative's value after each step.  ``leak`` weights each
-    representative by its orbit size.  Atoms with an offset of at least the
-    box side have no source in the box and are skipped.
+    representative by its orbit size.  Atoms of mass 0, and atoms with an
+    offset of at least the box side (no source in the box), are skipped.
 
     FIELD_BUDGET bounds the bytes held, counted before anything large is
     allocated, as the larger of two phases.  The orbit pass holds 4 (d + 1)
-    bytes per cell but at least 12, and 8 per representative.  The DP holds
-    ``rep_of`` (4 bytes per cell), the int32 index box padded by the largest
-    offset, one int32 table per atom and 48 bytes per representative (p, q,
-    the sums, a gather buffer, the orbit sizes and take's intp copy of a
-    table).  Expanding ``partial`` at the end holds less than the DP.
+    bytes per cell but at least 12, and 8 per representative.  Building
+    the table holds ``rep_of`` (4 bytes per cell), the int32 index box
+    padded by the largest offset and 48 + 4 atoms bytes per representative
+    (an int32 table row per atom, the orbit sizes and the index
+    arithmetic).  Stepping holds ``rep_of``, q, the sums, the orbit sizes
+    and the stack rows (8 bytes per representative each), and fits the
+    table and the gather buffer in what is left of the larger phase, less
+    the padded box: intp indices where the buffer can be as large as the
+    table, else int32 ones gathered in chunks small enough for the buffer
+    and ``take``'s intp copy of the chunk's indices.  Should not even a
+    chunk of a few columns fit, the scaled copies are dropped, fewest atoms
+    first.  A gather holds about _GATHER_BYTES at most, which keeps a chunk
+    in cache from the ``take`` to the sum.  Expanding ``partial`` at the end
+    holds less than the DP.
     """
 
     def __init__(self, step: StepDistribution, n_max: int, box_radius: int):
@@ -132,75 +162,72 @@ class GreenField:
         # nonincreasing runs of |y| (flippable) or of y along each class
         n_reps = math.prod(math.comb((box_radius + 1 if c[0] in flips else side)
                                      + len(c) - 1, len(c)) for c in classes)
-        held = max(side ** d * 4 * max(d + 1, 3) + 8 * n_reps,
-                   4 * side ** d + 4 * (side + 2 * pad) ** d
-                   + n_reps * (48 + 4 * len(atoms)))
+        orbit = side ** d * 4 * max(d + 1, 3) + 8 * n_reps
+        build = 4 * side ** d + n_reps * (48 + 4 * len(atoms))
+        held = max(orbit, build + 4 * (side + 2 * pad) ** d)
         if held > FIELD_BUDGET:
             raise ResourceError(f"DP box radius {box_radius} needs {held} "
                                 f"bytes, over budget {FIELD_BUDGET}")
         self.step = step
         self.n_max = n_max
         self.box_radius = box_radius
-        partial, leak = self._run(atoms, flips, classes, pad)
+        partial, leak = self._run(atoms, flips, classes, pad, max(orbit, build))
         self.partial = partial.reshape((side,) * d)
-        self.leak = float(leak)
+        self.leak = max(float(leak), 0.0)
 
-    def _run(self, atoms: list, flips: list, classes: list, pad: int):
+    def _run(self, atoms: list, flips: list, classes: list, pad: int,
+             room: int):
         """(partial over the flat box, leak); see the class docstring."""
-        d, side = self.step.dim, 2 * self.box_radius + 1
+        d = self.step.dim
         rep_of, reps = _orbits(flips, classes, d, self.box_radius)
         n = len(reps)
-        # flat indices in the box padded by `pad` sentinel cells on every
-        # face, where no atom's shift wraps
-        padded = np.pad(rep_of.reshape((side,) * d), pad,
-                        constant_values=n).reshape(-1)
-        strides = (side + 2 * pad) ** np.arange(d - 1, -1, -1)
-        at = np.zeros(n, dtype=np.intp)
-        for ax in range(d):
-            at += (reps // side ** (d - 1 - ax) % side + pad) * strides[ax]
+        atoms = [(vec, prob) for vec, prob in atoms if prob > 0]
+        scales, rows, lift, index, bounds = _gather_plan(
+            [prob for _, prob in atoms], n, room - 4 * rep_of.size)
+        table = _source_table(rep_of, reps, [vec for vec, _ in atoms], d,
+                              self.box_radius, pad)
         del reps
-        tables = [(prob, padded[at - int(vec @ strides)]) for vec, prob in atoms]
-        del padded, at
+        table += np.array(rows, dtype=np.int32)[:, None] * (n + 1)
         sizes = np.bincount(rep_of, minlength=n).astype(float)
-        p = np.zeros(n + 1)  # entry n is the sentinel: always 0
-        q = np.zeros(n + 1)
-        g = np.zeros(n)
-        tmp = np.empty(n)
-        p[rep_of[rep_of.size // 2]] = 1.0
-        p_sum, leak = 1.0, 0.0
-        for _ in range(self.n_max):
-            q.fill(0.0)
-            for prob, src in tables:
-                # indices are in range; "clip" avoids take's buffered out
-                np.take(p, src, out=tmp, mode="clip")
-                tmp *= prob
-                q[:n] += tmp
-            q_sum = np.multiply(q[:n], sizes, out=tmp).sum()
-            leak += p_sum - q_sum
-            g += q[:n]
-            p, q, p_sum = q, p, q_sum
-        del p, q, tmp, tables
+        # contiguous intp copies of each chunk's columns, which take reads
+        # without a conversion, or int32 views
+        blocks = [table[:, lo:hi].astype(index, copy=False)
+                  for lo, hi in zip(bounds, bounds[1:])]
+        del table
+        g, leak = _steps(self.n_max, blocks, bounds, scales, lift, sizes,
+                         rep_of[rep_of.size // 2])
+        del blocks, sizes
         return g[rep_of], leak
 
-    def partial_at(self, x: Sequence[int]) -> float:
-        idx = tuple(v + self.box_radius for v in lattice_point(x, self.step.dim))
+    def _partial(self, x: tuple) -> float:
+        idx = tuple(v + self.box_radius for v in x)
         if any(i < 0 or i > 2 * self.box_radius for i in idx):
-            raise UsageError(f"point {tuple(x)} lies outside the DP box")
+            raise UsageError(f"point {x} lies outside the DP box")
         return float(self.partial[idx])
+
+    def partial_at(self, x: Sequence[int]) -> float:
+        return self._partial(lattice_point(x, self.step.dim))
+
+    @cached_property
+    def _bound_terms(self) -> tuple[float, float]:
+        """(clt_tail_bound at n_max, isotropic Spitzer constant): fixed per
+        field.  Refuses d <= 2."""
+        d, sigma2 = self.step.dim, self.step.sigma2
+        return (clt_tail_bound(d, sigma2, self.n_max),
+                spitzer_constant_isotropic(d, sigma2))
 
     def green(self, x: Sequence[int]) -> GreenEstimate:
         """Partial sum plus CLT tail; leak and tail slack in the bound.
         Refuses d <= 2, where the tail diverges."""
-        x = lattice_point(x, self.step.dim)
-        q = self.step.covariance
-        partial = self.partial_at(x)
-        tail = clt_tail_estimate(q, x, self.n_max)
-        crude = clt_tail_bound(self.step.dim, self.step.sigma2, self.n_max)
+        d = self.step.dim
+        x = lattice_point(x, d)
+        partial = self._partial(x)
+        tail = clt_tail_estimate(self.step.covariance, x, self.n_max)
+        crude, spitzer = self._bound_terms
         # absorbed mass can still have reached x afterwards: bound its
         # contribution by the asymptotic Green value at the boundary gap
         gap = max(self.box_radius - max(abs(v) for v in x), 1)
-        leak_bound = self.leak * spitzer_constant_isotropic(
-            self.step.dim, self.step.sigma2) * gap ** (2 - self.step.dim)
+        leak_bound = self.leak * spitzer * gap ** (2 - d)
         err = max(crude - tail, 0.0) + leak_bound + 0.05 * tail
         return GreenEstimate(x=x, value=partial + tail, method="dp",
                              error_bound=float(err), lower_bound=partial,
@@ -271,6 +298,98 @@ def _orbits(flips: list, classes: list, d: int, radius: int):
     np.cumsum(rank, out=rank)
     rank -= 1
     return rank[flat], reps
+
+
+def _source_table(rep_of: np.ndarray, reps: np.ndarray, offsets: list,
+                  d: int, radius: int, pad: int) -> np.ndarray:
+    """(len(offsets), n) int32: the representative index of y - offset for
+    every representative y and atom offset, or n (a zero sentinel) past
+    the box."""
+    side, n = 2 * radius + 1, len(reps)
+    # flat indices in the box padded by `pad` sentinel cells on every face,
+    # where no atom's shift wraps
+    padded = np.pad(rep_of.reshape((side,) * d), pad,
+                    constant_values=n).reshape(-1)
+    strides = (side + 2 * pad) ** np.arange(d - 1, -1, -1)
+    at = np.zeros(n, dtype=np.intp)
+    for ax in range(d):
+        at += (reps // side ** (d - 1 - ax) % side + pad) * strides[ax]
+    table = np.empty((len(offsets), n), dtype=np.int32)
+    for row, off in zip(table, offsets):
+        np.take(padded, at - int(off @ strides), out=row)
+    return table
+
+
+def _gather_plan(probs: list, n: int, room: int):
+    """(scales, rows, lift, index, bounds): how a DP step over n
+    representatives gathers atoms of probabilities `probs` in `room` bytes
+    (all but ``rep_of``); see GreenField.
+
+    Row k of the source stack holds scales[k] * p, and atom i reads row
+    rows[i].  The gathered rows lo:hi of lift = (lo, hi, factors) are
+    multiplied by factors: an atom's probability where it reads plain p,
+    else 1.0.  The index table has dtype `index`, and each gather takes
+    columns bounds[j]:bounds[j + 1].
+    """
+    a = max(len(probs), 1)
+    # probabilities two or more atoms share, most atoms first
+    shared = sorted({p for p in probs if probs.count(p) > 1},
+                    key=probs.count, reverse=True)
+    while True:
+        # row 0 is plain p when some atom's probability is its own
+        scales = [1.0] * (not probs or any(p not in shared for p in probs)) + shared
+        # less q, the sums, the orbit sizes, the stack and an int32 table
+        free = room - 8 * (3 * n + len(scales) * (n + 1)) - 4 * a * n
+        if free >= 48 * a or not shared:
+            break
+        shared.pop()
+    rows = [scales.index(p) if p in shared else 0 for p in probs]
+    factors = [1.0 if p in shared else p for p in probs]
+    own = [i for i, f in enumerate(factors) if f != 1.0] or [0, -1]
+    lift = (own[0], own[-1] + 1, np.array(factors[own[0]:own[-1] + 1])[:, None])
+    # intp where it and a gather of the whole table fit; else int32, and a
+    # gather column also holds take's intp copy of its indices
+    wide = free >= 4 * a * n + 8 * a * (n + 1)
+    column = 8 * a if wide else 16 * a
+    chunk = min(n, _GATHER_BYTES // (8 * a),
+                (free - 4 * a * n * wide) // column - 1)
+    # chunks of `chunk` columns and a last one of 2 to chunk + 1: over one
+    # column, add.reduce would add the rows pairwise
+    bounds = [*range(0, n - 1, max(chunk, 2)), n]
+    return scales, rows, lift, np.intp if wide else np.int32, bounds
+
+
+def _steps(n_max: int, blocks: list, bounds: list, scales: list, lift: tuple,
+           sizes: np.ndarray, start: int) -> tuple[np.ndarray, float]:
+    """(sums, leak) of n_max DP steps from a unit mass at representative
+    `start`, gathering through the index blocks of a `_gather_plan`."""
+    n, a = sizes.size, blocks[0].shape[0]
+    lo_l, hi_l, factors = lift
+    stack = np.zeros((len(scales), n + 1))  # column n: the zero sentinel
+    flat = stack.reshape(-1)
+    fills = [(row[:n], scale) for row, scale in zip(stack, scales)]
+    q, g = np.zeros(n), np.zeros(n)
+    buf = np.empty(a * max(hi - lo for lo, hi in zip(bounds, bounds[1:])))
+    chunks = []
+    for src, lo, hi in zip(blocks, bounds, bounds[1:]):
+        out = buf[:a * (hi - lo)].reshape(a, hi - lo)
+        chunks.append((src, out, out[lo_l:hi_l], q[lo:hi]))
+    q[start] = 1.0
+    p_sum, leak = 1.0, 0.0
+    for _ in range(n_max):
+        for row, scale in fills:
+            np.multiply(q, scale, out=row)
+        for src, out, own, sums in chunks:
+            # indices are in range; "clip" avoids take's buffered out
+            np.take(flat, src, out=out, mode="clip")
+            if hi_l:
+                np.multiply(own, factors, out=own)
+            np.add.reduce(out, axis=0, out=sums)
+        q_sum = np.multiply(q, sizes, out=fills[0][0]).sum()
+        leak += p_sum - q_sum
+        g += q
+        p_sum = q_sum
+    return g, leak
 
 
 def default_box_radius(x: Sequence[int], n_max: int) -> int:

@@ -214,6 +214,36 @@ class TestStencilBitIdentity:
         ulps = np.abs(partial - plain) / np.spacing(np.maximum(partial, plain))
         assert ulps.max() <= 5
 
+    @staticmethod
+    def assert_equals_reference(law, n_max, radius):
+        step = STENCIL_LAWS[law]
+        field = GreenField(step, n_max=n_max, box_radius=radius)
+        partial, leak = reference_green_field(step, n_max, radius)
+        assert field.partial.tobytes() == partial.tobytes()
+        if law in SYMMETRIC_LAWS:
+            assert abs(field.leak - leak) <= 4 * n_max * np.spacing(1.0)
+        else:
+            assert field.leak == leak
+
+    @pytest.mark.parametrize("law, radius, reps", [
+        ("simple3", 31, 5984), ("lazy3", 29, 4960),
+        ("random3", 10, 9261), ("bipartite3", 10, 9261)])
+    def test_boxes_past_one_gather(self, law, radius, reps):
+        # more representatives than one gather of _GATHER_BYTES holds
+        # columns of the law's atoms, so a step takes several chunks
+        step = STENCIL_LAWS[law]
+        atoms = int(np.count_nonzero(step.probabilities))
+        assert len(green._orbits(*_symmetries(step), step.dim, radius)[1]) == reps
+        assert reps > green._GATHER_BYTES // (8 * atoms)
+        self.assert_equals_reference(law, 5, radius)
+
+    @pytest.mark.parametrize("law", sorted(STENCIL_LAWS))
+    def test_two_column_gathers(self, monkeypatch, law):
+        # every gather takes 2 columns, the last 2 or 3: chunk edges fall
+        # all over the box
+        monkeypatch.setattr(green, "_GATHER_BYTES", 16)
+        self.assert_equals_reference(law, 40, 6)
+
     @pytest.mark.parametrize("n_max", [1, 2, 30])
     def test_box_of_radius_n_max_never_absorbs(self, n_max):
         # every point reachable in n_max steps lies inside the box, so the
@@ -221,6 +251,24 @@ class TestStencilBitIdentity:
         field = GreenField(make_simple_walk(3), n_max=n_max, box_radius=n_max)
         assert field.leak <= 1e-12
         assert field.partial.sum() == pytest.approx(n_max, rel=1e-12)
+
+
+class TestLeakNonnegative:
+    # a box of radius at least n_max times the largest offset cannot
+    # absorb, so its leak is p_sum - q_sum rounding residue; unclamped,
+    # random3 at n_max 2 and simple d = 4 at n_max 30 read -2.2e-16
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n_max", [2, 5, 10])
+    def test_simple_walk(self, d, n_max):
+        field = GreenField(make_simple_walk(d), n_max=n_max, box_radius=n_max)
+        assert 0.0 <= field.leak <= 1e-12
+
+    @pytest.mark.parametrize("d, seed", [(3, 12), (4, 0), (4, 2)])
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_asymmetric_law(self, d, seed, n_max):
+        # offsets of at most 3
+        field = GreenField(_random_law(d, seed), n_max=n_max, box_radius=3 * n_max)
+        assert 0.0 <= field.leak <= 1e-12
 
 
 class TestFieldMemory:
