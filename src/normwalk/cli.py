@@ -33,14 +33,14 @@ from .jeulin import (
 )
 from .measures import invariance_surrogate
 from .norms import FAMILIES, NormSpec, make_norm
-from .summability import PowerLaw, PowerLog, zero_one_experiment
+from .summability import (DICHOTOMY_BAND, PowerLaw, PowerLog, Verdict,
+                          zero_one_experiment)
 from .walk import (
     WalkRun,
     lattice_point,
     make_simple_walk,
     map_replicas,
     simulate,
-    truncation_bias_bound,
 )
 
 SCHEMA_VERSION = 1
@@ -108,26 +108,25 @@ class Emitter:
         self.header = list(header)
         self.rows = [list(r) for r in rows]
 
+    def _write_csv(self, fh) -> None:
+        w = csv.writer(fh)
+        w.writerow(self.header)
+        w.writerows(self.rows)
+
     def finish(self) -> None:
         report = {"schema_version": SCHEMA_VERSION, **self.report}
+        # (format, writer) per output; a handler that sets no rows has no CSV
+        outputs = [("csv", self._write_csv)] if self.header is not None else []
+        outputs.append(("json", lambda fh: _write_json(report, fh)))
         if self.out_dir is None:
-            if self.fmt in ("csv", "both") and self.header is not None:
-                w = csv.writer(sys.stdout)
-                w.writerow(self.header)
-                w.writerows(self.rows)
-            if self.fmt in ("json", "both"):
-                json.dump(report, sys.stdout, indent=2, default=str)
-                sys.stdout.write("\n")
+            for fmt, write in outputs:
+                if self.fmt in (fmt, "both"):
+                    write(sys.stdout)
             return
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        if self.header is not None:
-            with (self.out_dir / f"{self.subcommand}.csv").open("w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(self.header)
-                w.writerows(self.rows)
-        with (self.out_dir / f"{self.subcommand}.json").open("w") as fh:
-            json.dump(report, fh, indent=2, default=str)
-            fh.write("\n")
+        for fmt, write in outputs:
+            with (self.out_dir / f"{self.subcommand}.{fmt}").open("w", newline="") as fh:
+                write(fh)
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "tool": "normwalk",
@@ -138,8 +137,12 @@ class Emitter:
         blob = json.dumps(manifest, sort_keys=True, default=str)
         manifest["config_hash"] = hashlib.sha256(blob.encode()).hexdigest()
         with (self.out_dir / "manifest.json").open("w") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
-            fh.write("\n")
+            _write_json(manifest, fh)
+
+
+def _write_json(obj: dict, fh) -> None:
+    json.dump(obj, fh, indent=2, default=str)
+    fh.write("\n")
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -181,14 +184,8 @@ def _cmd_simulate(args, em: Emitter) -> None:
             if c:
                 rows.append((i, k, int(c)))
     em.csv_rows(["replica", "k", "count"], rows)
-    bias = None
-    if args.stop_radius is not None:
-        populated = [k for _, k, _ in rows if k < args.stop_radius]
-        if populated:
-            bias = truncation_bias_bound(spec, max(populated), args.stop_radius)
     em.report = {"n_effective": [rec.n_effective for rec in recs],
-                 "truncated": [rec.truncated for rec in recs],
-                 "bias_bound": bias}
+                 "truncated": [rec.truncated for rec in recs]}
 
 
 def _cmd_green(args, em: Emitter) -> None:
@@ -237,11 +234,11 @@ def _cmd_zero_one(args, em: Emitter) -> None:
         "eps_abs": rep.eps_abs,
         "eps_rel": rep.eps_rel,
     }
-    if args.verify and rep.criterion_v.value != "undecidable":
-        expect_high = rep.criterion_v.value == "converges"
-        ok = rep.stabilized_fraction >= 0.8 if expect_high \
-            else rep.stabilized_fraction <= 0.2
-        if not ok:
+    if args.verify and rep.criterion_v is not Verdict.UNDECIDABLE:
+        # the fraction must clear the band on the verdict's side
+        lo, hi = DICHOTOMY_BAND
+        frac = rep.stabilized_fraction
+        if not (frac > hi if rep.criterion_v is Verdict.CONVERGES else frac < lo):
             raise VerificationError(
                 f"stabilized fraction {rep.stabilized_fraction} contradicts "
                 f"the symbolic verdict {rep.criterion_v.value}")

@@ -234,9 +234,9 @@ class GreenField:
                              n_max=self.n_max)
 
     def level_sum(self, norm: NormSpec, k: int) -> float:
-        """sum of Green values over the norm sphere ||x|| = k (DP + tail)."""
-        pts = sphere_points(norm, k)
-        return float(sum(self.green(tuple(p)).value for p in pts))
+        """sum of Green values over the norm sphere ||x|| = k (DP + tail),
+        by math.fsum, so it does not depend on the enumeration order."""
+        return math.fsum(self.green(p).value for p in sphere_points(norm, k).tolist())
 
 
 def _symmetries(step: StepDistribution) -> tuple[list, list]:

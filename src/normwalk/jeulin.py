@@ -433,6 +433,7 @@ def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunct
                          "positive limit mass")
     stabilized_threshold = 0.5 if scenario.limit_positive_prob >= 1.0 else 0.95
     ladder = check_ladder(k_ladder, "K ladder rungs", rungs=2)
+    check_replicas(replicas, 1)
     k_top = ladder[-1]
     ks = np.arange(1, k_top + 1, dtype=np.int64)
 

@@ -85,7 +85,9 @@ class NormSpec:
     """A lattice norm: base family, dimension, optional unimodular transform.
 
     ``factor`` is only meaningful for the scaled_max family.  The transform,
-    when present, is validated at construction (fail fast).
+    when present, is validated at construction (fail fast).  ``weights``
+    holds the coordinate weights of the weighted l1 shape, 1..dim for w1 and
+    1 otherwise: a read-only int64 array fixed at construction.
     """
 
     family: str
@@ -118,8 +120,7 @@ class NormSpec:
         weights = (np.arange(1, self.dim + 1, dtype=np.int64) if self.family == "w1"
                    else np.ones(self.dim, dtype=np.int64))
         weights.flags.writeable = False
-        object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_weight_list", weights.tolist())
+        object.__setattr__(self, "weights", weights)
 
     # frozen dataclass with ndarray field: compare/hash by content description
     def __eq__(self, other):
@@ -141,12 +142,6 @@ class NormSpec:
         """True for the scaled max shape, False for the weighted l1 shape."""
         return self.family in ("max", "scaled_max")
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Coordinate weights of the weighted l1 shape: 1..dim for w1, else 1
-        (read-only, fixed at construction)."""
-        return self._weights
-
     # -- evaluation -------------------------------------------------------
 
     def _apply_transform_exact(self, x: Sequence[int]) -> list:
@@ -163,7 +158,7 @@ class NormSpec:
         y = self._apply_transform_exact(x)
         if self.max_shaped:
             return self.factor * max(abs(v) for v in y)
-        return sum(w * abs(v) for w, v in zip(self._weight_list, y))
+        return sum(w * abs(v) for w, v in zip(self.weights.tolist(), y))
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Vectorised norm of an (n, dim) int array; returns int64 array.
@@ -179,7 +174,7 @@ class NormSpec:
             raise UsageError(f"points have dim {pts.shape[1]}, norm expects {self.dim}")
         if pts.dtype != np.int64:
             pts = pts.astype(np.int64)
-        max_shaped, weights = self.max_shaped, self._weight_list
+        max_shaped, weights = self.max_shaped, self.weights.tolist()
         out = self._abs_coordinate(pts, 0, None)  # weight 1 in the weighted l1 shape
         a = None  # one temporary, reused by every later coordinate
         for i in range(1, self.dim):
@@ -330,38 +325,11 @@ def iter_box_slabs(dim: int, radius: int) -> Iterator[np.ndarray]:
         yield block.T
 
 
-def _cube_shell(dim: int, k: int) -> np.ndarray:
-    """Points with max-norm exactly k, each listed once.
-
-    Point x belongs to axis i when |x^i| = k and |x^j| < k for j < i; the
-    cells are disjoint and their sizes telescope to (2k+1)^d - (2k-1)^d.
-    """
-    parts = []
-    for i in range(dim):
-        lo = [np.arange(-(k - 1), k, dtype=np.int64)] * i
-        hi = [np.arange(-k, k + 1, dtype=np.int64)] * (dim - i - 1)
-        for sign in (k, -k):
-            axes = lo + [np.array([sign], dtype=np.int64)] + hi
-            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            parts.append(grid.reshape(-1, dim))
-    return np.concatenate(parts, axis=0)
-
-
 def sphere_points(spec: NormSpec, k: int) -> np.ndarray:
-    """All lattice points with exact norm k."""
-    if k == 0:
-        return np.zeros((1, spec.dim), dtype=np.int64)
-    if spec.transform is None and spec.max_shaped:
-        if k % spec.factor != 0:
-            return np.zeros((0, spec.dim), dtype=np.int64)
-        return _cube_shell(spec.dim, k // spec.factor)
-    radius = spec.enclosing_box_radius(k)
-    hits = []
-    for slab in iter_box_slabs(spec.dim, radius):
-        nv = spec.values(slab)
-        sel = slab[nv == k]
-        if sel.size:
-            hits.append(sel)
-    if not hits:
-        return np.zeros((0, spec.dim), dtype=np.int64)
+    """All lattice points with exact norm k, in lexicographic order: the
+    box-slab enumeration that `census.count_bruteforce` bins, for every
+    norm."""
+    hits = [np.zeros((0, spec.dim), dtype=np.int64)]
+    for slab in iter_box_slabs(spec.dim, spec.enclosing_box_radius(k)):
+        hits.append(slab[spec.values(slab) == k])
     return np.concatenate(hits, axis=0)

@@ -44,6 +44,8 @@ from .walk import (StepDistribution, WalkRun, check_a0, check_ladder,
 EXCURSION_ALLOWANCE_FACTOR = 5.0
 ALLOWANCE_SUM_CAP = 10_000
 EPS_REL = 0.05
+# the forbidden middle of the stabilised fraction, closed at both ends
+DICHOTOMY_BAND = (0.2, 0.8)
 
 
 class Verdict(enum.Enum):
@@ -284,8 +286,9 @@ class ZeroOneReport:
 
     @property
     def dichotomy_respected(self) -> bool:
-        """The fraction avoids the forbidden middle band [0.2, 0.8]."""
-        return not (0.2 <= self.stabilized_fraction <= 0.8)
+        """The fraction avoids the forbidden middle band, DICHOTOMY_BAND."""
+        lo, hi = DICHOTOMY_BAND
+        return not (lo <= self.stabilized_fraction <= hi)
 
 
 def excursion_allowance(f: LevelFunction) -> float:

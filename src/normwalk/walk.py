@@ -245,8 +245,9 @@ def _child(one: Callable[[int], T], indices: range, write: int) -> None:
 class StepDistribution:
     """Finite-support increment law with moment certificates.
 
-    The support, the probabilities and the moments are read-only arrays,
-    fixed at construction with the sampler's table.
+    The support, the probabilities and the moments (``mean``, the
+    covariance matrix ``covariance`` and sigma2 = trace / dim) are fixed at
+    construction with the sampler's table; the arrays are read-only.
     """
 
     dim: int
@@ -280,26 +281,14 @@ class StepDistribution:
         mean = p @ x
         cov = ((x - mean).T * p) @ (x - mean)
         mean.flags.writeable = cov.flags.writeable = False
-        object.__setattr__(self, "_mean", mean)
-        object.__setattr__(self, "_covariance", cov)
-        object.__setattr__(self, "_sigma2", float(np.trace(cov) / self.dim))
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self._mean
-
-    @property
-    def covariance(self) -> np.ndarray:
-        return self._covariance
-
-    @property
-    def sigma2(self) -> float:
-        return self._sigma2
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "sigma2", float(np.trace(cov) / self.dim))
 
     @property
     def isotropy_deviation(self) -> float:
         """max |Q_ij - sigma^2 delta_ij|; 0 means exactly isotropic."""
-        return float(np.abs(self._covariance - self._sigma2 * np.eye(self.dim)).max())
+        return float(np.abs(self.covariance - self.sigma2 * np.eye(self.dim)).max())
 
     @property
     def uniform(self) -> bool:
@@ -360,6 +349,8 @@ class WalkRun:
             raise UsageError("need a horizon or a stop_radius")
         if self.horizon is not None and self.horizon < 1:
             raise UsageError("horizon must be >= 1")
+        if self.stop_radius is not None and self.stop_radius < 1:
+            raise UsageError("stop_radius must be >= 1")
 
 
 @dataclass

@@ -13,6 +13,7 @@ from normwalk.cli import main
 from normwalk.green import green_mc
 from normwalk.measures import invariance_surrogate
 from normwalk.norms import make_norm
+from normwalk.summability import PowerLog, zero_one_experiment
 from normwalk.walk import make_simple_walk
 
 
@@ -92,6 +93,13 @@ class TestExitCodes:
         assert run(["simulate", "--dim", "3", "--horizon", "10", "--replicas",
                     "2", "--seed", str(2 ** 64)]) == 1
         assert "below 2^64" in capsys.readouterr().err
+
+    # every norm is >= 0, so such a run would stop at its first step
+    @pytest.mark.parametrize("radius", ["0", "-5"])
+    def test_simulate_stop_radius_below_one_usage_error(self, radius, capsys):
+        assert run(["simulate", "--dim", "3", "--replicas", "2",
+                    "--stop-radius", radius]) == 1
+        assert "stop_radius must be >= 1" in capsys.readouterr().err
 
     def test_shiga3_one_replica_usage_error(self, capsys):
         assert run(["jeulin", "--scenario", "shiga3", "--K", "100",
@@ -207,7 +215,7 @@ class TestOutputs:
                     "--out", str(out), "--format", "both"]) == 0
         rep = json.loads((out / "simulate.json").read_text())
         assert all(rep["truncated"])
-        assert rep["bias_bound"] is not None
+        assert "bias_bound" not in rep
 
     def test_green_json(self, capsys):
         assert run(["green", "--dim", "3", "--x", "2,0,0", "--method", "dp",
@@ -254,6 +262,36 @@ class TestOutputs:
         assert 0.0 <= rep["stabilized_fraction"] <= 1.0
         csv_text = (out / "zero-one.csv").read_text()
         assert csv_text.splitlines()[0] == "replica,horizon,partial_sum"
+
+    # --verify: the fraction must clear the closed band DICHOTOMY_BAND on
+    # the side of criterion V's verdict
+    @pytest.mark.parametrize("argv, fraction, code", [
+        (["--beta", "3", "--horizons", "500,5000", "--seed", "3"], 1.0, 0),
+        # a divergent series with most replicas stabilised
+        (["--beta", "1.5", "--horizons", "100,1000", "--seed", "3"], 0.6, 2),
+        # the band's upper end counts as inside it
+        (["--beta", "3", "--replicas", "5", "--horizons", "100,1000",
+          "--seed", "31"], 0.8, 2),
+    ])
+    def test_zero_one_verify(self, argv, fraction, code, capsys):
+        assert run(["zero-one", "--dim", "3", "--replicas", "10", *argv,
+                    "--format", "json", "--verify"]) == code
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["stabilized_fraction"] == fraction
+        assert ("contradicts the symbolic verdict" in captured.err) == (code == 2)
+
+    def test_zero_one_gamma_runs_power_log(self, capsys):
+        # sum k f(k) = sum 1/(k log^2 k) converges; without the log it diverges
+        assert run(["zero-one", "--beta", "2", "--gamma", "2", "--dim", "3",
+                    "--replicas", "10", "--horizons", "500,5000", "--seed", "3",
+                    "--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        want = zero_one_experiment(make_simple_walk(3), make_norm("max", 3),
+                                   PowerLog(beta=2.0, gamma=2.0), replicas=10,
+                                   horizons=[500, 5000], master_seed=3)
+        assert rep["f"] == want.f_label
+        assert rep["criterion_v"] == want.criterion_v.value == "converges"
+        assert rep["stabilized_fraction"] == want.stabilized_fraction
 
     def test_invariance_json_block(self, tmp_path):
         out = tmp_path / "inv"

@@ -406,6 +406,11 @@ class TestHarness:
         with pytest.raises(UsageError):
             limit_jeulin_harness(dead, [PowerLaw(3)], [10, 100], 10, 0)
 
+    def test_zero_replicas_refused(self):
+        with pytest.raises(UsageError, match="replicas must be >= 1"):
+            limit_jeulin_harness(route_a_scenario(), [PowerLaw(3)], [10, 100],
+                                 replicas=0, master_seed=0)
+
     def test_ladder_gate(self):
         # a zero or repeated rung makes the top partial-sum difference 0,
         # so every row would read "stabilised"

@@ -220,7 +220,8 @@ class TestSpherePointsOracle:
     SPECS = [make_norm("l1", 2), make_norm("w1", 2),
              make_norm("l1", 2, transform=[[2, 1], [1, 1]]),
              make_norm("l1", 3), make_norm("w1", 3),
-             make_norm("l1", 3, transform=UNIMODULAR)]
+             make_norm("l1", 3, transform=UNIMODULAR),
+             make_norm("max", 3), make_norm("scaled_max", 3, factor=2)]
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: json.dumps(s.describe()))
     def test_equals_product_enumeration_in_order(self, spec):

@@ -355,6 +355,13 @@ class TestStopRadius:
         with pytest.raises(UsageError):
             WalkRun(step=make_simple_walk(3), master_seed=0)
 
+    @pytest.mark.parametrize("stop_radius", [0, -5])
+    def test_stop_radius_below_one_refused(self, stop_radius):
+        # every step has norm >= 0, so such a run would stop at step 1
+        with pytest.raises(UsageError, match="stop_radius must be >= 1"):
+            WalkRun(step=make_simple_walk(3), master_seed=0,
+                    stop_radius=stop_radius)
+
 
 class TestTruncatedFSum:
     def test_zero_function(self):
@@ -557,6 +564,13 @@ class TestTotalLevelLocalTime:
     def test_bias_bound_formula(self):
         assert truncation_bias_bound(MAX3, 10, 80) == \
             pytest.approx((10 * np.sqrt(3)) / 80, rel=1e-12)
+
+    def test_walk_that_never_exits_refused(self, monkeypatch):
+        # a step budget far below the exit time of k_cut 32
+        monkeypatch.setattr(walk, "MAX_STEPS", 10)
+        with pytest.raises(UsageError, match="failed to exit"):
+            total_level_local_time(make_simple_walk(3), MAX3, k=4,
+                                   replicas=2, master_seed=5)
 
 
 class TestHitting:
