@@ -11,8 +11,8 @@ that the summability criteria rely on.
 
 from __future__ import annotations
 
+import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -85,17 +85,21 @@ def count_max_closed(d: int, k: int) -> int:
 
 
 def _weighted_l1_census(spec: NormSpec, k_max: int) -> SphereCensus:
-    """Census of sum_i w_i |x^i| (w_1 = 1), adding one coordinate at a time.
+    """Census of sum_i w_i |x^i|, adding one coordinate at a time.
 
     A coordinate of weight w takes the value w*j once for j = 0 and twice
     for j >= 1, so each new coordinate convolves the table with
-    (1, 2, 2, ...) in strides of w.
+    (1, 2, 2, ...) in strides of w: new[k] = 2 run[k] - table[k], with the
+    stride sums run[k] = table[k] + run[k - w].  That is linear in k_max
+    per coordinate, in exact Python integers, starting from the table of
+    Z^0 (N(0) = 1 and nothing else).
     """
-    base = [1] + [2] * k_max
-    table = base
-    for w in spec.weights.tolist()[1:]:
-        table = [sum(map(operator.mul, base, table[k::-w]))
-                 for k in range(k_max + 1)]
+    table = [1] + [0] * k_max
+    for w in spec.weights.tolist():
+        run = [0] * (k_max + 1)
+        for r in range(min(w, k_max + 1)):
+            run[r::w] = itertools.accumulate(table[r::w])
+        table = [2 * s - t for s, t in zip(run, table)]
     return SphereCensus(spec=spec, counts=tuple(table), method="recursive")
 
 

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -81,6 +83,18 @@ class TestBruteForceOracle:
         with pytest.raises(ResourceError):
             count_bruteforce(make_norm("max", 3), 500)
 
+    def test_peak_memory_d4(self):
+        # 61^4 = 13.8 million box points, binned one slab at a time
+        spec = make_norm("l1", 4)
+        tracemalloc.start()
+        try:
+            cen = count_bruteforce(spec, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cen.counts == census_for(spec, 30).counts
+        assert peak < 8 << 20
+
     @pytest.mark.parametrize("spec", [
         make_norm("max", 3), make_norm("l1", 3), make_norm("w1", 3),
         make_norm("scaled_max", 3, factor=2)], ids=lambda s: s.family)
@@ -101,6 +115,17 @@ def test_convolution_split_identity():
     conv = tuple(sum(t2[j] * t3[k - j] for j in range(k + 1))
                  for k in range(k_max + 1))
     assert conv == t5
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_l1_census_at_scale_matches_closed_form(d):
+    # N(k) = sum_j 2^j C(d, j) C(k - 1, j - 1): j nonzero coordinates with
+    # signs, their absolute values a composition of k into j parts
+    k_max = 2000
+    want = (1,) + tuple(sum(2 ** j * math.comb(d, j) * math.comb(k - 1, j - 1)
+                            for j in range(1, d + 1))
+                        for k in range(1, k_max + 1))
+    assert census_for(make_norm("l1", d), k_max).counts == want
 
 
 def test_recursion_matches_the_literal_convolution():

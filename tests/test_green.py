@@ -413,6 +413,10 @@ class TestGreenDP:
             with pytest.raises(UsageError, match="dimension 3"):
                 query()
 
+    def test_negative_level_refused(self, field):
+        with pytest.raises(UsageError, match="k must be >= 0, got -2"):
+            field.level_sum(make_norm("max", 3), -2)
+
     def test_green_dp_wrapper_defaults(self):
         est = green_dp(make_simple_walk(3), (1, 0, 0), n_max=400)
         assert est.method == "dp"

@@ -51,6 +51,10 @@ class TestMuK:
         with pytest.raises(UsageError):
             mu_k_integral(spec, 3, SQ1)
 
+    def test_negative_level_rejected(self):
+        with pytest.raises(UsageError, match="k must be >= 0, got -2"):
+            sphere_measure(MAX3, -2)
+
 
 class TestSurfaceIntegral:
     def test_constant(self):

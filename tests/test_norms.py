@@ -1,11 +1,13 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normwalk import norms
 from normwalk.errors import UsageError
 from normwalk.norms import (
     NormSpec,
@@ -192,20 +194,55 @@ class TestSpherePointsAndCounts:
         assert sphere_points(spec, 3).shape[0] == 0
         assert sphere_points(spec, 4).shape[0] == 98
 
+    def test_negative_level_refused(self):
+        with pytest.raises(UsageError, match="k must be >= 0, got -2"):
+            sphere_points(make_norm("max", 3), -2)
+
+    def test_peak_memory_at_k100(self):
+        # the 201^3 box comes in slabs of at most SLAB_POINTS points: the
+        # peak is the 240,002 sphere points (5.8 MB) and their concatenation
+        spec = make_norm("max", 3)
+        tracemalloc.start()
+        try:
+            assert sphere_points(spec, 100).shape == (240_002, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+
+def check_slabs(dim, radius, cap):
+    """The slabs hold at most cap points each, in the (d, n) int64 layout,
+    and concatenate to the meshgrid box."""
+    slabs = list(iter_box_slabs(dim, radius))
+    for slab in slabs:
+        assert slab.dtype == np.int64 and slab.shape[1] == dim
+        assert slab.T.flags.c_contiguous
+        assert 1 <= slab.shape[0] <= cap
+    axis = np.arange(-radius, radius + 1, dtype=np.int64)
+    ref = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
+                   axis=-1).reshape(-1, dim)
+    assert np.array_equal(np.concatenate(slabs), ref)
+
 
 class TestBoxSlabs:
-    @pytest.mark.parametrize("dim, radius", [(1, 3), (2, 4), (3, 3), (4, 2), (4, 16)])
+    @pytest.mark.parametrize("dim, radius", [(1, 3), (2, 4), (3, 3), (4, 0), (4, 2), (4, 16)])
     def test_lexicographic_order_and_layout(self, dim, radius):
-        # d = 4, radius 16 spans 33 first coordinates in two slabs
-        slabs = list(iter_box_slabs(dim, radius))
-        axis = np.arange(-radius, radius + 1, dtype=np.int64)
-        ref = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
-                       axis=-1).reshape(-1, dim)
-        assert len(slabs) == (2 if (dim, radius) == (4, 16) else 1)
-        for slab in slabs:
-            assert slab.dtype == np.int64 and slab.shape[1] == dim
-            assert slab.T.flags.c_contiguous
-        assert np.array_equal(np.concatenate(slabs), ref)
+        check_slabs(dim, radius, norms.SLAB_POINTS)
+
+    @pytest.mark.parametrize("cap", [1, 5, 50])
+    def test_small_cap(self, monkeypatch, cap):
+        # cap 50 fixes the first coordinate in d = 4; cap 5 fixes up to
+        # three and splits last-axis rows of 7 points; cap 1 yields single
+        # points
+        monkeypatch.setattr(norms, "SLAB_POINTS", cap)
+        for dim in range(1, 5):
+            for radius in range(4):
+                check_slabs(dim, radius, cap)
+
+    def test_negative_radius_refused(self):
+        with pytest.raises(UsageError, match="radius must be >= 0, got -1"):
+            next(iter_box_slabs(3, -1))
 
 
 def product_sphere(spec, k):
