@@ -76,16 +76,20 @@ def _replica_count(text: str) -> int:
 
 
 def _parse_int_list(text: str) -> list:
-    """Comma-separated integers; an integral float such as 1e4 is allowed."""
+    """Comma-separated integers, read exactly; an integral float such as
+    1e4 is allowed."""
     out = []
     for tok in filter(None, map(str.strip, text.split(","))):
         try:
-            value = float(tok)
+            out.append(int(tok))
         except ValueError:
-            value = float("nan")
-        if not value.is_integer():
-            raise UsageError(f"{tok!r} is not an integer")
-        out.append(int(value))
+            try:
+                value = float(tok)
+            except ValueError:
+                value = float("nan")
+            if not value.is_integer():
+                raise UsageError(f"{tok!r} is not an integer") from None
+            out.append(int(value))
     return out
 
 

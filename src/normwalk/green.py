@@ -13,14 +13,18 @@ serves many query points.  The DP steps one value per orbit of the box
 cells under the axis flips and swaps that keep the step law (a law with
 none has one cell per orbit).  Each step gathers every atom's sources at
 once through one stacked index table and adds them in support order;
-mass stepping out of the box is absorbed as ``leak``.
+mass stepping out of the box is absorbed as ``leak``.  A field's Green
+values and error bounds form one table over the orbit representatives,
+built at its first query by one vectorised local-CLT tail evaluation;
+``green``, ``partial_at`` and ``level_sum`` index it, so G is constant on
+every orbit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,33 +38,25 @@ FIELD_BUDGET = 1_280_000_000  # bytes the DP may hold; see GreenField
 _GATHER_BYTES = 1 << 18  # the largest gather a DP step makes
 
 
-@lru_cache(maxsize=8)
-def _covariance_terms(shape: tuple, data: bytes) -> tuple[int, float, float, float]:
-    """(d, det Q, c, Gamma(d/2 - 1)) for the covariance Q with this shape and
-    float64 bytes, c = (det Q)^{-1/2} (2 pi)^{-d/2} the local-CLT constant.
-    Refuses a non-square or non-positive-definite Q and d <= 2.  Cached, so
-    the queries of a field compute them once."""
-    d = shape[0]
-    if shape != (d, d):
+def _gauss_form(q: np.ndarray, x: Sequence) -> tuple:
+    """(d, det Q, c, Gamma(d/2 - 1), x.Q^{-1}x) for a covariance Q of a
+    transient walk and a point x of R^d, or an (n, d) array of points and
+    an array of forms: the Gaussian form of the local CLT, with
+    c = (det Q)^{-1/2} (2 pi)^{-d/2} its constant.  Refuses a non-square or
+    non-positive-definite Q, d <= 2 and points of another dimension."""
+    q = np.asarray(q, dtype=float)
+    d = q.shape[0]
+    if q.shape != (d, d):
         raise UsageError("Q must be square")
     check_transient(d, "the local-CLT Green terms")
-    det = float(np.linalg.det(np.frombuffer(data).reshape(shape)))
+    det = float(np.linalg.det(q))
     if det <= 0:
         raise UsageError("Q must be positive definite")
-    return d, det, det ** -0.5 * (2 * math.pi) ** (-d / 2), math.gamma(d / 2 - 1)
-
-
-def _gauss_form(q: np.ndarray, x: Sequence[float]
-                ) -> tuple[int, float, float, float, float]:
-    """(d, det Q, c, Gamma(d/2 - 1), x.Q^{-1}x) for a covariance Q of a
-    transient walk (d >= 3, det Q > 0) and a point x of R^d: the Gaussian
-    form of the local CLT, with the terms of `_covariance_terms`."""
-    q = np.asarray(q, dtype=float)
-    d, det, c, gamma_s = _covariance_terms(q.shape, q.tobytes())
     v = np.asarray(x, dtype=float)
-    if v.shape != (d,):
+    if v.ndim not in (1, 2) or v.shape[-1] != d:
         raise UsageError(f"point {x} does not have dimension {d}")
-    return d, det, c, gamma_s, float(v @ np.linalg.solve(q, v))
+    return (d, det, det ** -0.5 * (2 * math.pi) ** (-d / 2), math.gamma(d / 2 - 1),
+            np.einsum("...i,i...->...", v, np.linalg.solve(q, v.T)))
 
 
 def spitzer_asymptotic(q: np.ndarray, x: Sequence[float]) -> float:
@@ -71,8 +67,9 @@ def spitzer_asymptotic(q: np.ndarray, x: Sequence[float]) -> float:
     return spitzer_constant_isotropic(d, 1.0) * det ** -0.5 * quad ** (1 - d / 2)
 
 
-def clt_tail_estimate(q: np.ndarray, x: Sequence[float], n_from: int) -> float:
-    """Local-CLT estimate of sum_{n > n_from} P(S_n = x).
+def clt_tail_estimate(q: np.ndarray, x: Sequence, n_from: int) -> float | np.ndarray:
+    """Local-CLT estimate of sum_{n > n_from} P(S_n = x), n_from >= 1: a
+    float for one point x, an array for an (n, d) array of points.
 
     Integrates (2 pi n)^{-d/2} (det Q)^{-1/2} exp(-(x,Q^{-1}x)/(2n)) over
     n > n_from.  For period-2 walks the vanishing/doubled alternation of
@@ -80,17 +77,22 @@ def clt_tail_estimate(q: np.ndarray, x: Sequence[float], n_from: int) -> float:
     """
     from scipy.special import gammainc
 
+    if n_from < 1:
+        raise UsageError(f"n_from must be >= 1, got {n_from}")
     d, _, c, gamma_s, quad = _gauss_form(q, x)
-    a = quad / 2.0
+    a = np.asarray(quad / 2.0)
     s = d / 2 - 1
-    if a == 0.0:
-        return c * n_from ** (-s) / s
-    return c * a ** (-s) * gamma_s * float(gammainc(s, a / n_from))
+    tail = np.full(a.shape, c * n_from ** (-s) / s)
+    far = a != 0.0
+    tail[far] = c * a[far] ** (-s) * gamma_s * gammainc(s, a[far] / n_from)
+    return tail if tail.ndim else float(tail)
 
 
 def clt_tail_bound(d: int, sigma2: float, n_from: int) -> float:
-    """Conservative tail bound 2 (2 pi sigma^2)^{-d/2} sum_{n>N} n^{-d/2}."""
+    """Conservative tail bound 2 (2 pi sigma^2)^{-d/2} sum_{n>N} n^{-d/2}, N >= 1."""
     check_transient(d, "the CLT tail bound")
+    if n_from < 1:
+        raise UsageError(f"n_from must be >= 1, got {n_from}")
     s = d / 2
     zeta_tail = n_from ** (1 - s) / (s - 1) + 0.5 * n_from ** -s
     return 2.0 * (2 * math.pi * sigma2) ** (-s) * zeta_tail
@@ -139,16 +141,25 @@ class GreenField:
     the table holds ``rep_of`` (4 bytes per cell), the int32 index box
     padded by the largest offset and 48 + 4 atoms bytes per representative
     (an int32 table row per atom, the orbit sizes and the index
-    arithmetic).  Stepping holds ``rep_of``, q, the sums, the orbit sizes
-    and the stack rows (8 bytes per representative each), and fits the
-    table and the gather buffer in what is left of the larger phase, less
-    the padded box: intp indices where the buffer can be as large as the
-    table, else int32 ones gathered in chunks small enough for the buffer
+    arithmetic).  Stepping holds ``rep_of`` and ``reps`` (4 bytes per
+    cell and per representative), q, the sums, the orbit sizes and the
+    stack rows (8 bytes per representative each), and fits the table and
+    the gather buffer in what is left of the larger phase, less the padded
+    box: intp indices where the buffer can be as large as the table, else
+    int32 ones gathered in chunks small enough for the buffer
     and ``take``'s intp copy of the chunk's indices.  Should not even a
     chunk of a few columns fit, the scaled copies are dropped, fewest atoms
     first.  A gather holds about _GATHER_BYTES at most, which keeps a chunk
-    in cache from the ``take`` to the sum.  Expanding ``partial`` at the end
-    holds less than the DP.
+    in cache from the ``take`` to the sum.  The field then keeps ``rep_of``
+    and the sums; expanding ``partial``, at its first read, holds less than
+    the DP.
+
+    Queries read one query table over the representatives: the sums
+    ``_g`` and, from the first `green` or `level_sum` call on, value =
+    partial + tail and error_bound = max(crude - tail, 0) + leak_bound +
+    0.05 tail, from one `clt_tail_estimate` call over all of them
+    (`_table`).  A point reads its representative's entry through
+    ``_rep_of``.
     """
 
     def __init__(self, step: StepDistribution, n_max: int, box_radius: int):
@@ -171,22 +182,21 @@ class GreenField:
         self.step = step
         self.n_max = n_max
         self.box_radius = box_radius
-        partial, leak = self._run(atoms, flips, classes, pad, max(orbit, build))
-        self.partial = partial.reshape((side,) * d)
-        self.leak = max(float(leak), 0.0)
+        self._run(atoms, flips, classes, pad, max(orbit, build))
 
     def _run(self, atoms: list, flips: list, classes: list, pad: int,
              room: int):
-        """(partial over the flat box, leak); see the class docstring."""
+        """Sets ``_g``, the DP sums per representative, ``leak``, and the
+        `_orbits` maps: ``_rep_of`` in the shape of the box and ``_reps``.
+        See the class docstring."""
         d = self.step.dim
         rep_of, reps = _orbits(flips, classes, d, self.box_radius)
         n = len(reps)
         atoms = [(vec, prob) for vec, prob in atoms if prob > 0]
         scales, rows, lift, index, bounds = _gather_plan(
-            [prob for _, prob in atoms], n, room - 4 * rep_of.size)
+            [prob for _, prob in atoms], n, room - 4 * (rep_of.size + n))
         table = _source_table(rep_of, reps, [vec for vec, _ in atoms], d,
                               self.box_radius, pad)
-        del reps
         table += np.array(rows, dtype=np.int32)[:, None] * (n + 1)
         sizes = np.bincount(rep_of, minlength=n).astype(float)
         # contiguous intp copies of each chunk's columns, which take reads
@@ -194,49 +204,61 @@ class GreenField:
         blocks = [table[:, lo:hi].astype(index, copy=False)
                   for lo, hi in zip(bounds, bounds[1:])]
         del table
-        g, leak = _steps(self.n_max, blocks, bounds, scales, lift, sizes,
-                         rep_of[rep_of.size // 2])
-        del blocks, sizes
-        return g[rep_of], leak
-
-    def _partial(self, x: tuple) -> float:
-        idx = tuple(v + self.box_radius for v in x)
-        if any(i < 0 or i > 2 * self.box_radius for i in idx):
-            raise UsageError(f"point {x} lies outside the DP box")
-        return float(self.partial[idx])
-
-    def partial_at(self, x: Sequence[int]) -> float:
-        return self._partial(lattice_point(x, self.step.dim))
+        self._g, leak = _steps(self.n_max, blocks, bounds, scales, lift,
+                               sizes, rep_of[rep_of.size // 2])
+        self.leak = max(float(leak), 0.0)
+        self._rep_of, self._reps = rep_of.reshape((2 * self.box_radius + 1,) * d), reps
 
     @cached_property
-    def _bound_terms(self) -> tuple[float, float]:
-        """(clt_tail_bound at n_max, isotropic Spitzer constant): fixed per
-        field.  Refuses d <= 2."""
-        d, sigma2 = self.step.dim, self.step.sigma2
-        return (clt_tail_bound(d, sigma2, self.n_max),
-                spitzer_constant_isotropic(d, sigma2))
+    def partial(self) -> np.ndarray:
+        """The partial sums over the box, expanded from the representatives'
+        at the first read."""
+        return self._g[self._rep_of]
+
+    def _rep(self, points) -> np.ndarray:
+        """The representative index of each row of an (n, d) integer array
+        of points; refuses a point outside the box."""
+        points, r = np.asarray(points), self.box_radius
+        outside = np.abs(points).max(axis=1) > r
+        if outside.any():
+            x = tuple(points[outside.argmax()].tolist())
+            raise UsageError(f"point {x} lies outside the DP box")
+        return self._rep_of[tuple((points + r).T)]
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """Rows value and error_bound at every representative: the partial
+        sum plus the CLT tail, and the leak and tail slack.  Refuses d <= 2,
+        where the tail diverges."""
+        d, sigma2, r = self.step.dim, self.step.sigma2, self.box_radius
+        reps = np.stack(np.unravel_index(self._reps, self._rep_of.shape), 1) - r
+        tail = clt_tail_estimate(self.step.covariance, reps, self.n_max)
+        # absorbed mass can still have reached x afterwards: bound its
+        # contribution by the asymptotic Green value at the boundary gap
+        gap = np.maximum(r - np.abs(reps).max(axis=1), 1.0)
+        leak_bound = self.leak * spitzer_constant_isotropic(d, sigma2) * gap ** (2 - d)
+        slack = np.maximum(clt_tail_bound(d, sigma2, self.n_max) - tail, 0.0)
+        return np.stack((self._g + tail, slack + leak_bound + 0.05 * tail))
+
+    def partial_at(self, x: Sequence[int]) -> float:
+        return float(self._g[self._rep([lattice_point(x, self.step.dim)])[0]])
 
     def green(self, x: Sequence[int]) -> GreenEstimate:
         """Partial sum plus CLT tail; leak and tail slack in the bound.
         Refuses d <= 2, where the tail diverges."""
-        d = self.step.dim
-        x = lattice_point(x, d)
-        partial = self._partial(x)
-        tail = clt_tail_estimate(self.step.covariance, x, self.n_max)
-        crude, spitzer = self._bound_terms
-        # absorbed mass can still have reached x afterwards: bound its
-        # contribution by the asymptotic Green value at the boundary gap
-        gap = max(self.box_radius - max(abs(v) for v in x), 1)
-        leak_bound = self.leak * spitzer * gap ** (2 - d)
-        err = max(crude - tail, 0.0) + leak_bound + 0.05 * tail
-        return GreenEstimate(x=x, value=partial + tail, method="dp",
-                             error_bound=float(err), lower_bound=partial,
-                             n_max=self.n_max)
+        x = lattice_point(x, self.step.dim)
+        i = self._rep([x])[0]
+        value, err = self._table[:, i].tolist()
+        return GreenEstimate(x=x, value=value, method="dp", error_bound=err,
+                             lower_bound=float(self._g[i]), n_max=self.n_max)
 
     def level_sum(self, norm: NormSpec, k: int) -> float:
         """sum of Green values over the norm sphere ||x|| = k (DP + tail),
         by math.fsum, so it does not depend on the enumeration order."""
-        return math.fsum(self.green(p).value for p in sphere_points(norm, k).tolist())
+        if norm.dim != self.step.dim:
+            raise UsageError(f"a norm of dimension {norm.dim} on a field of "
+                             f"dimension {self.step.dim}")
+        return math.fsum(self._table[0][self._rep(sphere_points(norm, k))].tolist())
 
 
 def _symmetries(step: StepDistribution) -> tuple[list, list]:
@@ -268,7 +290,7 @@ def _symmetries(step: StepDistribution) -> tuple[list, list]:
 
 def _orbits(flips: list, classes: list, d: int, radius: int):
     """(rep_of, reps): the representative index of every box cell (int32,
-    flat C order) and the representatives' flat indices (ascending).
+    flat C order) and the representatives' flat indices (int32, ascending).
 
     A cell's representative has |y| on the flippable axes and each class
     in nonincreasing order; with no symmetry every cell is its own.  Time
@@ -294,7 +316,7 @@ def _orbits(flips: list, classes: list, d: int, radius: int):
     del y
     rank = np.zeros(flat.size, dtype=np.int32)
     rank[flat] = 1
-    reps = np.flatnonzero(rank)
+    reps = np.flatnonzero(rank).astype(np.int32)
     np.cumsum(rank, out=rank)
     rank -= 1
     return rank[flat], reps
@@ -393,7 +415,7 @@ def _steps(n_max: int, blocks: list, bounds: list, scales: list, lift: tuple,
 
 
 def default_box_radius(x: Sequence[int], n_max: int) -> int:
-    """max(4 ||x||_inf, 2 sqrt(n_max)): keeps leaked mass marginal."""
+    """max(4 ||x||_inf, 2 sqrt(n_max), 8): keeps leaked mass marginal."""
     xr = max((abs(int(v)) for v in x), default=0)
     return max(4 * xr, int(2 * math.sqrt(n_max)), 8)
 

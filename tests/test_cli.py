@@ -421,7 +421,14 @@ class TestConfigFile:
                     "--horizons", "1e2,1e3", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["f"]
 
-    CENSUS = ["census", "--norm", "l1", "--dim", "3", "--kmax", "4",
+    def test_integer_lists_read_large_integers_exactly(self, capsys):
+        # 2^53 + 1 has no float64; read through float it became 2^53
+        assert run(["green", "--dim", "3", "--x", "9007199254740993,0,-1e2",
+                    "--method", "asymptotic", "--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["x"] == [9007199254740993, 0, -100]
+
+    CENSUS =["census", "--norm", "l1", "--dim", "3", "--kmax", "4",
               "--format", "json"]
 
     @pytest.mark.parametrize("value", ["true", "yes", "1", "True"])

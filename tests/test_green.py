@@ -18,7 +18,7 @@ from normwalk.green import (
     spitzer_asymptotic,
     spitzer_constant_isotropic,
 )
-from normwalk.norms import make_norm
+from normwalk.norms import make_norm, sphere_points
 from normwalk.walk import (
     StepDistribution,
     hitting_probability,
@@ -450,6 +450,93 @@ class TestGreenQueryPinned:
         assert est.error_bound.hex() == "0x1.41809aba8e377p-4"
 
 
+def per_point_green(field, x):
+    """(value, error_bound) of field.green(x) by the per-point formula the
+    field evaluated before its table: one solve of Q y = x, a scalar
+    gammainc and Python float powers."""
+    from scipy.special import gammainc
+
+    step, d, n = field.step, field.step.dim, field.n_max
+    q = np.asarray(step.covariance, dtype=float)
+    v = np.asarray(x, dtype=float)
+    c = float(np.linalg.det(q)) ** -0.5 * (2 * math.pi) ** (-d / 2)
+    a = float(v @ np.linalg.solve(q, v)) / 2.0
+    s = d / 2 - 1
+    if a == 0.0:
+        tail = c * n ** (-s) / s
+    else:
+        tail = c * a ** (-s) * math.gamma(s) * float(gammainc(s, a / n))
+    gap = max(field.box_radius - max(map(abs, x)), 1)
+    leak_bound = field.leak * spitzer_constant_isotropic(d, step.sigma2) \
+        * gap ** (2 - d)
+    err = max(clt_tail_bound(d, step.sigma2, n) - tail, 0.0) + leak_bound \
+        + 0.05 * tail
+    return field.partial_at(x) + tail, err
+
+
+class TestGreenTable:
+    """green, partial_at and level_sum read one table over the orbit
+    representatives."""
+
+    RADIUS = 10
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        # (field, (value, error_bound) at every box cell in C order)
+        out = {}
+        for law in ("simple3", "lazy3", "mixed3", "bipartite3", "random3"):
+            field = GreenField(STENCIL_LAWS[law], n_max=150, box_radius=self.RADIUS)
+            cells = itertools.product(range(-self.RADIUS, self.RADIUS + 1), repeat=3)
+            out[law] = field, np.array([(e.value, e.error_bound)
+                                        for e in map(field.green, cells)])
+        return out
+
+    @pytest.mark.parametrize("law", ["simple3", "lazy3", "mixed3", "bipartite3"])
+    def test_constant_on_orbits(self, tables, law):
+        field, got = tables[law]
+        rep = representative_map(field.step, self.RADIUS)
+        assert got.tobytes() == got[rep].tobytes()
+
+    @pytest.mark.parametrize("law, ulps, rel", [
+        ("simple3", 2, 0.0), ("lazy3", 2, 0.0), ("random3", 0, 1e-14)])
+    def test_agrees_with_per_point_formula(self, tables, law, ulps, rel):
+        # numpy's array power rounds a few values other than Python's
+        # scalar one, and a batched solve other than one per point
+        field, got = tables[law]
+        cells = itertools.product(range(-self.RADIUS, self.RADIUS + 1), repeat=3)
+        want = np.array([per_point_green(field, x) for x in cells])
+        slack = np.maximum(ulps * np.spacing(want), rel * want)
+        assert np.all(np.abs(got - want) <= slack)
+
+    @pytest.mark.parametrize("family", ["max", "l1", "w1"])
+    def test_level_sum_adds_green_values(self, field, family):
+        norm = make_norm(family, 3)
+        for k in range(5):
+            want = math.fsum(field.green(p).value
+                             for p in sphere_points(norm, k).tolist())
+            assert field.level_sum(norm, k).hex() == want.hex()
+
+    def test_partial_at_reads_the_box(self, tables):
+        field, _ = tables["mixed3"]
+        cells = itertools.product(range(-self.RADIUS, self.RADIUS + 1), repeat=3)
+        got = np.array([field.partial_at(x) for x in cells])
+        assert got.tobytes() == field.partial.reshape(-1).tobytes()
+
+    @pytest.mark.parametrize("law", ["simple3", "lazy3", "random3"])
+    def test_tail_estimate_on_an_array_of_points(self, law):
+        q = STENCIL_LAWS[law].covariance
+        points = np.array([(2, -1, 0), (0, 0, 0), (5, 3, -4), (0, 0, 0),
+                           (-1, 0, 0), (9, 9, 9)])
+        got = clt_tail_estimate(q, points, 40)
+        want = [clt_tail_estimate(q, x, 40) for x in points]
+        assert got.shape == (len(points),)
+        if law == "random3":
+            # a solve for many points rounds other than one per point
+            assert got == pytest.approx(want, rel=1e-14, abs=0)
+        else:
+            assert got.tolist() == want
+
+
 class TestDPBoundAgainstExact:
     # the realised error is below 5e-4 of error_bound at these points
     POINTS = [(0, 0, 0), (1, 0, 0), (3, 0, 0), (2, 2, 1), (6, 0, 0)]
@@ -493,15 +580,35 @@ class TestRefusals:
 
     @pytest.mark.parametrize("call", [
         lambda: GreenField(make_simple_walk(2), n_max=10, box_radius=5).green((1, 0)),
+        lambda: GreenField(make_simple_walk(2), n_max=10,
+                           box_radius=5).level_sum(make_norm("max", 2), 1),
         lambda: green_dp(make_simple_walk(1), (1,), n_max=10),
         lambda: green_dp(make_simple_walk(2), (1, 0), n_max=10),
         lambda: green_dp(make_simple_walk(2), (0, 0), n_max=10),
         lambda: clt_tail_estimate(np.eye(2) / 2, (1, 0), 10),
         lambda: clt_tail_bound(2, 0.5, 10),
-    ], ids=["field-2d", "dp-1d", "dp-2d", "dp-2d-origin", "clt-estimate-2d",
-            "clt-bound-2d"])
+    ], ids=["field-2d", "field-2d-level-sum", "dp-1d", "dp-2d", "dp-2d-origin",
+            "clt-estimate-2d", "clt-bound-2d"])
     def test_recurrent(self, call):
         with pytest.raises(UsageError, match="walks are recurrent"):
+            call()
+
+    def test_field_2d_partial_sums_stay_readable(self):
+        # the table of Green values is built, and refused, at the first query
+        field = GreenField(make_simple_walk(2), n_max=2, box_radius=3)
+        assert field.partial_at((0, 0)) == 0.25
+
+    @pytest.mark.parametrize("call", [
+        lambda: clt_tail_estimate(np.eye(3) / 3, (0, 0, 0), 0),
+        lambda: clt_tail_estimate(np.eye(3) / 3, (1, 0, 0), -5),
+        lambda: clt_tail_estimate(np.eye(3) / 3, np.eye(3), 0),
+        lambda: clt_tail_bound(3, 1 / 3, 0),
+    ], ids=["estimate-origin-0", "estimate-negative", "estimate-array-0",
+            "bound-0"])
+    def test_tail_before_step_one(self, call):
+        # the tail sums over n > n_from; from n_from 0 it divided by zero
+        # at the origin and came out nan from below 0
+        with pytest.raises(UsageError, match="n_from must be >= 1"):
             call()
 
     def test_asymptotic_point_of_wrong_dimension(self):
