@@ -33,8 +33,6 @@ from .walk import (
     replica_rng,
     simulate,
     site_visit_samples,
-    total_level_local_time,
-    truncated_f_sum,
 )
 from .green import (
     GreenEstimate,

@@ -15,7 +15,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -46,13 +45,6 @@ class SphereCensus:
 
     def __getitem__(self, k: int) -> int:
         return self.counts[k]
-
-    def cumulative(self) -> list:
-        out, acc = [], 0
-        for c in self.counts:
-            acc += c
-            out.append(acc)
-        return out
 
 
 def count_bruteforce(spec: NormSpec, k_max: int) -> SphereCensus:
@@ -183,24 +175,3 @@ def growth_bounds(census: SphereCensus) -> tuple[float, float]:
             raise UsageError(f"census has N({k}) = 0; growth bounds undefined")
         ratios.append(c / k ** (d - 1))
     return min(ratios), max(ratios)
-
-
-def verify_oracle_equivalence(dims: Sequence[int] = (2, 3, 4), k_max: int = 15,
-                              extra_specs: Sequence[NormSpec] = ()) -> list:
-    """Cross-check fast counts against brute force; returns mismatch list.
-
-    Covers max / l1 / w1 for each dim, plus any extra specs (e.g. a
-    unimodular transform).  An empty return value means full agreement.
-    """
-    mismatches = []
-    jobs = [NormSpec(fam, d) for d in dims for fam in ("max", "l1", "w1")]
-    jobs.extend(extra_specs)
-    for spec in jobs:
-        fast = census_for(spec, k_max)
-        brute = count_bruteforce(spec, k_max)
-        if fast.counts != brute.counts:
-            bad = next(k for k in range(k_max + 1)
-                       if fast.counts[k] != brute.counts[k])
-            mismatches.append((spec.describe(), bad, fast.counts[bad],
-                               brute.counts[bad]))
-    return mismatches

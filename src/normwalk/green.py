@@ -88,14 +88,16 @@ def clt_tail_estimate(q: np.ndarray, x: Sequence, n_from: int) -> float | np.nda
     return tail if tail.ndim else float(tail)
 
 
-def clt_tail_bound(d: int, sigma2: float, n_from: int) -> float:
-    """Conservative tail bound 2 (2 pi sigma^2)^{-d/2} sum_{n>N} n^{-d/2}, N >= 1."""
-    check_transient(d, "the CLT tail bound")
+def clt_tail_bound(q: np.ndarray, n_from: int) -> float:
+    """Conservative tail bound 2 c sum_{n>N} n^{-d/2}, N >= 1, for a walk of
+    covariance Q: c = (det Q)^{-1/2} (2 pi)^{-d/2} is the local-CLT constant
+    of `_gauss_form`, doubled for the period-2 alternation."""
     if n_from < 1:
         raise UsageError(f"n_from must be >= 1, got {n_from}")
+    d, _, c, _, _ = _gauss_form(q, np.zeros(len(q)))
     s = d / 2
     zeta_tail = n_from ** (1 - s) / (s - 1) + 0.5 * n_from ** -s
-    return 2.0 * (2 * math.pi * sigma2) ** (-s) * zeta_tail
+    return 2.0 * c * zeta_tail
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,7 @@ class GreenField:
         # contribution by the asymptotic Green value at the boundary gap
         gap = np.maximum(r - np.abs(reps).max(axis=1), 1.0)
         leak_bound = self.leak * spitzer_constant_isotropic(d, sigma2) * gap ** (2 - d)
-        slack = np.maximum(clt_tail_bound(d, sigma2, self.n_max) - tail, 0.0)
+        slack = np.maximum(clt_tail_bound(self.step.covariance, self.n_max) - tail, 0.0)
         return np.stack((self._g + tail, slack + leak_bound + 0.05 * tail))
 
     def partial_at(self, x: Sequence[int]) -> float:

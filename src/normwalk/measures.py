@@ -25,7 +25,8 @@ import numpy as np
 from .census import census_for
 from .errors import UsageError
 from .norms import NormSpec, sphere_points
-from .walk import StepDistribution, check_ladder, total_level_local_time
+from .walk import (StepDistribution, _exit_counts, check_ladder,
+                   check_replicas, check_transient, truncation_bias_bound)
 
 TestFn = Callable[[np.ndarray], np.ndarray]
 
@@ -169,8 +170,9 @@ class ScaledLocalTimeSample:
     k: int
     k_cut: int
     n_level: int
-    samples: np.ndarray  # float, one per replica
-    bias_bound: float
+    counts: np.ndarray   # int64 level-k visits before the exit, one per replica
+    samples: np.ndarray  # float, counts / (k^{2-d} N(k))
+    bias_bound: float    # relative, from truncation_bias_bound
 
     @property
     def mean(self) -> float:
@@ -184,19 +186,30 @@ class ScaledLocalTimeSample:
 def scaled_samples(step: StepDistribution, spec: NormSpec, k: int,
                    replicas: int, master_seed: int,
                    k_cut: Optional[int] = None) -> ScaledLocalTimeSample:
-    """Truncated level-k local times scaled by k^{2-d} N(k); d >= 3, as
-    total_level_local_time requires."""
-    census = census_for(spec, k)
-    n_level = census[k]
+    """Visits to norm level k before first exceeding norm-radius k_cut,
+    scaled by k^{2-d} N(k).
+
+    Requires d >= 3 (transient regime), k >= 1 and k_cut >= 2k; default
+    k_cut = 8k.  Everything is refused before any walk.
+    """
+    check_transient(spec.dim, "total local times")
+    if k < 1:
+        raise UsageError("k must be >= 1")
+    if k_cut is None:
+        k_cut = 8 * k
+    if k_cut < 2 * k:
+        raise UsageError(f"k_cut = {k_cut} < 2k leaves the truncation bias uncontrolled")
+    check_replicas(replicas, 1)
+    n_level = census_for(spec, k)[k]
     if n_level == 0:
         raise UsageError(f"norm level {k} is empty; scaling undefined")
-    raw = total_level_local_time(step, spec, k, replicas, master_seed,
-                                 k_cut=k_cut)
+    counts = _exit_counts(step, spec, k_cut, replicas, master_seed,
+                          lambda cols, norms: int(np.count_nonzero(norms == k)))
     scale = float(k) ** (2 - spec.dim) * n_level
-    return ScaledLocalTimeSample(spec=spec, k=k, k_cut=raw.k_cut,
-                                 n_level=n_level,
-                                 samples=raw.samples.astype(float) / scale,
-                                 bias_bound=raw.bias_bound)
+    return ScaledLocalTimeSample(spec=spec, k=k, k_cut=k_cut, n_level=n_level,
+                                 counts=counts,
+                                 samples=counts.astype(float) / scale,
+                                 bias_bound=truncation_bias_bound(spec, k, k_cut))
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -264,13 +277,18 @@ def invariance_surrogate(step: StepDistribution, spec: NormSpec,
                          master_seed: int) -> InvarianceReport:
     """Run the ladder of scaled samples and the pairwise KS checks.
 
-    Seeds are salted per level so ladder entries are independent.  The
-    ladder needs two levels, since the KS checks compare consecutive ones.
+    Seeds are salted per level (level j walks with master_seed + 7919 j) so
+    ladder entries are independent; every salted seed is checked before any
+    level runs.  The ladder needs two levels, since the KS checks compare
+    consecutive ones.
     """
     ladder = check_ladder(k_ladder, "k ladder levels", rungs=2)
     if replicas < MIN_KS_SAMPLES:
         # each level's replicas form one KS sample set
         raise UsageError(f"need at least {MIN_KS_SAMPLES} samples per set")
+    if master_seed < 0 or master_seed + 7919 * (len(ladder) - 1) >= 1 << 64:
+        raise UsageError(f"seed {master_seed} is out of range: a {len(ladder)}-level "
+                         "ladder needs seed + 7919 j in [0, 2^64) for every level j")
     sets = [scaled_samples(step, spec, k, replicas,
                            master_seed=master_seed + 7919 * j)
             for j, k in enumerate(ladder)]

@@ -112,14 +112,18 @@ class NormSpec:
         elif self.factor != 1:
             raise UsageError("factor is only supported for scaled_max")
         if self.transform is not None:
-            arr = np.asarray(self.transform)
+            try:
+                arr = np.asarray(self.transform)
+            except ValueError:  # ragged rows have no shape
+                raise UsageError(f"transform must be {self.dim}x{self.dim}, "
+                                 "got ragged rows") from None
             if arr.shape != (self.dim, self.dim):
                 raise UsageError(f"transform must be {self.dim}x{self.dim}, got {arr.shape}")
-            if not np.issubdtype(arr.dtype, np.integer):
-                if np.all(arr == np.round(arr)):
-                    arr = arr.astype(np.int64)
-                else:
-                    raise UsageError("transform entries must be integers")
+            # integral floats count; nan, inf and strings do not
+            if arr.dtype.kind not in "biu" and not (
+                    arr.dtype.kind == "f" and np.isfinite(arr).all()
+                    and (arr == np.round(arr)).all()):
+                raise UsageError("transform entries must be integers")
             if not validate_unimodular(arr):
                 raise UsageError("transform must be unimodular (|det| = 1)")
             object.__setattr__(self, "transform", arr.astype(np.int64))
@@ -274,7 +278,7 @@ class NormSpec:
         lo = 1.0 / float(np.linalg.norm(dual, axis=1).max())
         return lo / self.factor, hi / self.factor
 
-    # -- serialisation ----------------------------------------------------
+    # -- description ------------------------------------------------------
 
     def describe(self) -> dict:
         out = {"family": self.family, "dim": self.dim}
@@ -284,27 +288,10 @@ class NormSpec:
             out["transform"] = [int(v) for v in self.transform.ravel()]
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.describe(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NormSpec":
-        obj = json.loads(text) if isinstance(text, str) else dict(text)
-        dim = int(obj["dim"])
-        transform = None
-        if obj.get("transform") is not None:
-            flat = [int(v) for v in obj["transform"]]
-            if len(flat) != dim * dim:
-                raise UsageError("transform must be a row-major dim*dim array")
-            transform = np.array(flat, dtype=np.int64).reshape(dim, dim)
-        return cls(family=obj["family"], dim=dim,
-                   factor=int(obj.get("factor", 1)), transform=transform)
-
 
 def make_norm(family: str, dim: int, factor: int = 1,
               transform: Optional[Sequence[Sequence[int]]] = None) -> NormSpec:
-    t = None if transform is None else np.asarray(transform)
-    return NormSpec(family=family, dim=dim, factor=factor, transform=t)
+    return NormSpec(family=family, dim=dim, factor=factor, transform=transform)
 
 
 def iter_box_slabs(dim: int, radius: int) -> Iterator[np.ndarray]:

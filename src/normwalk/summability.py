@@ -79,6 +79,13 @@ class LevelFunction:
         return float(self.values(np.arange(0, ALLOWANCE_SUM_CAP + 1)).sum())
 
 
+def _check_finite(**params) -> None:
+    """Refuse a nan or infinite parameter: it would get a symbolic verdict."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PowerLaw(LevelFunction):
     """f(k) = (shift + k)^{-beta}, shift >= 1."""
@@ -87,6 +94,7 @@ class PowerLaw(LevelFunction):
     shift: float = 1.0
 
     def __post_init__(self):
+        _check_finite(beta=self.beta, shift=self.shift)
         if self.shift < 1:
             raise UsageError("shift must be >= 1 (regularises k = 0)")
 
@@ -107,6 +115,7 @@ class PowerLog(LevelFunction):
     shift: float = 1.0
 
     def __post_init__(self):
+        _check_finite(beta=self.beta, gamma=self.gamma, shift=self.shift)
         if self.shift < 1:
             raise UsageError("shift must be >= 1")
 
@@ -133,6 +142,7 @@ class TableFunction(LevelFunction):
     tail: object = None
 
     def __post_init__(self):
+        _check_finite(**{f"table[{i}]": v for i, v in enumerate(self.table)})
         if any(v < 0 for v in self.table):
             raise UsageError("level functions must be nonnegative")
         if not self.table:

@@ -478,16 +478,6 @@ def f_sums(counts: np.ndarray, f: Callable[[np.ndarray], np.ndarray]
     return np.array(sums).reshape(counts.shape[:-1])
 
 
-def truncated_f_sum(run: WalkRun, norm: NormSpec,
-                    f: Callable[[np.ndarray], np.ndarray],
-                    checkpoints: Sequence[int]) -> dict[int, float]:
-    """Partial sums sum_{n<=N} f(||S_n||) = sum_k f(k) L_N(k) at each
-    checkpoint N, from level_counts and f_sums."""
-    checkpoints = check_ladder(checkpoints, "checkpoints")
-    return dict(zip(checkpoints,
-                    f_sums(level_counts(run, norm, checkpoints), f).tolist()))
-
-
 # -- truncated total local times and hitting statistics --------------------
 
 
@@ -502,25 +492,6 @@ def truncation_bias_bound(norm: NormSpec, k: int, k_cut: int) -> float:
     lo, hi = norm.euclid_range_on_unit_sphere()
     d = norm.dim
     return float(((k * hi) / (k_cut * lo)) ** (d - 2))
-
-
-@dataclass(frozen=True)
-class LevelLocalTimeSample:
-    """Replicated truncated samples of the total level-k local time."""
-
-    k: int
-    k_cut: int
-    samples: np.ndarray  # int64, one per replica
-    bias_bound: float    # relative, from truncation_bias_bound
-
-    @property
-    def mean(self) -> float:
-        return float(self.samples.mean())
-
-    @property
-    def std_error(self) -> float:
-        n = len(self.samples)
-        return float(self.samples.std(ddof=1) / np.sqrt(n)) if n > 1 else np.inf
 
 
 def _exit_counts(step: StepDistribution, norm: NormSpec, k_cut: int,
@@ -540,27 +511,6 @@ def _exit_counts(step: StepDistribution, norm: NormSpec, k_cut: int,
         raise UsageError("walk failed to exit k_cut within the step budget")
 
     return np.array(map_replicas(one, replicas), dtype=np.int64)
-
-
-def total_level_local_time(step: StepDistribution, norm: NormSpec, k: int,
-                           replicas: int, master_seed: int,
-                           k_cut: Optional[int] = None) -> LevelLocalTimeSample:
-    """Visit counts to norm level k before first exceeding k_cut.
-
-    Requires d >= 3 (transient regime) and k_cut >= 2k; default k_cut = 8k.
-    """
-    check_transient(norm.dim, "total local times")
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    if k_cut is None:
-        k_cut = 8 * k
-    if k_cut < 2 * k:
-        raise UsageError(f"k_cut = {k_cut} < 2k leaves the truncation bias uncontrolled")
-    check_replicas(replicas, 1)
-    vals = _exit_counts(step, norm, k_cut, replicas, master_seed,
-                        lambda cols, norms: int(np.count_nonzero(norms == k)))
-    return LevelLocalTimeSample(k=k, k_cut=k_cut, samples=vals,
-                                bias_bound=truncation_bias_bound(norm, k, k_cut))
 
 
 def site_visit_samples(step: StepDistribution, norm: NormSpec,

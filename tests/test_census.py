@@ -15,7 +15,6 @@ from normwalk.census import (
     count_w1_recursive,
     gf_residual_l1,
     growth_bounds,
-    verify_oracle_equivalence,
 )
 from normwalk.errors import ResourceError, UsageError
 from normwalk.norms import make_norm
@@ -101,9 +100,6 @@ class TestBruteForceOracle:
     def test_negative_k_max_refused(self, spec):
         with pytest.raises(UsageError, match="k_max must be >= 0"):
             census_for(spec, -1)
-
-    def test_verify_helper_clean(self):
-        assert verify_oracle_equivalence(dims=(2,), k_max=6) == []
 
 
 def test_convolution_split_identity():
@@ -201,12 +197,6 @@ class TestMonotonicityAndGrowth:
     def test_growth_bounds_zero_level(self):
         with pytest.raises(UsageError, match="N\\(1\\) = 0"):
             growth_bounds(census_for(make_norm("scaled_max", 3, factor=2), 10))
-
-    def test_cumulative_scales_like_kd(self):
-        cen = census_for(make_norm("l1", 3), 200)
-        cum = cen.cumulative()
-        ratios = [cum[k] / k ** 3 for k in range(20, 201)]
-        assert min(ratios) > 0.5 and max(ratios) < 4.0
 
 
 def test_census_invariants():

@@ -2,6 +2,7 @@ import ast
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from normwalk import walk
-from normwalk.cli import main
+from normwalk.census import SphereCensus, count_bruteforce
+from normwalk.cli import build_parser, main
 from normwalk.green import green_mc
 from normwalk.measures import invariance_surrogate
 from normwalk.norms import make_norm
@@ -18,6 +20,7 @@ from normwalk.walk import make_simple_walk
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -131,6 +134,51 @@ class TestExitCodes:
     def test_resource_error_exit_code(self, capsys):
         assert run(["green", "--dim", "3", "--x", "0,0,0", "--method", "dp",
                     "--nmax", "10", "--box-radius", "900"]) == 3
+
+    @pytest.mark.parametrize("transform, message", [
+        ("1,x,0;0,1,-1;1,-1,1", "'x' is not an integer"),
+        ("1.5,-1,0;0,1,-1;1,-1,1", "'1.5' is not an integer"),
+        ("1,-1,0;;1,-1,1", "transform must be 3x3, got ragged rows"),
+        ("1,-1;0,1,-1;1,-1,1", "transform must be 3x3, got ragged rows"),
+    ], ids=["non-numeric", "fraction", "empty-row", "ragged-row"])
+    def test_bad_transform_usage_error(self, capsys, transform, message):
+        # a usage error, not a traceback from int() or numpy
+        assert run(["census", "--norm", "l1", "--dim", "3", "--kmax", "3",
+                    "--transform", transform]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and message in captured.err
+
+    def test_transform_reads_integral_floats(self, capsys):
+        # the rows are integer lists, read as --x and --horizons are
+        outs = []
+        for transform in ("1.0,-1,0;0,1,-1;1,-1,1", "1,-1,0;0,1,-1;1,-1,1"):
+            assert run(["census", "--norm", "l1", "--dim", "3", "--kmax", "3",
+                        "--transform", transform, "--format", "json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["spec"]["transform"] == [1, -1, 0, 0, 1, -1, 1, -1, 1]
+
+    @pytest.mark.parametrize("argv", [["--beta", "nan"], ["--beta", "inf"],
+                                      ["--beta", "3", "--gamma", "nan"]],
+                             ids=["beta-nan", "beta-inf", "gamma-nan"])
+    def test_non_finite_exponent_usage_error(self, capsys, monkeypatch, argv):
+        # it got a symbolic verdict and printed NaN into the JSON
+        monkeypatch.setattr(walk, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        assert run(["zero-one", *argv, "--dim", "3", "--replicas", "3",
+                    "--horizons", "100,1000", "--format", "json",
+                    "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    def test_invariance_seed_out_of_range_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(walk, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        assert run(["invariance", "--dim", "3", "--seed",
+                    str(2 ** 64 - 1)]) == 1
+        assert "seed 18446744073709551615 is out of range" in capsys.readouterr().err
 
 
 class TestOutputs:
@@ -354,10 +402,14 @@ class TestOutputs:
         out = capsys.readouterr().out
         assert "1,6,bruteforce" in out and "4,66,bruteforce" in out
 
+    @staticmethod
+    def zero_census(spec, k_max):
+        """A census that is wrong at every k >= 1."""
+        return SphereCensus(spec=spec, counts=(1,) + (0,) * k_max, method="fake")
+
     def test_verification_failure_exits_two(self, capsys, monkeypatch):
         import normwalk.cli as cli
-        monkeypatch.setattr(cli, "verify_oracle_equivalence",
-                            lambda **kw: [({"family": "max"}, 1, 2, 3)])
+        monkeypatch.setattr(cli, "count_bruteforce", self.zero_census)
         assert run(["census", "--norm", "max", "--dim", "3", "--kmax", "4",
                     "--verify"]) == 2
         assert "verification failed" in capsys.readouterr().err
@@ -365,17 +417,49 @@ class TestOutputs:
     def test_verification_failure_still_writes_outputs(self, tmp_path,
                                                        monkeypatch):
         import normwalk.cli as cli
-        monkeypatch.setattr(cli, "verify_oracle_equivalence",
-                            lambda **kw: [({"family": "max"}, 1, 2, 3)])
+        monkeypatch.setattr(cli, "count_bruteforce", self.zero_census)
         out = tmp_path / "c"
         assert run(["census", "--norm", "max", "--dim", "3", "--kmax", "4",
                     "--verify", "--out", str(out)]) == 2
         rep = json.loads((out / "census.json").read_text())
         assert rep["verified"] is False
+        # (spec, k, printed count, other method's count)
+        assert rep["mismatches"][0] == [{"family": "max", "dim": 3}, 1, 26, 0]
         assert list(rep)[0] == "schema_version"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "census"
         assert (out / "census.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--norm", "max", "--dim", "3", "--kmax", "20"],
+        ["--norm", "scaled_max", "--factor", "1", "--dim", "3", "--kmax", "6"],
+        ["--norm", "l1", "--dim", "3", "--transform", "1,-1,0;0,1,-1;1,-1,1",
+         "--kmax", "6"],
+    ], ids=["max", "scaled_max-factor-1", "l1-transformed"])
+    def test_verify_recounts_the_printed_spec_only(self, argv, capsys,
+                                                   monkeypatch):
+        import normwalk.cli as cli
+        seen = []
+
+        def brute(spec, k_max):
+            seen.append((spec, k_max))
+            return count_bruteforce(spec, k_max)
+
+        monkeypatch.setattr(cli, "count_bruteforce", brute)
+        assert run(["census", *argv, "--verify", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+        spec = cli._norm_from_args(cli.build_parser().parse_args(["census", *argv]))
+        assert seen == [(spec, min(int(argv[-1]), 15))]
+
+    def test_bruteforce_verify_recounts_by_the_recursion(self, capsys,
+                                                         monkeypatch):
+        import normwalk.cli as cli
+        monkeypatch.setattr(cli, "census_for", self.zero_census)
+        assert run(["census", "--norm", "w1", "--dim", "3", "--kmax", "3",
+                    "--bruteforce", "--verify", "--format", "json"]) == 2
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["method"] == "bruteforce"
+        assert [m[1:] for m in rep["mismatches"]] == [[1, 2, 0], [2, 4, 0], [3, 8, 0]]
 
     def test_invariance_runs_the_library_surrogate(self, tmp_path):
         out = tmp_path / "inv"
@@ -551,9 +635,6 @@ def _defaulted_options() -> set:
 class TestOptionInventory:
     # every value a caller may leave out; adding one is an edit here
     ALLOWED = {
-        "census.verify_oracle_equivalence(dims)",
-        "census.verify_oracle_equivalence(extra_specs)",
-        "census.verify_oracle_equivalence(k_max)",
         "cli.main(argv)",
         "green.GreenEstimate.lower_bound",
         "green.GreenEstimate.n_max",
@@ -591,8 +672,28 @@ class TestOptionInventory:
         "walk.hitting_probability(k_cut)",
         "walk.simulate(chunk)",
         "walk.simulate(track_sites)",
-        "walk.total_level_local_time(k_cut)",
     }
 
     def test_defaulted_values_are_the_allowed_ones(self):
         assert _defaulted_options() == self.ALLOWED
+
+
+def readme_cli_lines() -> list:
+    """Every `normwalk ...` line of the README's sh blocks."""
+    lines, in_sh = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("normwalk "):
+            lines.append(line)
+    return lines
+
+
+def test_readme_cli_lines_parse():
+    # the documented invocations use flags the parser has; none is run
+    lines = readme_cli_lines()
+    assert len(lines) >= 11
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).subcommand == argv[0], line

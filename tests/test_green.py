@@ -423,16 +423,18 @@ class TestGreenDP:
         assert est.value == pytest.approx(G00, abs=0.01)
 
 
-def green_exact(x):
-    """G(0,x) of the simple walk: int_0^inf prod_i ive(|x_i|, t/d) dt minus
-    the n = 0 term (Lawler & Limic, Random Walk: A Modern Introduction,
-    2010, ch. 4)."""
+def green_exact(x, rates=None):
+    """G(0,x) of the walk that steps +-e_i with probability rates[i] / 2
+    each (the simple walk's rates 1/d by default): int_0^inf prod_i
+    ive(|x_i|, rates[i] t) dt minus the n = 0 term (Lawler & Limic, Random
+    Walk: A Modern Introduction, 2010, ch. 4)."""
     from scipy.integrate import quad
     from scipy.special import ive
 
     d = len(x)
-    val = quad(lambda t: math.prod(ive(abs(v), t / d) for v in x), 0, np.inf,
-               epsabs=1e-13, epsrel=1e-12, limit=500)[0]
+    rates = [1 / d] * d if rates is None else rates
+    val = quad(lambda t: math.prod(ive(abs(v), r * t) for v, r in zip(x, rates)),
+               0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=500)[0]
     return val - (not any(x))
 
 
@@ -469,7 +471,7 @@ def per_point_green(field, x):
     gap = max(field.box_radius - max(map(abs, x)), 1)
     leak_bound = field.leak * spitzer_constant_isotropic(d, step.sigma2) \
         * gap ** (2 - d)
-    err = max(clt_tail_bound(d, step.sigma2, n) - tail, 0.0) + leak_bound \
+    err = max(clt_tail_bound(q, n) - tail, 0.0) + leak_bound \
         + 0.05 * tail
     return field.partial_at(x) + tail, err
 
@@ -555,12 +557,21 @@ class TestDPBoundAgainstExact:
         assert abs(est.value - exact) <= est.error_bound
 
 
+# +-e1 with probability 0.02 each and +-e2, +-e3 with 0.24 each:
+# Q = diag(0.04, 0.48, 0.48), far from sigma^2 I
+ANISOTROPIC_RATES = (0.04, 0.48, 0.48)
+ANISOTROPIC = StepDistribution(
+    3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+    [0.02, 0.02, 0.24, 0.24, 0.24, 0.24])
+
+
 class TestTailBoundAgainstExact:
     # clt_tail_bound is documented as conservative: it must cover the exact
     # tail sum_{m > n} P(S_m = x), the Bessel-integral G(0, x) minus the
     # partial sum of a field of radius n, which never absorbs in n steps
     LAWS = {"simple": (make_simple_walk(3), lambda x: green_exact(x)),
-            "lazy": (make_lazy_walk(3), lambda x: 2 * green_exact(x) + (not any(x)))}
+            "lazy": (make_lazy_walk(3), lambda x: 2 * green_exact(x) + (not any(x))),
+            "anisotropic": (ANISOTROPIC, lambda x: green_exact(x, ANISOTROPIC_RATES))}
 
     @pytest.mark.parametrize("n", [20, 50])
     @pytest.mark.parametrize("law", LAWS)
@@ -568,8 +579,8 @@ class TestTailBoundAgainstExact:
         step, exact = self.LAWS[law]
         field = GreenField(step, n_max=n, box_radius=n)
         assert field.leak == pytest.approx(0.0, abs=1e-12)  # rounding only
-        claimed = clt_tail_bound(3, step.sigma2, n)
-        for x in TestDPBoundAgainstExact.POINTS:
+        claimed = clt_tail_bound(step.covariance, n)
+        for x in [*TestDPBoundAgainstExact.POINTS, (0, 1, 0)]:
             realised = exact(x) - field.partial_at(x)
             assert 0.0 < realised <= claimed, (x, realised, claimed)
 
@@ -586,7 +597,7 @@ class TestRefusals:
         lambda: green_dp(make_simple_walk(2), (1, 0), n_max=10),
         lambda: green_dp(make_simple_walk(2), (0, 0), n_max=10),
         lambda: clt_tail_estimate(np.eye(2) / 2, (1, 0), 10),
-        lambda: clt_tail_bound(2, 0.5, 10),
+        lambda: clt_tail_bound(np.eye(2) / 2, 10),
     ], ids=["field-2d", "field-2d-level-sum", "dp-1d", "dp-2d", "dp-2d-origin",
             "clt-estimate-2d", "clt-bound-2d"])
     def test_recurrent(self, call):
@@ -602,7 +613,7 @@ class TestRefusals:
         lambda: clt_tail_estimate(np.eye(3) / 3, (0, 0, 0), 0),
         lambda: clt_tail_estimate(np.eye(3) / 3, (1, 0, 0), -5),
         lambda: clt_tail_estimate(np.eye(3) / 3, np.eye(3), 0),
-        lambda: clt_tail_bound(3, 1 / 3, 0),
+        lambda: clt_tail_bound(np.eye(3) / 3, 0),
     ], ids=["estimate-origin-0", "estimate-negative", "estimate-array-0",
             "bound-0"])
     def test_tail_before_step_one(self, call):

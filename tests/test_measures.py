@@ -177,8 +177,15 @@ class TestScaledSamples:
         with pytest.raises(UsageError):
             scaled_samples(SW3, spec, 3, replicas=10, master_seed=0)
 
+    def test_counts_are_the_level_visits(self):
+        s = scaled_samples(SW3, MAX3, 4, replicas=50, master_seed=7)
+        assert s.counts.dtype == np.int64 and (s.counts >= 1).all()
+        scale = 4.0 ** -1 * s.n_level
+        assert s.samples.tobytes() == (s.counts.astype(float) / scale).tobytes()
+
     def test_synthetic_zero_detection(self):
         s = ScaledLocalTimeSample(spec=MAX3, k=1, k_cut=8, n_level=26,
+                                  counts=np.array([0, 52, 78]),
                                   samples=np.array([0.0, 2.0, 3.0]),
                                   bias_bound=0.0)
         assert s.zero_fraction == pytest.approx(1 / 3)
@@ -199,6 +206,15 @@ class TestInvarianceSurrogate:
         with pytest.raises(UsageError, match="at least 100 samples per set"):
             invariance_surrogate(SW3, MAX3, [10, 20, 40], replicas=99,
                                  master_seed=1)
+
+    @pytest.mark.parametrize("seed", [2 ** 64 - 1, 2 ** 64 - 7919 * 2, -1])
+    def test_out_of_range_seed_refused_before_walking(self, monkeypatch, seed):
+        # level j walks with seed + 7919 j; the refusal names the seed given
+        monkeypatch.setattr(walk, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        with pytest.raises(UsageError, match=f"seed {seed} is out of range"):
+            invariance_surrogate(SW3, MAX3, [10, 20, 40], replicas=100,
+                                 master_seed=seed)
 
     def test_negative_control_norm_mismatch(self):
         # same level, different norms: clearly different scaled laws

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from normwalk import norms
 from normwalk.errors import UsageError
 from normwalk.norms import (
-    NormSpec,
     exact_det,
     integer_inverse,
     iter_box_slabs,
@@ -105,6 +104,20 @@ class TestUnimodular:
     def test_non_integer_rejected_at_construction(self):
         with pytest.raises(UsageError):
             make_norm("l1", 2, transform=np.array([[1.5, 0], [0, 1.0]]))
+
+    @pytest.mark.parametrize("transform", [
+        [[1, -1], [0, 1, -1], [1, -1, 1]],
+        [[1, -1, 0], [], [1, -1, 1]],
+        [[1, -1, 0, 0], [0, 1, -1], [1, -1, 1]],
+    ], ids=["short-row", "empty-row", "long-row"])
+    def test_ragged_rejected_at_construction(self, transform):
+        with pytest.raises(UsageError, match="transform must be 3x3, got ragged rows"):
+            make_norm("l1", 3, transform=transform)
+
+    @pytest.mark.parametrize("entry", ["x", "1", None, float("inf")])
+    def test_non_numeric_rejected_at_construction(self, entry):
+        with pytest.raises(UsageError, match="transform entries must be integers"):
+            make_norm("l1", 3, transform=[[1, entry, 0], [0, 1, -1], [1, -1, 1]])
 
     def test_non_unimodular_rejected_at_construction(self):
         with pytest.raises(UsageError):
@@ -290,24 +303,3 @@ class TestEuclidRange:
         r = 1.0 / spec.values_real(u)  # Euclidean length of u / ||u||
         assert r.min() >= lo * (1 - 1e-12) and r.max() <= hi * (1 + 1e-12)
         assert r.min() <= lo * 1.001 and r.max() >= hi * 0.98
-
-
-class TestSerialisation:
-    def test_round_trip_bit_exact(self):
-        spec = make_norm("l1", 3, transform=UNIMODULAR)
-        clone = NormSpec.from_json(spec.to_json())
-        assert clone == spec
-        pts = np.array([[1, 0, 0], [2, -1, 3], [-4, 5, -6]])
-        assert (spec.values(pts) == clone.values(pts)).all()
-        v = [0.25, -1.75, 3.5]
-        assert spec.values_real([v])[0] == clone.values_real([v])[0]
-
-    def test_json_shape(self):
-        spec = make_norm("scaled_max", 2, factor=3)
-        obj = json.loads(spec.to_json())
-        assert obj == {"family": "scaled_max", "dim": 2, "factor": 3}
-
-    def test_bad_transform_length(self):
-        with pytest.raises(UsageError):
-            NormSpec.from_json(json.dumps(
-                {"family": "l1", "dim": 2, "transform": [1, 0, 0]}))

@@ -373,6 +373,21 @@ class TestFunctionSpecs:
         with pytest.raises(UsageError):
             PowerLaw(3, shift=0.5)
 
+    @pytest.mark.parametrize("make", [
+        lambda: PowerLaw(math.nan), lambda: PowerLaw(math.inf),
+        lambda: PowerLaw(2.0, shift=math.nan), lambda: PowerLaw(2.0, shift=math.inf),
+        lambda: PowerLog(math.nan, 1.0), lambda: PowerLog(3.0, math.nan),
+        lambda: PowerLog(3.0, -math.inf), lambda: PowerLog(3.0, 1.0, shift=math.nan),
+        lambda: TableFunction((math.nan, 1.0), "zero"),
+        lambda: TableFunction((1.0, math.inf), ("power", 2.0)),
+    ], ids=["powerlaw-beta-nan", "powerlaw-beta-inf", "powerlaw-shift-nan",
+            "powerlaw-shift-inf", "powerlog-beta-nan", "powerlog-gamma-nan",
+            "powerlog-gamma-inf", "powerlog-shift-nan", "table-nan", "table-inf"])
+    def test_non_finite_parameter_refused(self, make):
+        # each got a symbolic verdict (nan compares false everywhere)
+        with pytest.raises(UsageError, match="must be finite"):
+            make()
+
     def test_labels_identify_the_function(self):
         assert PowerLog(2, 1).label != PowerLog(2, 1, shift=2.0).label
         assert "shift=1.0" in PowerLog(2, 1).label

@@ -22,6 +22,7 @@ from normwalk.walk import (
     _blocks,
     check_a0,
     check_ladder,
+    f_sums,
     geometric_tail_report,
     hitting_probability,
     lattice_point,
@@ -33,8 +34,6 @@ from normwalk.walk import (
     replica_stream,
     simulate,
     site_visit_samples,
-    total_level_local_time,
-    truncated_f_sum,
     truncation_bias_bound,
 )
 
@@ -79,8 +78,9 @@ def reference_simulate(run, norm, chunk):
 
 
 def reference_f_sum(run, norm, f, checkpoints):
-    """The per-step partial sums the level-count sums replaced: f at every
-    step, a float cumsum per block, in the old 32768-step blocks."""
+    """The per-step partial sums the level-count sums replaced, one per
+    sorted checkpoint: f at every step, a float cumsum per block, in the
+    old 32768-step blocks."""
     out, total = {}, 0.0
     for n0, _, norms, _ in _blocks(replace(run, horizon=checkpoints[-1]), norm,
                                    1 << 15):
@@ -91,9 +91,8 @@ def reference_f_sum(run, norm, f, checkpoints):
             for c in hits:
                 out[c] = total + float(csum[c - n0])
         total += float(vals.sum())
-    for c in checkpoints:  # checkpoints past an early stop hold the final sum
-        out.setdefault(c, total)
-    return out
+    # checkpoints past an early stop hold the final sum
+    return [out.get(c, total) for c in checkpoints]
 
 
 def reference_site_visits(step, norm, x, replicas, master_seed, k_cut, chunk):
@@ -202,13 +201,14 @@ class TestMoments:
         assert law.isotropy_deviation.hex() == dev.hex()
 
 
+# per-replica results, keyed by what they count
 PER_REPLICA = {
     "site_visit_samples":
         lambda n: site_visit_samples(make_simple_walk(3), MAX3, (1, 0, 0),
                                      replicas=n, master_seed=9, k_cut=12),
     "total_level_local_time":
-        lambda n: total_level_local_time(make_simple_walk(3), MAX3, 2,
-                                         replicas=n, master_seed=9).samples,
+        lambda n: measures.scaled_samples(make_simple_walk(3), MAX3, 2,
+                                          replicas=n, master_seed=9).counts,
     "zero_one_experiment": lambda n: fresh_zero_one(n, [50, 200], 9),
 }
 
@@ -366,31 +366,30 @@ class TestStopRadius:
 class TestTruncatedFSum:
     def test_zero_function(self):
         run = WalkRun(step=make_simple_walk(3), master_seed=3, horizon=100)
-        ps = truncated_f_sum(run, MAX3, lambda k: np.zeros(len(k)), [10, 100])
-        assert ps == {10: 0.0, 100: 0.0}
+        ps = f_sums(level_counts(run, MAX3, [10, 100]), lambda k: np.zeros(len(k)))
+        assert ps.tolist() == [0.0, 0.0]
 
     def test_unit_function_counts_steps(self):
         run = WalkRun(step=make_simple_walk(3), master_seed=3, horizon=100)
-        ps = truncated_f_sum(run, MAX3, lambda k: np.ones(len(k)), [7, 64, 100])
-        assert ps == {7: 7.0, 64: 64.0, 100: 100.0}
+        ps = f_sums(level_counts(run, MAX3, [7, 64, 100]), lambda k: np.ones(len(k)))
+        assert ps.tolist() == [7.0, 64.0, 100.0]
 
     def test_nondecreasing_for_nonnegative_f(self):
         run = WalkRun(step=make_simple_walk(3), master_seed=8, horizon=5000)
         f = lambda k: (1.0 + k) ** -3.0
-        ps = truncated_f_sum(run, MAX3, f, [10, 100, 1000, 5000])
-        vals = [ps[c] for c in (10, 100, 1000, 5000)]
+        vals = f_sums(level_counts(run, MAX3, [10, 100, 1000, 5000]), f).tolist()
         assert vals == sorted(vals)
 
     def test_checkpoints_across_block_boundary(self):
         run = WalkRun(step=make_simple_walk(3), master_seed=3, horizon=10)
         cps = [3, BLOCK_CAP, BLOCK_CAP + 1]
-        ps = truncated_f_sum(run, MAX3, lambda k: np.ones(len(k)), cps)
-        assert ps == {c: float(c) for c in cps}
+        ps = f_sums(level_counts(run, MAX3, cps), lambda k: np.ones(len(k)))
+        assert ps.tolist() == [float(c) for c in cps]
 
     def test_checkpoint_zero_rejected(self):
         run = WalkRun(step=make_simple_walk(3), master_seed=3, horizon=10)
         with pytest.raises(UsageError):
-            truncated_f_sum(run, MAX3, lambda k: np.ones(len(k)), [0, 5])
+            f_sums(level_counts(run, MAX3, [0, 5]), lambda k: np.ones(len(k)))
 
 
 def f_of_k(k):
@@ -414,18 +413,17 @@ class TestFSums:
         for i in range(3):
             run = WalkRun(step=SW3, master_seed=2024, replica_index=i,
                           horizon=100_000)
-            got = truncated_f_sum(run, KERNEL_NORMS[norm], f, self.CHECKPOINTS)
+            got = f_sums(level_counts(run, KERNEL_NORMS[norm], self.CHECKPOINTS), f)
             want = reference_f_sum(run, KERNEL_NORMS[norm], f, self.CHECKPOINTS)
-            for c in self.CHECKPOINTS:
-                assert got[c] == pytest.approx(want[c], rel=1e-12, abs=0)
+            assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("f", [lambda k: np.ones(len(k)), f_of_k],
                              ids=["ones", "k"])
     @pytest.mark.parametrize("stopping", [{}, {"stop_radius": 30}])
     def test_exact_for_integer_valued_f(self, f, stopping):
         run = WalkRun(step=SW3, master_seed=6, horizon=100_000, **stopping)
-        got = truncated_f_sum(run, MAX3, f, self.CHECKPOINTS)
-        assert got == reference_f_sum(run, MAX3, f, self.CHECKPOINTS)
+        got = f_sums(level_counts(run, MAX3, self.CHECKPOINTS), f)
+        assert got.tolist() == reference_f_sum(run, MAX3, f, self.CHECKPOINTS)
 
     def test_unvisited_infinite_level_adds_nothing(self):
         # f(0) = inf on a path that never returns to the origin: 0 * inf
@@ -433,10 +431,10 @@ class TestFSums:
         run = WalkRun(step=SW3, master_seed=3, replica_index=0, horizon=20_000)
         counts = level_counts(run, MAX3, [20_000])
         assert counts[0, 0] == 0 and counts[0, 1] > 0
-        got = truncated_f_sum(run, MAX3, inf_at_zero, [1000, 20_000])
+        got = f_sums(level_counts(run, MAX3, [1000, 20_000]), inf_at_zero)
         want = reference_f_sum(run, MAX3, inf_at_zero, [1000, 20_000])
-        assert all(math.isfinite(v) for v in got.values())
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert np.isfinite(got).all()
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_rows_apart(self):
         # a row that visits an infinite level is infinite, the others not
@@ -492,9 +490,9 @@ class TestBlockRule:
         got = []
         for size in BLOCK_SIZES:
             monkeypatch.setattr(walk, "_block_size", lambda r, size=size: size)
-            sums = truncated_f_sum(run, MAX3, f, [10_000, 100_000])
+            sums = f_sums(level_counts(run, MAX3, [10_000, 100_000]), f)
             got.append(fresh_zero_one(6, [1000, 20_000], 9).tobytes()
-                       + np.array(list(sums.values())).tobytes())
+                       + sums.tobytes())
         assert got[0] == got[1] == got[2]
 
     @pytest.mark.parametrize("stop_radius", [12, 64])
@@ -524,41 +522,44 @@ class TestBlockRule:
 
 
 class TestTotalLevelLocalTime:
+    """The level-k visit counts behind measures.scaled_samples."""
+
     def test_samples_positive_for_max_norm(self):
-        s = total_level_local_time(make_simple_walk(3), MAX3, k=4,
-                                   replicas=64, master_seed=5)
-        assert (s.samples >= 1).all()
+        s = measures.scaled_samples(make_simple_walk(3), MAX3, k=4,
+                                    replicas=64, master_seed=5)
+        assert (s.counts >= 1).all()
         assert s.k_cut == 32
 
     def test_kcut_gate(self):
         with pytest.raises(UsageError):
-            total_level_local_time(make_simple_walk(3), MAX3, k=10,
-                                   replicas=4, master_seed=0, k_cut=15)
+            measures.scaled_samples(make_simple_walk(3), MAX3, k=10,
+                                    replicas=4, master_seed=0, k_cut=15)
 
     def test_d2_refused(self):
         with pytest.raises(UsageError):
-            total_level_local_time(make_simple_walk(2), make_norm("max", 2),
-                                   k=3, replicas=4, master_seed=0)
+            measures.scaled_samples(make_simple_walk(2), make_norm("max", 2),
+                                    k=3, replicas=4, master_seed=0)
 
     def test_doubling_kcut_within_bias_certificate(self):
         sw = make_simple_walk(3)
-        a = total_level_local_time(sw, MAX3, k=3, replicas=600, master_seed=17,
-                                   k_cut=24)
-        b = total_level_local_time(sw, MAX3, k=3, replicas=600, master_seed=18,
-                                   k_cut=48)
-        gap = abs(b.mean - a.mean)
-        allowance = a.bias_bound * b.mean + 3 * (a.std_error + b.std_error)
+        a = measures.scaled_samples(sw, MAX3, k=3, replicas=600,
+                                    master_seed=17, k_cut=24).counts
+        b = measures.scaled_samples(sw, MAX3, k=3, replicas=600,
+                                    master_seed=18, k_cut=48).counts
+        se_a, se_b = (c.std(ddof=1) / np.sqrt(len(c)) for c in (a, b))
+        gap = abs(b.mean() - a.mean())
+        allowance = truncation_bias_bound(MAX3, 3, 24) * b.mean() + 3 * (se_a + se_b)
         assert gap <= allowance
 
     def test_counts_span_blocks(self):
         # exits past the first derived block still count every visit once
         sw, k, k_cut = make_simple_walk(3), 20, 48
-        got = total_level_local_time(sw, MAX3, k=k, replicas=12, master_seed=41,
-                                     k_cut=k_cut)
+        got = measures.scaled_samples(sw, MAX3, k=k, replicas=12,
+                                      master_seed=41, k_cut=k_cut)
         recs = [simulate(WalkRun(step=sw, master_seed=41, replica_index=i,
                                  stop_radius=k_cut), MAX3, chunk=17)
                 for i in range(12)]
-        assert got.samples.tolist() == [int(rec.level_counts[k]) for rec in recs]
+        assert got.counts.tolist() == [int(rec.level_counts[k]) for rec in recs]
         assert max(rec.n_effective for rec in recs) > _block_size(k_cut)
 
     def test_bias_bound_formula(self):
@@ -569,8 +570,8 @@ class TestTotalLevelLocalTime:
         # a step budget far below the exit time of k_cut 32
         monkeypatch.setattr(walk, "MAX_STEPS", 10)
         with pytest.raises(UsageError, match="failed to exit"):
-            total_level_local_time(make_simple_walk(3), MAX3, k=4,
-                                   replicas=2, master_seed=5)
+            measures.scaled_samples(make_simple_walk(3), MAX3, k=4,
+                                    replicas=2, master_seed=5)
 
 
 class TestHitting:
@@ -824,10 +825,11 @@ class TestMapReplicas:
 
 SW3 = make_simple_walk(3)
 
-# each function run on a ladder, with every other argument valid
+# each computation run on a ladder, keyed by what it computes, with every
+# other argument valid
 LADDER_TAKERS = {
-    "truncated_f_sum": lambda ladder: truncated_f_sum(
-        WalkRun(step=SW3, master_seed=0, horizon=10), MAX3, PowerLaw(3), ladder),
+    "truncated_f_sum": lambda ladder: f_sums(level_counts(
+        WalkRun(step=SW3, master_seed=0, horizon=10), MAX3, ladder), PowerLaw(3)),
     "zero_one_experiment": lambda ladder: zero_one_experiment(
         SW3, MAX3, PowerLaw(3), 4, ladder, 0),
     "expectation_vs_criterion": lambda ladder: summability.expectation_vs_criterion(
@@ -846,8 +848,6 @@ LADDER_TAKERS = {
 REPLICA_TAKERS = {
     "zero_one_experiment": lambda n: zero_one_experiment(
         SW3, MAX3, PowerLaw(3), n, [10, 100], 0),
-    "total_level_local_time": lambda n: total_level_local_time(
-        SW3, MAX3, 2, n, 0),
     "scaled_samples": lambda n: measures.scaled_samples(SW3, MAX3, 2, n, 0),
     "site_visit_samples": lambda n: site_visit_samples(
         SW3, MAX3, (1, 0, 0), n, 0, k_cut=8),
@@ -920,10 +920,11 @@ class TestLatticePoint:
             lattice_point(x, 3)
 
 
-# each transient-only function, on a d = 2 walk, with every other argument valid
+# each transient-only computation, keyed by what it computes, on a d = 2
+# walk, with every other argument valid
 SW2, MAX2 = make_simple_walk(2), make_norm("max", 2)
 TRANSIENT_ONLY = {
-    "total_level_local_time": lambda: total_level_local_time(SW2, MAX2, 2, 4, 0),
+    "total_level_local_time": lambda: measures.scaled_samples(SW2, MAX2, 2, 4, 0),
     "site_visit_samples": lambda: site_visit_samples(SW2, MAX2, (1, 0), 4, 0, k_cut=8),
     "hitting_probability": lambda: hitting_probability(SW2, MAX2, (1, 0), 4, 0),
     "zero_one_experiment": lambda: zero_one_experiment(
