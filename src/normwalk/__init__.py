@@ -15,9 +15,7 @@ from .census import (
     census_for,
     check_a4,
     count_bruteforce,
-    count_l1_recursive,
     count_max_closed,
-    count_w1_recursive,
     gf_residual_l1,
     growth_bounds,
 )
@@ -62,7 +60,6 @@ from .measures import (
     distributional_cauchy,
     invariance_surrogate,
     ks_statistic,
-    mu_k_integral,
     mu_surface_integral_max,
     scaled_samples,
     sphere_measure,

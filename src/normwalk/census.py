@@ -1,12 +1,13 @@
 """Sphere censuses: N(k) = #{x in Z^d : ||x|| = k}.
 
-Counts are exact Python integers, computed by one rule per norm shape --
-the weighted-l1 convolution recursion (l1, w1) and the cube-shell count on
-multiples of the factor (max, scaled_max) -- and checked against
-brute-force box enumeration, the oracle.  A unimodular transform keeps the
-counts, since it is a lattice bijection.  The module also carries the
-k^{d-1} asymptotics and the eventual-monotonicity / growth-bound checks
-that the summability criteria rely on.
+Counts are exact Python integers.  `census_for(spec, k_max)` is the one
+entry point for the exact rule, which reads the spec's shape: the
+weighted-l1 convolution recursion (l1, w1) or the cube-shell count on
+multiples of the factor (max, scaled_max).  `count_bruteforce`, box
+enumeration within BOX_BUDGET points, is the oracle.  A unimodular
+transform keeps the counts (a lattice bijection).  The module also has
+the k^{d-1} asymptotics and the eventual-monotonicity and growth-bound
+checks that the summability criteria rely on.
 """
 
 from __future__ import annotations
@@ -95,16 +96,6 @@ def _weighted_l1_census(spec: NormSpec, k_max: int) -> SphereCensus:
     return SphereCensus(spec=spec, counts=tuple(table), method="recursive")
 
 
-def count_l1_recursive(d: int, k_max: int) -> SphereCensus:
-    """l1 census via the convolution recursion over dimensions."""
-    return census_for(NormSpec("l1", d), k_max)
-
-
-def count_w1_recursive(d: int, k_max: int) -> SphereCensus:
-    """Weighted-l1 census; coordinate i contributes in strides of i."""
-    return census_for(NormSpec("w1", d), k_max)
-
-
 def census_for(spec: NormSpec, k_max: int) -> SphereCensus:
     """Exact census of a spec, by its shape.
 
@@ -128,7 +119,7 @@ def gf_residual_l1(d: int, s: float, k_cap: int) -> float:
     """|sum_{k<=K} s^k N1^{(d)}(k) - ((1+s)/(1-s))^d| for 0 < s < 1."""
     if not (0.0 < s < 1.0):
         raise UsageError("s must lie in (0, 1)")
-    census = count_l1_recursive(d, k_cap)
+    census = census_for(NormSpec("l1", d), k_cap)
     partial = sum(c * s ** k for k, c in enumerate(census.counts))
     target = ((1.0 + s) / (1.0 - s)) ** d
     return abs(partial - target)

@@ -19,14 +19,13 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import __version__
+from . import __version__, census
 from .census import census_for, count_bruteforce
 from .errors import ResourceError, UsageError, VerificationError
 from .green import green_dp, green_mc, spitzer_asymptotic
 from .jeulin import (
     bernoulli_non_unifiable,
     limit_jeulin_harness,
-    route_a_scenario,
     shiga3_run,
     shiga3_scenario,
     shiga5_run,
@@ -165,10 +164,14 @@ def _cmd_census(args, em: Emitter) -> None:
     em.report = {"spec": spec.describe(), "k_max": cen.k_max,
                  "method": cen.method}
     if args.verify:
-        other = other_method(spec, min(args.kmax, 15))
+        # up to the largest k <= 15 whose brute-force box fits the budget
+        k_top = max(k for k in range(min(args.kmax, 15) + 1) if census.BOX_BUDGET
+                    >= (2 * spec.enclosing_box_radius(k) + 1) ** spec.dim)
+        other = other_method(spec, k_top)
         mismatches = [(spec.describe(), k, cen[k], other[k])
                       for k in range(other.k_max + 1) if cen[k] != other[k]]
         em.report["verified"] = not mismatches
+        em.report["verified_k_max"] = k_top
         em.report["mismatches"] = mismatches
         if mismatches:
             raise VerificationError(f"census oracle mismatch: {mismatches[0]}")
@@ -224,10 +227,9 @@ def _cmd_zero_one(args, em: Emitter) -> None:
     else:
         f = PowerLaw(beta=args.beta)
     horizons = _parse_int_list(args.horizons)
-    census = census_for(spec, 64)
     rep = zero_one_experiment(step, spec, f, replicas=args.replicas,
                               horizons=horizons, master_seed=args.seed,
-                              census=census)
+                              census=census_for(spec, 64))
     rows = [(i, h, rep.partials[i, j])
             for i in range(args.replicas)
             for j, h in enumerate(rep.horizons)]
@@ -299,9 +301,8 @@ def _cmd_jeulin(args, em: Emitter) -> None:
                      **_laplace_report(rep.laplace_rows),
                      "partial_medians": list(rep.partial_medians)}
     else:  # harness; argparse choices admit no other scenario
-        scen = shiga3_scenario(args.alpha) if args.alpha < 0.5 else route_a_scenario(2.0)
-        fam = [PowerLaw(4.0), PowerLaw(2.5), PowerLaw(1.0 / args.alpha)] \
-            if args.alpha < 0.5 else [PowerLaw(4.0), PowerLaw(2.5)]
+        scen = shiga3_scenario(args.alpha)  # refuses alpha outside (0, 1/2)
+        fam = [PowerLaw(4.0), PowerLaw(2.5), PowerLaw(1.0 / args.alpha)]
         rep = limit_jeulin_harness(scen, fam, [max(1, args.K // 100), args.K],
                                    replicas=args.replicas,
                                    master_seed=args.seed)
@@ -352,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--kmax", type=int, required=True)
     q.add_argument("--bruteforce", action="store_true")
     q.add_argument("--verify", action="store_true",
-                   help="recount k <= 15 by the other method (brute force, or the "
-                        "recursion under --bruteforce); exit 2 on mismatch")
+                   help="recount k <= 15, within the brute-force budget, by the "
+                        "other method (brute force, or the recursion under "
+                        "--bruteforce); exit 2 on mismatch")
     q.set_defaults(func=_cmd_census)
 
     q = sub.add_parser("simulate", help="walk replicas and level local times")

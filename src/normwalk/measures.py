@@ -61,11 +61,6 @@ def sphere_measure(spec: NormSpec, k: int) -> SphereMeasure:
     return SphereMeasure(spec=spec, k=k, points=pts.astype(float) / k)
 
 
-def mu_k_integral(spec: NormSpec, k: int, testfn: TestFn) -> float:
-    """Exact average of testfn over the N(k) rescaled sphere points."""
-    return sphere_measure(spec, k).integral(testfn)
-
-
 def mu_surface_integral_max(d: int, testfn: TestFn) -> float:
     """Uniform (probability) surface average over the boundary of the unit cube.
 

@@ -9,7 +9,9 @@ They come in two shapes, and every reader of a norm reads the shape:
 
 Any family may be composed with a unimodular integer matrix A, giving
 ``x -> base_norm(A x)``.  Unimodularity (|det A| = 1) makes A a lattice
-bijection, so sphere counts are preserved.
+bijection, so sphere counts are preserved.  One exact routine,
+``_integer_inverse``, decides it and inverts A; a `NormSpec` runs it once,
+at construction, and keeps A and A^{-1} as tuples of int rows.
 
 Scalar evaluation uses exact Python integer arithmetic; the vectorised
 paths use int64, which is exact for the coordinate ranges reachable by
@@ -19,8 +21,10 @@ the walk and census machinery here.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -35,71 +39,63 @@ FAMILIES = ("max", "l1", "w1", "scaled_max")
 SLAB_POINTS = 1 << 15
 
 
-def exact_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    a = [[int(v) for v in row] for row in matrix]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise UsageError("determinant requires a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+def _integer_inverse(rows: Sequence[Sequence[int]]) -> Optional[tuple]:
+    """A^{-1} of a square matrix of Python ints, as a tuple of int rows, or
+    None unless |det A| = 1: exact Gauss-Jordan elimination over Fractions.
+    det A and det A^{-1} = 1 / det A are both integers exactly when A^{-1}
+    is integral, so an integral inverse is the unimodularity test."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c]), None)
+        if p is None:
+            return None  # singular
+        a[c], a[p] = a[p], a[c]
+        pivot = a[c][c]
+        a[c] = [v / pivot for v in a[c]]
+        for r in range(n):
+            f = a[r][c]
+            if r != c and f:
+                a[r] = [v - f * w for v, w in zip(a[r], a[c])]
+    if any(v.denominator != 1 for row in a for v in row[n:]):
+        return None
+    return tuple(tuple(int(v) for v in row[n:]) for row in a)
+
+
+def _is_integral(v) -> bool:
+    """True for an int of any size, or a finite real with no fractional part."""
+    return isinstance(v, numbers.Integral) or (
+        isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v))
 
 
 def validate_unimodular(matrix: Sequence[Sequence[int]]) -> bool:
-    """True iff the matrix is square, integer, and has determinant +-1."""
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    """True iff the matrix is square, integral and of determinant +-1 (decided
+    exactly); ragged, empty or non-numeric input is False, never an error."""
+    try:
+        rows = [[int(v) if _is_integral(v) else None for v in row] for row in matrix]
+    except (TypeError, OverflowError):
         return False
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.round(arr)):
-            return False
-    return abs(exact_det(arr.astype(object).tolist())) == 1
-
-
-def integer_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Exact inverse of a unimodular integer matrix (adjugate / det)."""
-    m = [[int(v) for v in row] for row in matrix]
-    n = len(m)
-    det = exact_det(m)
-    if abs(det) != 1:
-        raise UsageError("integer inverse requires |det| = 1, got %d" % det)
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j]
-            cof = exact_det(minor) if minor else 1
-            inv[i][j] = (-1) ** (i + j) * cof * det  # det = 1/det for +-1
-    return np.array(inv, dtype=np.int64)
+    return (bool(rows) and all(len(row) == len(rows) and None not in row for row in rows)
+            and _integer_inverse(rows) is not None)
 
 
 @dataclass(frozen=True)
 class NormSpec:
     """A lattice norm: base family, dimension, optional unimodular transform.
 
-    ``factor`` is only meaningful for the scaled_max family.  The transform,
-    when present, is validated at construction (fail fast).  ``weights``
-    holds the coordinate weights of the weighted l1 shape, 1..dim for w1 and
-    1 otherwise: a read-only int64 array fixed at construction.
+    ``factor`` is only meaningful for the scaled_max family.  Construction
+    fixes what readers need (fail fast): ``transform`` becomes a tuple of
+    int rows within int64 and ``inverse`` the rows of its exact inverse
+    (both None without a transform); ``weights``, the weighted l1 shape's
+    coordinate weights (1..dim for w1, else 1), a read-only int64 array.
+    Equality and hashing are the dataclass's, by field.
     """
 
     family: str
     dim: int
     factor: int = 1
-    transform: Optional[np.ndarray] = field(default=None)
+    transform: Optional[tuple] = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -111,6 +107,7 @@ class NormSpec:
                 raise UsageError("scaled_max factor must be a positive integer")
         elif self.factor != 1:
             raise UsageError("factor is only supported for scaled_max")
+        inverse = None
         if self.transform is not None:
             try:
                 arr = np.asarray(self.transform)
@@ -119,27 +116,21 @@ class NormSpec:
                                  "got ragged rows") from None
             if arr.shape != (self.dim, self.dim):
                 raise UsageError(f"transform must be {self.dim}x{self.dim}, got {arr.shape}")
-            # integral floats count; nan, inf and strings do not
-            if arr.dtype.kind not in "biu" and not (
-                    arr.dtype.kind == "f" and np.isfinite(arr).all()
-                    and (arr == np.round(arr)).all()):
+            # integers within int64, which the vectorised paths use;
+            # integral floats count, nan, inf, strings and objects do not
+            if arr.dtype.kind not in "biuf" or not all(
+                    _is_integral(v) and -2 ** 63 <= v < 2 ** 63 for v in arr.ravel().tolist()):
                 raise UsageError("transform entries must be integers")
-            if not validate_unimodular(arr):
+            rows = tuple(tuple(int(v) for v in row) for row in arr.tolist())
+            inverse = _integer_inverse(rows)
+            if inverse is None:
                 raise UsageError("transform must be unimodular (|det| = 1)")
-            object.__setattr__(self, "transform", arr.astype(np.int64))
+            object.__setattr__(self, "transform", rows)
+        object.__setattr__(self, "inverse", inverse)
         weights = (np.arange(1, self.dim + 1, dtype=np.int64) if self.family == "w1"
                    else np.ones(self.dim, dtype=np.int64))
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
-
-    # frozen dataclass with ndarray field: compare/hash by content description
-    def __eq__(self, other):
-        if not isinstance(other, NormSpec):
-            return NotImplemented
-        return self.describe() == other.describe()
-
-    def __hash__(self):
-        return hash(json.dumps(self.describe(), sort_keys=True))
 
     @property
     def degenerate(self) -> bool:
@@ -154,18 +145,13 @@ class NormSpec:
 
     # -- evaluation -------------------------------------------------------
 
-    def _apply_transform_exact(self, x: Sequence[int]) -> list:
-        if self.transform is None:
-            return [int(v) for v in x]
-        rows = self.transform.tolist()
-        return [sum(int(a) * int(v) for a, v in zip(row, x)) for row in rows]
-
     def value(self, x: Sequence[int]) -> int:
         """Exact integer norm of a lattice point."""
-        x = list(x)
-        if len(x) != self.dim:
-            raise UsageError(f"point has dim {len(x)}, norm expects {self.dim}")
-        y = self._apply_transform_exact(x)
+        y = [int(v) for v in x]
+        if len(y) != self.dim:
+            raise UsageError(f"point has dim {len(y)}, norm expects {self.dim}")
+        if self.transform is not None:
+            y = [sum(a * v for a, v in zip(row, y)) for row in self.transform]
         if self.max_shaped:
             return self.factor * max(abs(v) for v in y)
         return sum(w * abs(v) for w, v in zip(self.weights.tolist(), y))
@@ -206,7 +192,7 @@ class NormSpec:
         if self.transform is None:
             return np.abs(pts[:, i], out=out)
         acc = None
-        for j, a in enumerate(self.transform[i].tolist()):
+        for j, a in enumerate(self.transform[i]):
             if a == 0:
                 continue
             col = pts[:, j]
@@ -229,7 +215,7 @@ class NormSpec:
             raise UsageError(f"points have dim {pts.shape[1]}, norm expects {self.dim}")
         y = pts
         if self.transform is not None:
-            y = y @ self.transform.T.astype(float)
+            y = y @ np.array(self.transform, dtype=float).T
         a = np.abs(y)
         if self.max_shaped:
             return self.factor * a.max(axis=1)
@@ -246,11 +232,9 @@ class NormSpec:
         ball), and ||A^{-1} y||_inf <= (max abs row sum of A^{-1}) * ||y||_inf.
         """
         base = k // self.factor
-        if self.transform is None:
+        if self.inverse is None:
             return base
-        inv = integer_inverse(self.transform)
-        row_sum = int(np.abs(inv).sum(axis=1).max())
-        return base * row_sum
+        return base * max(sum(abs(v) for v in row) for row in self.inverse)
 
     def euclid_range_on_unit_sphere(self) -> tuple[float, float]:
         """(min, max) Euclidean length over the unit sphere, in closed form.
@@ -272,8 +256,8 @@ class NormSpec:
         else:
             vertices, dual = axes / self.weights, corners * self.weights
         if self.transform is not None:
-            vertices = vertices @ integer_inverse(self.transform).T
-            dual = dual @ self.transform
+            vertices = vertices @ np.array(self.inverse).T
+            dual = dual @ np.array(self.transform)
         hi = float(np.linalg.norm(vertices, axis=1).max())
         lo = 1.0 / float(np.linalg.norm(dual, axis=1).max())
         return lo / self.factor, hi / self.factor
@@ -285,7 +269,7 @@ class NormSpec:
         if self.family == "scaled_max":
             out["factor"] = self.factor
         if self.transform is not None:
-            out["transform"] = [int(v) for v in self.transform.ravel()]
+            out["transform"] = [v for row in self.transform for v in row]
         return out
 
 

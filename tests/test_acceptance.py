@@ -14,16 +14,15 @@ from normwalk.census import (
     census_for,
     count_bruteforce,
     count_max_closed,
-    count_w1_recursive,
     gf_residual_l1,
 )
 from normwalk.green import GreenField, green_mc, green_vs_hitting
 from normwalk.jeulin import bernoulli_non_unifiable, harmonic, laplace_check, shiga3_run
 from normwalk.measures import (
     distributional_cauchy,
-    mu_k_integral,
     mu_surface_integral_max,
     scaled_samples,
+    sphere_measure,
 )
 from normwalk.norms import make_norm
 from normwalk.summability import (
@@ -63,9 +62,9 @@ def test_01_census_oracle_equivalence():
 def test_02_paper_closed_forms():
     assert count_max_closed(3, 1) == 26
     assert count_max_closed(3, 2) == 98
-    w2 = count_w1_recursive(2, 20)
+    w2 = census_for(make_norm("w1", 2), 20)
     assert all(w2[k] == 2 * k for k in range(1, 21))
-    w3 = count_w1_recursive(3, 4)
+    w3 = census_for(make_norm("w1", 3), 4)
     assert w3[3] == 8 and w3[4] == 12
     ok("2 closed-forms")
 
@@ -83,7 +82,7 @@ def test_04_census_asymptotics():
         assert abs(n_k / (c * k ** 2) - 1) <= 1e-3, family
     a3 = float(asymptotic_constant("w1", 3))
     assert a3 == pytest.approx(2 / 3)
-    n_k = count_w1_recursive(3, k)[k]
+    n_k = census_for(make_norm("w1", 3), k)[k]
     assert abs(n_k / (a3 * k ** 2) - 1) <= 0.05
     ok("4 asymptotic-constants")
 
@@ -189,8 +188,8 @@ def test_09_weak_convergence():
     sq = lambda p: p[:, 0] ** 2
     ref = mu_surface_integral_max(3, sq)
     assert ref == pytest.approx(5 / 9, abs=1e-12)
-    d100 = abs(mu_k_integral(MAX3, 100, sq) - 5 / 9)
-    d10 = abs(mu_k_integral(MAX3, 10, sq) - 5 / 9)
+    d100 = abs(sphere_measure(MAX3, 100).integral(sq) - 5 / 9)
+    d10 = abs(sphere_measure(MAX3, 10).integral(sq) - 5 / 9)
     assert d100 <= 0.01
     assert d100 < d10
     ok("9 weak-convergence", f"(disc@100 {d100:.2e} < disc@10 {d10:.2e})")

@@ -10,9 +10,7 @@ from normwalk.census import (
     census_for,
     check_a4,
     count_bruteforce,
-    count_l1_recursive,
     count_max_closed,
-    count_w1_recursive,
     gf_residual_l1,
     growth_bounds,
 )
@@ -30,20 +28,20 @@ class TestClosedForms:
         assert count_max_closed(3, 500) == 6_000_002
 
     def test_l1_one_dim(self):
-        assert count_l1_recursive(1, 6).counts == (1, 2, 2, 2, 2, 2, 2)
+        assert census_for(make_norm("l1", 1), 6).counts == (1, 2, 2, 2, 2, 2, 2)
 
     def test_l1_small(self):
-        cen = count_l1_recursive(3, 2)
+        cen = census_for(make_norm("l1", 3), 2)
         assert cen[1] == 6  # the six unit vectors
         assert cen[2] == 18  # frozen from the brute-force oracle
 
     def test_w1_two_dim(self):
-        cen = count_w1_recursive(2, 20)
+        cen = census_for(make_norm("w1", 2), 20)
         assert cen[0] == 1
         assert all(cen[k] == 2 * k for k in range(1, 21))
 
     def test_w1_three_dim_piecewise(self):
-        cen = count_w1_recursive(3, 9)
+        cen = census_for(make_norm("w1", 3), 9)
         assert cen[3] == 8    # (2/3) 9 + 2
         assert cen[4] == 12   # (2/3) 16 + 4/3
         assert cen[6] == 26
@@ -60,7 +58,7 @@ class TestBruteForceOracle:
     def test_transformed_counts_match_base(self):
         spec = make_norm("l1", 3, transform=UNIMODULAR)
         assert count_bruteforce(spec, 8).counts == \
-            count_l1_recursive(3, 8).counts
+            census_for(make_norm("l1", 3), 8).counts
 
     def test_scaled_max(self):
         spec = make_norm("scaled_max", 3, factor=2)
@@ -105,9 +103,9 @@ class TestBruteForceOracle:
 def test_convolution_split_identity():
     # splitting d = d1 + d2 convolves the tables identically
     k_max = 12
-    t2 = count_l1_recursive(2, k_max).counts
-    t3 = count_l1_recursive(3, k_max).counts
-    t5 = count_l1_recursive(5, k_max).counts
+    t2 = census_for(make_norm("l1", 2), k_max).counts
+    t3 = census_for(make_norm("l1", 3), k_max).counts
+    t5 = census_for(make_norm("l1", 5), k_max).counts
     conv = tuple(sum(t2[j] * t3[k - j] for j in range(k + 1))
                  for k in range(k_max + 1))
     assert conv == t5
@@ -184,7 +182,7 @@ class TestMonotonicityAndGrowth:
         assert not check_a4(census_for(make_norm("scaled_max", 3, factor=2), 20), 1)
 
     def test_a4_w1(self):
-        assert check_a4(count_w1_recursive(3, 60), 3)
+        assert check_a4(census_for(make_norm("w1", 3), 60), 3)
 
     def test_growth_bounds_max(self):
         c1, c2 = growth_bounds(census_for(make_norm("max", 3), 100))

@@ -1,7 +1,9 @@
 import ast
 import csv
+import importlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -369,9 +371,17 @@ class TestOutputs:
 
     def test_jeulin_harness_small_K(self, capsys):
         # K // 100 = 0 is not a rung: the ladder starts at 1
-        assert run(["jeulin", "--scenario", "harness", "--alpha", "0.6",
+        assert run(["jeulin", "--scenario", "harness", "--alpha", "0.4",
                     "--K", "50", "--replicas", "50", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["implication_respected"]
+
+    @pytest.mark.parametrize("alpha", ["0.6", "0.5"])
+    def test_jeulin_harness_refuses_alpha_past_half(self, alpha, capsys):
+        # the harness runs shiga3_scenario(alpha), whatever alpha is
+        assert run(["jeulin", "--scenario", "harness", "--alpha", alpha,
+                    "--K", "50", "--replicas", "5"]) == 1
+        captured = capsys.readouterr()
+        assert "needs 0 < alpha < 1/2" in captured.err and captured.out == ""
 
     def test_jeulin_harness_one_row_per_f(self, capsys):
         # at alpha 0.4, PowerLaw(1 / alpha) is the fixed PowerLaw(2.5)
@@ -450,6 +460,21 @@ class TestOutputs:
         assert json.loads(capsys.readouterr().out)["verified"] is True
         spec = cli._norm_from_args(cli.build_parser().parse_args(["census", *argv]))
         assert seen == [(spec, min(int(argv[-1]), 15))]
+
+    def test_verify_stops_at_the_box_budget(self, capsys, monkeypatch):
+        # (2k + 1)^3 <= 1000 up to k = 4; the printed census still runs to 10
+        import normwalk.census as census
+        monkeypatch.setattr(census, "BOX_BUDGET", 1000)
+        assert run(["census", "--norm", "l1", "--dim", "3", "--kmax", "10",
+                    "--verify", "--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["k_max"] == 10 and rep["verified"] is True
+        assert rep["verified_k_max"] == 4
+
+    def test_verify_reports_its_top_level(self, capsys):
+        assert run(["census", "--norm", "w1", "--dim", "3", "--kmax", "30",
+                    "--verify", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verified_k_max"] == 15
 
     def test_bruteforce_verify_recounts_by_the_recursion(self, capsys,
                                                          monkeypatch):
@@ -697,3 +722,18 @@ def test_readme_cli_lines_parse():
     for line in lines:
         argv = shlex.split(line)[1:]
         assert parser.parse_args(argv).subcommand == argv[0], line
+
+
+LIBRARY_MODULES = ("norms", "census", "walk", "green", "summability",
+                   "measures", "jeulin", "cli")
+
+
+def test_readme_module_names_resolve():
+    # every `module.name` the README cites is an attribute of that module,
+    # so a removed or renamed name cannot leave the docs behind
+    refs = re.findall(r"`(%s)\.(\w+)" % "|".join(LIBRARY_MODULES),
+                      README.read_text())
+    assert len(refs) >= 19
+    missing = [f"{mod}.{name}" for mod, name in refs
+               if not hasattr(importlib.import_module(f"normwalk.{mod}"), name)]
+    assert missing == []

@@ -10,7 +10,6 @@ from normwalk.measures import (
     distributional_cauchy,
     invariance_surrogate,
     ks_statistic,
-    mu_k_integral,
     mu_surface_integral_max,
     scaled_samples,
     sphere_measure,
@@ -28,16 +27,16 @@ SQ1 = lambda p: p[:, 0] ** 2
 class TestMuK:
     def test_probability_measure(self):
         for k in (1, 3, 10):
-            assert mu_k_integral(MAX3, k, lambda p: np.ones(len(p))) == 1.0
+            assert sphere_measure(MAX3, k).integral(lambda p: np.ones(len(p))) == 1.0
 
     def test_odd_symmetry_exact_zero(self):
-        assert mu_k_integral(MAX3, 9, lambda p: p[:, 0]) == 0.0
-        assert mu_k_integral(MAX3, 9, lambda p: p[:, 0] * p[:, 1]) == 0.0
+        assert sphere_measure(MAX3, 9).integral(lambda p: p[:, 0]) == 0.0
+        assert sphere_measure(MAX3, 9).integral(lambda p: p[:, 0] * p[:, 1]) == 0.0
 
     def test_square_coordinate_near_cube_value(self):
         # frozen from the exact lattice sums: sum (x1)^2 over the shell via
         # F(R) = (2R+1)^3 R(R+1)/3 differences
-        v100 = mu_k_integral(MAX3, 100, SQ1)
+        v100 = sphere_measure(MAX3, 100).integral(SQ1)
         assert v100 == pytest.approx(1_333_380_000 / (10_000 * 240_002),
                                      abs=1e-12)
         assert abs(v100 - 5 / 9) <= 0.01
@@ -49,7 +48,7 @@ class TestMuK:
     def test_empty_level_rejected(self):
         spec = make_norm("scaled_max", 3, factor=2)
         with pytest.raises(UsageError):
-            mu_k_integral(spec, 3, SQ1)
+            sphere_measure(spec, 3).integral(SQ1)
 
     def test_negative_level_rejected(self):
         with pytest.raises(UsageError, match="k must be >= 0, got -2"):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 from normwalk import norms
 from normwalk.errors import UsageError
 from normwalk.norms import (
-    exact_det,
-    integer_inverse,
+    NormSpec,
     iter_box_slabs,
     make_norm,
     sphere_points,
@@ -95,7 +95,6 @@ class TestUnimodular:
         assert validate_unimodular(np.eye(3, dtype=int))
 
     def test_paper_matrix(self):
-        assert exact_det(UNIMODULAR) == 1
         assert validate_unimodular(UNIMODULAR)
 
     def test_diag2_rejected(self):
@@ -123,17 +122,42 @@ class TestUnimodular:
         with pytest.raises(UsageError):
             make_norm("l1", 3, transform=np.diag([2, 1, 1]))
 
-    def test_integer_inverse(self):
-        a = np.array(UNIMODULAR)
-        inv = integer_inverse(a)
+    def test_matches_float_determinant(self):
+        rng = np.random.default_rng(1)
+        outcomes = []
+        for _ in range(400):
+            m = rng.integers(-2, 3, size=(3, 3))
+            outcomes.append(validate_unimodular(m))
+            assert outcomes[-1] == (abs(round(np.linalg.det(m))) == 1)
+        assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize("matrix", [
+        [[1, 0], [0]], [[1, 0]], [], [[]], [1, 0], 7, None, "ab", [["a"]],
+        [[1.5, 0], [0, 1]], [[float("nan"), 0], [0, 1]], [[float("inf"), 0], [0, 1]],
+        [[None, 0], [0, 1]], [["1", 0], [0, 1]], np.ones((2, 2, 2), dtype=int),
+    ])
+    def test_malformed_is_false_not_an_error(self, matrix):
+        assert validate_unimodular(matrix) is False
+
+    def test_python_ints_of_any_size_decided_exactly(self):
+        assert validate_unimodular([[2 ** 70, 1], [1, 0]])  # det -1
+        # det 1 and 2, both 0 in floating point
+        assert validate_unimodular([[2 ** 70 + 1, 2 ** 70], [1, 1]])
+        assert not validate_unimodular([[2 ** 70 + 2, 2 ** 70], [1, 1]])
+        assert validate_unimodular([[2.0, 1.0], [1.0, 1.0]])  # integral floats
+
+    def test_inverse_fixed_at_construction(self):
+        spec = make_norm("l1", 3, transform=np.array(UNIMODULAR))
+        a, inv = np.array(spec.transform), np.array(spec.inverse)
+        assert spec.transform == tuple(map(tuple, UNIMODULAR))
         assert (a @ inv == np.eye(3, dtype=int)).all()
         assert (inv @ a == np.eye(3, dtype=int)).all()
+        assert make_norm("l1", 3).inverse is None
 
-    def test_det_bareiss_matches_permanent_cases(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            m = rng.integers(-4, 5, size=(4, 4))
-            assert exact_det(m.tolist()) == round(np.linalg.det(m))
+    def test_entries_past_int64_rejected_at_construction(self):
+        for big in (2 ** 70, 2.0 ** 63):  # an object array, a float array
+            with pytest.raises(UsageError, match="transform entries must be integers"):
+                make_norm("l1", 2, transform=[[big, 1], [1, 0]])
 
 
 @pytest.mark.parametrize("family,factor", [("max", 1), ("l1", 1), ("w1", 1),
@@ -303,3 +327,68 @@ class TestEuclidRange:
         r = 1.0 / spec.values_real(u)  # Euclidean length of u / ||u||
         assert r.min() >= lo * (1 - 1e-12) and r.max() <= hi * (1 + 1e-12)
         assert r.min() <= lo * 1.001 and r.max() >= hi * 0.98
+
+
+def sphere_digest(spec):
+    """First 16 hex digits of the sha256 of sphere_points(spec, k) for
+    k = 0..6: each level's shape, then its int64 bytes."""
+    h = hashlib.sha256()
+    for k in range(7):
+        pts = np.ascontiguousarray(sphere_points(spec, k))
+        h.update(f"{k}:{pts.shape}:".encode())
+        h.update(pts.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestPinnedGeometry:
+    # Recorded from the implementation that kept A as an int64 array and
+    # re-derived A^{-1} on each call: (family, factor, A, m with
+    # enclosing_box_radius(k) = (k // factor) m for k <= 20, the unit
+    # sphere's Euclidean range as float.hex, sphere_digest, describe()).
+    PINNED = [
+        ('max', 1, None, 1, '0x1.0000000000000p+0', '0x1.bb67ae8584caap+0',
+         '1ee52cedac15905b', '{"family": "max", "dim": 3}'),
+        ('max', 1, UNIMODULAR, 3, '0x1.279a74590331dp-1', '0x1.07e0f66afed07p+2',
+         '2b6f8fc1e49eac1b', '{"family": "max", "dim": 3, "transform": [1, -1, 0, 0, 1, -1, 1, -1, 1]}'),
+        ('max', 1, SHEAR, 4, '0x1.43d136248490fp-2', '0x1.465655f122ff6p+2',
+         '0de40efa98654d76', '{"family": "max", "dim": 3, "transform": [1, 2, 0, 0, 1, 0, 0, -3, 1]}'),
+        ('l1', 1, None, 1, '0x1.279a74590331dp-1', '0x1.0000000000000p+0',
+         '84cd068673fa6adb', '{"family": "l1", "dim": 3}'),
+        ('l1', 1, UNIMODULAR, 3, '0x1.f0b6848d2af1cp-3', '0x1.bb67ae8584caap+0',
+         '8d9be7ccaeb054d0', '{"family": "l1", "dim": 3, "transform": [1, -1, 0, 0, 1, -1, 1, -1, 1]}'),
+        ('l1', 1, SHEAR, 4, '0x1.4c3abe93bcf74p-3', '0x1.deeea11683f49p+1',
+         '0d735f1ca75da531', '{"family": "l1", "dim": 3, "transform": [1, 2, 0, 0, 1, 0, 0, -3, 1]}'),
+        ('w1', 1, None, 1, '0x1.11acee560242ap-2', '0x1.0000000000000p+0',
+         '8d44f5aa0613b031', '{"family": "w1", "dim": 3}'),
+        ('w1', 1, UNIMODULAR, 3, '0x1.d2c8534ed6d86p-4', '0x1.6a09e667f3bcdp+0',
+         '709263c456ea9193', '{"family": "w1", "dim": 3, "transform": [1, -1, 0, 0, 1, -1, 1, -1, 1]}'),
+        ('w1', 1, SHEAR, 4, '0x1.32263ffecdbd1p-4', '0x1.deeea11683f49p+0',
+         '3ec49306a8b052c9', '{"family": "w1", "dim": 3, "transform": [1, 2, 0, 0, 1, 0, 0, -3, 1]}'),
+        ('scaled_max', 2, None, 1, '0x1.0000000000000p-1', '0x1.bb67ae8584caap-1',
+         '98267e669c6ddadb', '{"family": "scaled_max", "dim": 3, "factor": 2}'),
+        ('scaled_max', 2, UNIMODULAR, 3, '0x1.279a74590331dp-2', '0x1.07e0f66afed07p+1',
+         'a9784e80677fd3d9', '{"family": "scaled_max", "dim": 3, "factor": 2, "transform": [1, -1, 0, 0, 1, -1, 1, -1, 1]}'),
+        ('scaled_max', 2, SHEAR, 4, '0x1.43d136248490fp-3', '0x1.465655f122ff6p+1',
+         '4f2abc9d263fb37a', '{"family": "scaled_max", "dim": 3, "factor": 2, "transform": [1, 2, 0, 0, 1, 0, 0, -3, 1]}'),
+    ]
+
+    @pytest.mark.parametrize("family, factor, transform, m, lo, hi, digest, desc",
+                             PINNED, ids=[row[-1] for row in PINNED])
+    def test_recorded_values(self, family, factor, transform, m, lo, hi, digest, desc):
+        spec = make_norm(family, 3, factor=factor, transform=transform)
+        assert json.dumps(spec.describe()) == desc
+        assert [spec.enclosing_box_radius(k) for k in range(21)] == \
+            [k // factor * m for k in range(21)]
+        assert tuple(v.hex() for v in spec.euclid_range_on_unit_sphere()) == (lo, hi)
+        assert sphere_digest(spec) == digest
+
+    @pytest.mark.parametrize("transform", [UNIMODULAR, SHEAR])
+    def test_equal_and_hash_equal_whatever_the_container(self, transform):
+        specs = [make_norm("w1", 3, transform=transform),
+                 make_norm("w1", 3, transform=np.array(transform, dtype=np.int64)),
+                 make_norm("w1", 3, transform=tuple(map(tuple, transform)))]
+        assert all(s == specs[0] and hash(s) == hash(specs[0]) for s in specs)
+        assert len(set(specs)) == 1
+        assert specs[0] != make_norm("w1", 3)
+        assert specs[0] != make_norm("l1", 3, transform=transform)
+        assert NormSpec("w1", 3) == make_norm("w1", 3)
