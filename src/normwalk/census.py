@@ -4,7 +4,7 @@ Counts are exact Python integers.  `census_for(spec, k_max)` is the one
 entry point for the exact rule, which reads the spec's shape: the
 weighted-l1 convolution recursion (l1, w1) or the cube-shell count on
 multiples of the factor (max, scaled_max).  `count_bruteforce`, box
-enumeration within BOX_BUDGET points, is the oracle.  A unimodular
+enumeration within `norms.BOX_BUDGET` points, is the oracle.  A unimodular
 transform keeps the counts (a lattice bijection).  The module also has
 the k^{d-1} asymptotics and the eventual-monotonicity and growth-bound
 checks that the summability criteria rely on.
@@ -19,11 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ResourceError, UsageError
-from .norms import NormSpec, iter_box_slabs
-
-# count_bruteforce refuses boxes of more than this many points.
-BOX_BUDGET = 200_000_000
+from .errors import UsageError
+from .norms import NormSpec, check_box_budget, iter_box_slabs
 
 
 @dataclass(frozen=True)
@@ -50,15 +47,11 @@ class SphereCensus:
 
 def count_bruteforce(spec: NormSpec, k_max: int) -> SphereCensus:
     """Oracle census by enumerating the enclosing box and binning norms;
-    a box of more than BOX_BUDGET points is a ResourceError."""
+    a box of more than `norms.BOX_BUDGET` points is a ResourceError."""
     if k_max < 0:
         raise UsageError("k_max must be >= 0")
     radius = spec.enclosing_box_radius(k_max)
-    n_points = (2 * radius + 1) ** spec.dim
-    if n_points > BOX_BUDGET:
-        raise ResourceError(
-            f"brute-force box radius {radius} holds {n_points} points, "
-            f"over budget {BOX_BUDGET}")
+    check_box_budget(spec.dim, radius, "brute-force")
     counts = np.zeros(k_max + 1, dtype=np.int64)
     for slab in iter_box_slabs(spec.dim, radius):
         nv = spec.values(slab)

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import __version__, census
+from . import __version__, norms
 from .census import census_for, count_bruteforce
 from .errors import ResourceError, UsageError, VerificationError
 from .green import green_dp, green_mc, spitzer_asymptotic
@@ -165,7 +165,7 @@ def _cmd_census(args, em: Emitter) -> None:
                  "method": cen.method}
     if args.verify:
         # up to the largest k <= 15 whose brute-force box fits the budget
-        k_top = max(k for k in range(min(args.kmax, 15) + 1) if census.BOX_BUDGET
+        k_top = max(k for k in range(min(args.kmax, 15) + 1) if norms.BOX_BUDGET
                     >= (2 * spec.enclosing_box_radius(k) + 1) ** spec.dim)
         other = other_method(spec, k_top)
         mismatches = [(spec.describe(), k, cen[k], other[k])

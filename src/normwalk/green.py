@@ -137,6 +137,20 @@ class GreenField:
     representative by its orbit size.  Atoms of mass 0, and atoms with an
     offset of at least the box side (no source in the box), are skipped.
 
+    When every atom left has an odd coordinate sum (the simple walk is
+    such a bipartite law), P(S_n = y) = 0 unless the coordinate sum of y
+    has the parity of n, and orbits keep that sum's parity.  The DP then
+    orders the representatives in two parity classes, even sums first, each
+    in ascending order, and chunks each class's columns apart.  Step n
+    fills the stack from q on the class of parity n - 1, which step n - 1
+    wrote, and gathers, reduces and adds to the sums over the class of
+    parity n, whose sources all lie in the other.  Each step's mass is still
+    summed over all representatives in ascending order, with exact zeros
+    off the class, so ``leak``, like ``partial``, is bit for bit what a
+    step over every representative gives.  A class of fewer than two
+    representatives (only boxes of radius 1 or 2 in d <= 2 have one)
+    is not split.
+
     FIELD_BUDGET bounds the bytes held, counted before anything large is
     allocated, as the larger of two phases.  The orbit pass holds 4 (d + 1)
     bytes per cell but at least 12, and 8 per representative.  Building
@@ -152,16 +166,21 @@ class GreenField:
     and ``take``'s intp copy of the chunk's indices.  Should not even a
     chunk of a few columns fit, the scaled copies are dropped, fewest atoms
     first.  A gather holds about _GATHER_BYTES at most, which keeps a chunk
-    in cache from the ``take`` to the sum.  The field then keeps ``rep_of``
-    and the sums; expanding ``partial``, at its first read, holds less than
-    the DP.
+    in cache from the ``take`` to the sum.  A bipartite law adds 24 bytes
+    per representative to each phase: the class order (intp) and, in the
+    build, the reordered ``reps`` and the relabelling of the table's
+    entries (int32 each), or, in the steps, the mass of each class in
+    ascending order (float64 each).  The field then keeps ``rep_of`` and
+    the sums; expanding ``partial``, at its first read, holds less than the
+    DP.
 
     Queries read one query table over the representatives: the sums
     ``_g`` and, from the first `green` or `level_sum` call on, value =
     partial + tail and error_bound = max(crude - tail, 0) + leak_bound +
     0.05 tail, from one `clt_tail_estimate` call over all of them
     (`_table`).  A point reads its representative's entry through
-    ``_rep_of``.
+    ``_rep_of``: `green` and `partial_at` with one bounds check and one
+    tuple index, `level_sum` with one array lookup for the whole sphere.
     """
 
     def __init__(self, step: StepDistribution, n_max: int, box_radius: int):
@@ -172,11 +191,13 @@ class GreenField:
         atoms = [(vec, prob) for vec, prob in zip(step.support, step.probabilities)
                  if np.abs(vec).max() < side]
         pad = max((int(np.abs(vec).max()) for vec, _ in atoms), default=0)
+        # every live atom changes the parity of the coordinate sum
+        bipartite = all(int(vec.sum()) % 2 for vec, prob in atoms if prob > 0)
         # nonincreasing runs of |y| (flippable) or of y along each class
         n_reps = math.prod(math.comb((box_radius + 1 if c[0] in flips else side)
                                      + len(c) - 1, len(c)) for c in classes)
         orbit = side ** d * 4 * max(d + 1, 3) + 8 * n_reps
-        build = 4 * side ** d + n_reps * (48 + 4 * len(atoms))
+        build = 4 * side ** d + n_reps * (48 + 4 * len(atoms) + 24 * bipartite)
         held = max(orbit, build + 4 * (side + 2 * pad) ** d)
         if held > FIELD_BUDGET:
             raise ResourceError(f"DP box radius {box_radius} needs {held} "
@@ -184,32 +205,55 @@ class GreenField:
         self.step = step
         self.n_max = n_max
         self.box_radius = box_radius
-        self._run(atoms, flips, classes, pad, max(orbit, build))
+        self._run(atoms, flips, classes, pad, max(orbit, build), bipartite)
 
     def _run(self, atoms: list, flips: list, classes: list, pad: int,
-             room: int):
+             room: int, bipartite: bool):
         """Sets ``_g``, the DP sums per representative, ``leak``, and the
         `_orbits` maps: ``_rep_of`` in the shape of the box and ``_reps``.
         See the class docstring."""
-        d = self.step.dim
-        rep_of, reps = _orbits(flips, classes, d, self.box_radius)
+        d, r = self.step.dim, self.box_radius
+        rep_of, reps = _orbits(flips, classes, d, r)
         n = len(reps)
         atoms = [(vec, prob) for vec, prob in atoms if prob > 0]
+        edges, order = [0, n], None
+        if bipartite:
+            # as the side is odd, a flat index has the parity of the
+            # coordinate sum plus d r; even sums first
+            odd = (reps + d * r) & 1
+            even = n - int(np.count_nonzero(odd))
+            if 2 <= even <= n - 2:
+                edges, order = [0, even, n], np.argsort(odd, kind="stable")
         scales, rows, lift, index, bounds = _gather_plan(
-            [prob for _, prob in atoms], n, room - 4 * (rep_of.size + n))
-        table = _source_table(rep_of, reps, [vec for vec, _ in atoms], d,
-                              self.box_radius, pad)
-        table += np.array(rows, dtype=np.int32)[:, None] * (n + 1)
+            [prob for _, prob in atoms], edges,
+            room - 4 * (rep_of.size + n) - 24 * n * (order is not None))
         sizes = np.bincount(rep_of, minlength=n).astype(float)
-        # contiguous intp copies of each chunk's columns, which take reads
-        # without a conversion, or int32 views
-        blocks = [table[:, lo:hi].astype(index, copy=False)
-                  for lo, hi in zip(bounds, bounds[1:])]
+        start = int(rep_of[rep_of.size // 2])
+        table = _source_table(rep_of, reps if order is None else reps[order],
+                              [vec for vec, _ in atoms], d, r, pad)
+        if order is not None:
+            # entries in the class order too; n stays the sentinel
+            relabel = np.empty(n + 1, dtype=np.int32)
+            relabel[order] = np.arange(n, dtype=np.int32)
+            relabel[n] = n
+            for row in table:
+                np.take(relabel, row, out=row)
+            sizes, start = sizes[order], int(relabel[start])
+        table += np.array(rows, dtype=np.int32)[:, None] * (n + 1)
+        # per class, contiguous intp copies of each chunk's columns, which
+        # take reads without a conversion, or int32 views
+        blocks = [[table[:, lo:hi].astype(index, copy=False)
+                   for lo, hi in zip(cls, cls[1:])] for cls in bounds]
         del table
-        self._g, leak = _steps(self.n_max, blocks, bounds, scales, lift,
-                               sizes, rep_of[rep_of.size // 2])
+        g, leak = _steps(self.n_max, blocks, bounds, scales, lift, sizes,
+                         start, order)
+        del blocks
+        self._g = g
+        if order is not None:  # back to ascending order
+            self._g = np.empty(n)
+            self._g[order] = g
         self.leak = max(float(leak), 0.0)
-        self._rep_of, self._reps = rep_of.reshape((2 * self.box_radius + 1,) * d), reps
+        self._rep_of, self._reps = rep_of.reshape((2 * r + 1,) * d), reps
 
     @cached_property
     def partial(self) -> np.ndarray:
@@ -227,6 +271,14 @@ class GreenField:
             raise UsageError(f"point {x} lies outside the DP box")
         return self._rep_of[tuple((points + r).T)]
 
+    def _point(self, x: Sequence[int]) -> tuple[tuple, int]:
+        """(x, its representative index) for one lattice point x of the
+        box; refuses what `lattice_point` and `_rep` refuse."""
+        x, r = lattice_point(x, self.step.dim), self.box_radius
+        if max(map(abs, x)) > r:
+            raise UsageError(f"point {x} lies outside the DP box")
+        return x, int(self._rep_of[tuple(v + r for v in x)])
+
     @cached_property
     def _table(self) -> np.ndarray:
         """Rows value and error_bound at every representative: the partial
@@ -243,13 +295,12 @@ class GreenField:
         return np.stack((self._g + tail, slack + leak_bound + 0.05 * tail))
 
     def partial_at(self, x: Sequence[int]) -> float:
-        return float(self._g[self._rep([lattice_point(x, self.step.dim)])[0]])
+        return float(self._g[self._point(x)[1]])
 
     def green(self, x: Sequence[int]) -> GreenEstimate:
         """Partial sum plus CLT tail; leak and tail slack in the bound.
         Refuses d <= 2, where the tail diverges."""
-        x = lattice_point(x, self.step.dim)
-        i = self._rep([x])[0]
+        x, i = self._point(x)
         value, err = self._table[:, i].tolist()
         return GreenEstimate(x=x, value=value, method="dp", error_bound=err,
                              lower_bound=float(self._g[i]), n_max=self.n_max)
@@ -344,18 +395,20 @@ def _source_table(rep_of: np.ndarray, reps: np.ndarray, offsets: list,
     return table
 
 
-def _gather_plan(probs: list, n: int, room: int):
-    """(scales, rows, lift, index, bounds): how a DP step over n
-    representatives gathers atoms of probabilities `probs` in `room` bytes
-    (all but ``rep_of``); see GreenField.
+def _gather_plan(probs: list, edges: list, room: int):
+    """(scales, rows, lift, index, bounds): how a DP step over the
+    representatives edges[0]:edges[-1], in classes edges[j]:edges[j + 1] of
+    two or more each, gathers atoms of probabilities `probs` in `room` bytes
+    (all but ``rep_of``, ``reps`` and the classes' order and masses); see
+    GreenField.
 
     Row k of the source stack holds scales[k] * p, and atom i reads row
     rows[i].  The gathered rows lo:hi of lift = (lo, hi, factors) are
     multiplied by factors: an atom's probability where it reads plain p,
-    else 1.0.  The index table has dtype `index`, and each gather takes
-    columns bounds[j]:bounds[j + 1].
+    else 1.0.  The index table has dtype `index`, and each gather of class
+    j takes columns bounds[j][i]:bounds[j][i + 1].
     """
-    a = max(len(probs), 1)
+    n, a = edges[-1], max(len(probs), 1)
     # probabilities two or more atoms share, most atoms first
     shared = sorted({p for p in probs if probs.count(p) > 1},
                     key=probs.count, reverse=True)
@@ -375,43 +428,62 @@ def _gather_plan(probs: list, n: int, room: int):
     # gather column also holds take's intp copy of its indices
     wide = free >= 4 * a * n + 8 * a * (n + 1)
     column = 8 * a if wide else 16 * a
-    chunk = min(n, _GATHER_BYTES // (8 * a),
-                (free - 4 * a * n * wide) // column - 1)
-    # chunks of `chunk` columns and a last one of 2 to chunk + 1: over one
-    # column, add.reduce would add the rows pairwise
-    bounds = [*range(0, n - 1, max(chunk, 2)), n]
+    chunk = max(min(n, _GATHER_BYTES // (8 * a),
+                    (free - 4 * a * n * wide) // column - 1), 2)
+    # per class, chunks of `chunk` columns and a last one of 2 to chunk + 1:
+    # over one column, add.reduce would add the rows pairwise
+    bounds = [[*range(lo, hi - 1, chunk), hi] for lo, hi in zip(edges, edges[1:])]
     return scales, rows, lift, np.intp if wide else np.int32, bounds
 
 
 def _steps(n_max: int, blocks: list, bounds: list, scales: list, lift: tuple,
-           sizes: np.ndarray, start: int) -> tuple[np.ndarray, float]:
+           sizes: np.ndarray, start: int,
+           order: Optional[np.ndarray]) -> tuple[np.ndarray, float]:
     """(sums, leak) of n_max DP steps from a unit mass at representative
-    `start`, gathering through the index blocks of a `_gather_plan`."""
-    n, a = sizes.size, blocks[0].shape[0]
+    `start`, gathering through the index blocks of a `_gather_plan`, one
+    list per class.  With one class, a step reads and writes every
+    representative.  With two, `start` is in the first, and step t reads
+    class (t - 1) % 2 and writes class t % 2; the mass of a step is then
+    summed in the original order, ``order`` mapping each representative
+    there, with exact zeros off its class.  So the sum adds the terms the
+    one-class step adds, in the same order."""
+    n, a = sizes.size, blocks[0][0].shape[0]
     lo_l, hi_l, factors = lift
     stack = np.zeros((len(scales), n + 1))  # column n: the zero sentinel
     flat = stack.reshape(-1)
-    fills = [(row[:n], scale) for row, scale in zip(stack, scales)]
     q, g = np.zeros(n), np.zeros(n)
-    buf = np.empty(a * max(hi - lo for lo, hi in zip(bounds, bounds[1:])))
-    chunks = []
-    for src, lo, hi in zip(blocks, bounds, bounds[1:]):
-        out = buf[:a * (hi - lo)].reshape(a, hi - lo)
-        chunks.append((src, out, out[lo_l:hi_l], q[lo:hi]))
+    buf = np.empty(a * max(b - c for cls in bounds for c, b in zip(cls, cls[1:])))
+    reads, writes = [], []
+    for src_blocks, cls in zip(blocks, bounds):
+        lo, hi = cls[0], cls[-1]
+        reads.append((q[lo:hi], [(row[lo:hi], s) for row, s in zip(stack, scales)]))
+        chunks = []
+        for src, c, b in zip(src_blocks, cls, cls[1:]):
+            out = buf[:a * (b - c)].reshape(a, b - c)
+            chunks.append((src, out, out[lo_l:hi_l], q[c:b]))
+        # a step's mass goes through stack row 0 after its gathers
+        mass = stack[0, lo:hi]
+        spread, at = (mass, None) if order is None else (np.zeros(n), order[lo:hi])
+        writes.append((chunks, q[lo:hi], g[lo:hi], sizes[lo:hi], mass, spread, at))
     q[start] = 1.0
     p_sum, leak = 1.0, 0.0
-    for _ in range(n_max):
+    for t in range(1, n_max + 1):
+        p, fills = reads[(t - 1) % len(reads)]
+        chunks, q_c, g_c, sizes_c, mass, spread, at = writes[t % len(writes)]
         for row, scale in fills:
-            np.multiply(q, scale, out=row)
+            np.multiply(p, scale, out=row)
         for src, out, own, sums in chunks:
             # indices are in range; "clip" avoids take's buffered out
             np.take(flat, src, out=out, mode="clip")
             if hi_l:
                 np.multiply(own, factors, out=own)
             np.add.reduce(out, axis=0, out=sums)
-        q_sum = np.multiply(q, sizes, out=fills[0][0]).sum()
+        np.multiply(q_c, sizes_c, out=mass)
+        if at is not None:
+            spread[at] = mass
+        q_sum = spread.sum()
         leak += p_sum - q_sum
-        g += q
+        g_c += q_c
         p_sum = q_sum
     return g, leak
 

@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ResourceError, UsageError
 
 FAMILIES = ("max", "l1", "w1", "scaled_max")
 
@@ -37,6 +37,10 @@ FAMILIES = ("max", "l1", "w1", "scaled_max")
 # coordinates in d = 4, so a slab, its norms and their temporaries fit a
 # 2 MB L2 cache (2^14 and 2^15 ran fastest in a sweep from 2^13 to 2^20).
 SLAB_POINTS = 1 << 15
+
+# sphere_points and census.count_bruteforce refuse boxes of more than this
+# many points; read at call time.
+BOX_BUDGET = 200_000_000
 
 
 def _integer_inverse(rows: Sequence[Sequence[int]]) -> Optional[tuple]:
@@ -312,13 +316,24 @@ def iter_box_slabs(dim: int, radius: int) -> Iterator[np.ndarray]:
             yield block.T
 
 
+def check_box_budget(dim: int, radius: int, what: str) -> None:
+    """Refuses, before any point is made, a box [-radius, radius]^dim of
+    more than BOX_BUDGET points for the enumeration `what`."""
+    n_points = (2 * radius + 1) ** dim
+    if n_points > BOX_BUDGET:
+        raise ResourceError(f"{what} box radius {radius} holds {n_points} "
+                            f"points, over budget {BOX_BUDGET}")
+
+
 def sphere_points(spec: NormSpec, k: int) -> np.ndarray:
     """All lattice points with exact norm k >= 0, in lexicographic order:
     the box-slab enumeration that `census.count_bruteforce` bins, for every
-    norm."""
+    norm, within the same BOX_BUDGET."""
     if k < 0:
         raise UsageError(f"norm level k must be >= 0, got {k}")
+    radius = spec.enclosing_box_radius(k)
+    check_box_budget(spec.dim, radius, "sphere")
     hits = [np.zeros((0, spec.dim), dtype=np.int64)]
-    for slab in iter_box_slabs(spec.dim, spec.enclosing_box_radius(k)):
+    for slab in iter_box_slabs(spec.dim, radius):
         hits.append(slab[spec.values(slab) == k])
     return np.concatenate(hits, axis=0)

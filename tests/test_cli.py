@@ -463,8 +463,8 @@ class TestOutputs:
 
     def test_verify_stops_at_the_box_budget(self, capsys, monkeypatch):
         # (2k + 1)^3 <= 1000 up to k = 4; the printed census still runs to 10
-        import normwalk.census as census
-        monkeypatch.setattr(census, "BOX_BUDGET", 1000)
+        import normwalk.norms as norms
+        monkeypatch.setattr(norms, "BOX_BUDGET", 1000)
         assert run(["census", "--norm", "l1", "--dim", "3", "--kmax", "10",
                     "--verify", "--format", "json"]) == 0
         rep = json.loads(capsys.readouterr().out)

@@ -79,13 +79,22 @@ def representative_map(step, radius):
     return np.array(rep)
 
 
-def reference_green_field(step, n_max, radius, symmetrize=True):
+def reference_green_field(step, n_max, radius, symmetrize=True, by_orbit=False):
     """(partial, leak) from a fresh q and one strided slice add per atom;
     with `symmetrize`, every cell then takes its representative's value.
-    ``leak`` sums p and q over the whole box."""
+    ``leak`` sums p and q over the whole box or, with `by_orbit` (which
+    needs `symmetrize`), each representative's value times its orbit size
+    in ascending order of the representatives, as the DP does."""
     d = step.dim
     shape = (2 * radius + 1,) * d
     rep = representative_map(step, radius) if symmetrize else None
+    if by_orbit:
+        reps = np.unique(rep)
+        sizes = np.bincount(rep)[reps].astype(float)
+
+    def total(a):
+        return (a.reshape(-1)[reps] * sizes).sum() if by_orbit else a.sum()
+
     p = np.zeros(shape)
     p[(radius,) * d] = 1.0
     g = np.zeros(shape)
@@ -112,7 +121,7 @@ def reference_green_field(step, n_max, radius, symmetrize=True):
                 q[tuple(dst)] += prob * p[tuple(src)]
         if rep is not None:
             q = q.reshape(-1)[rep].reshape(shape)
-        leak += p.sum() - q.sum()
+        leak += total(p) - total(q)
         p = q
         g += p
     return g, float(leak)
@@ -251,6 +260,71 @@ class TestStencilBitIdentity:
         field = GreenField(make_simple_walk(3), n_max=n_max, box_radius=n_max)
         assert field.leak <= 1e-12
         assert field.partial.sum() == pytest.approx(n_max, rel=1e-12)
+
+
+def spy_steps(monkeypatch):
+    """The arguments of every `green._steps` call, appended to a list."""
+    calls, steps = [], green._steps
+
+    def spy(*args):
+        calls.append(args)
+        return steps(*args)
+
+    monkeypatch.setattr(green, "_steps", spy)
+    return calls
+
+
+# every atom of positive mass has an odd coordinate sum: mixed3's four
+# generators do, and flips and swaps keep the sum's parity
+BIPARTITE_LAWS = ["bipartite3", "mixed3", "simple1", "simple2", "simple3",
+                  "simple4"]
+
+
+class TestParityClasses:
+    """A bipartite law steps one parity class of representatives at a time;
+    `_steps` receives the class bounds and the representatives' order."""
+
+    @pytest.mark.parametrize("law", sorted(STENCIL_LAWS))
+    def test_split_taken_for_bipartite_laws(self, monkeypatch, law):
+        step = STENCIL_LAWS[law]
+        sums = step.support[step.probabilities > 0].sum(axis=1) % 2
+        assert sums.all() == (law in BIPARTITE_LAWS)
+        calls = spy_steps(monkeypatch)
+        field = GreenField(step, n_max=3, box_radius=6)
+        (_, _, bounds, _, _, _, _, order), = calls
+        if law not in BIPARTITE_LAWS:
+            assert order is None and len(bounds) == 1
+            return
+        # even coordinate sums first, each class in ascending order
+        parity = (np.stack(np.unravel_index(field._reps, field._rep_of.shape))
+                  - 6).sum(axis=0) % 2
+        even, n = bounds[0][-1], len(field._reps)
+        assert [bounds[0][0], bounds[1][0], bounds[1][-1]] == [0, even, n]
+        assert sorted(order.tolist()) == list(range(n))
+        for cls, bit in ((order[:even], 0), (order[even:], 1)):
+            assert (parity[cls] == bit).all() and (np.diff(cls) > 0).all()
+
+    @pytest.mark.parametrize("law, radius", [
+        ("simple1", 1), ("simple1", 2), ("simple2", 1)])
+    def test_class_of_one_not_split(self, monkeypatch, law, radius):
+        # a one-column gather would add its rows pairwise
+        calls = spy_steps(monkeypatch)
+        TestStencilBitIdentity.assert_equals_reference(law, 40, radius)
+        assert calls[0][7] is None
+
+    @pytest.mark.parametrize("law", ["simple3", "bipartite3"])
+    def test_several_gathers_per_class(self, monkeypatch, law):
+        # gathers of 3 columns, a class's last of 2 to 4: each class takes
+        # many chunks
+        monkeypatch.setattr(green, "_GATHER_BYTES", 8 * 7 * 3)
+        calls = spy_steps(monkeypatch)
+        step = STENCIL_LAWS[law]
+        field = GreenField(step, n_max=40, box_radius=6)
+        bounds = calls[0][2]
+        assert len(bounds) == 2 and min(map(len, bounds)) > 4
+        partial, leak = reference_green_field(step, 40, 6, by_orbit=True)
+        assert field.partial.tobytes() == partial.tobytes()
+        assert leak > 0 and field.leak == leak
 
 
 class TestLeakNonnegative:
@@ -537,6 +611,35 @@ class TestGreenTable:
             assert got == pytest.approx(want, rel=1e-14, abs=0)
         else:
             assert got.tolist() == want
+
+
+class TestPointLookup:
+    """green and partial_at find one point's representative without an
+    array: the same checks and messages, the same table entry."""
+
+    @pytest.mark.parametrize("query", ["green", "partial_at"])
+    @pytest.mark.parametrize("x, message", [
+        ((25, 0, 0), "point (25, 0, 0) lies outside the DP box"),
+        ((0, -3, -30), "point (0, -3, -30) lies outside the DP box"),
+        ((1, 0), "point (1, 0) is not a lattice point of dimension 3"),
+        ((1, 0, 0, 0), "point (1, 0, 0, 0) is not a lattice point of dimension 3"),
+        ((1.7, 0, 0), "point (1.7, 0, 0) is not a lattice point of dimension 3"),
+    ])
+    def test_refusals(self, field, query, x, message):
+        with pytest.raises(UsageError) as exc:
+            getattr(field, query)(x)
+        assert str(exc.value) == message
+
+    def test_box_corner_accepted(self, field):
+        assert field.partial_at((24, -24, 24)) == field.partial[-1, 0, -1]
+
+    @pytest.mark.parametrize("law", ["simple3", "lazy3", "mixed3", "bipartite3",
+                                     "random3"])
+    def test_scalar_and_array_lookups_agree(self, law):
+        field = GreenField(STENCIL_LAWS[law], n_max=5, box_radius=3)
+        cells = list(itertools.product(range(-3, 4), repeat=3))
+        assert [field._point(x)[1] for x in cells] == \
+            field._rep(np.array(cells)).tolist()
 
 
 class TestDPBoundAgainstExact:

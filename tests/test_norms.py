@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normwalk import norms
-from normwalk.errors import UsageError
+from normwalk.errors import ResourceError, UsageError
 from normwalk.norms import (
     NormSpec,
     iter_box_slabs,
@@ -234,6 +234,40 @@ class TestSpherePointsAndCounts:
     def test_negative_level_refused(self):
         with pytest.raises(UsageError, match="k must be >= 0, got -2"):
             sphere_points(make_norm("max", 3), -2)
+
+    # A^{-1} = [[1, -100, 10000], [0, 1, -100], [0, 0, 1]]: the enclosing
+    # box of the unit sphere has radius 10101, about 8.2e12 points
+    WIDE = make_norm("max", 3, transform=[[1, 100, 0], [0, 1, 100], [0, 0, 1]])
+
+    def test_box_over_budget_refused_before_enumerating(self, monkeypatch):
+        from normwalk.green import GreenField
+        from normwalk.measures import sphere_measure
+        from normwalk.walk import make_simple_walk
+
+        monkeypatch.setattr(norms, "iter_box_slabs",
+                            lambda *a: pytest.fail("the box was enumerated"))
+        field = GreenField(make_simple_walk(3), n_max=4, box_radius=3)
+        for call in (lambda: sphere_points(self.WIDE, 1),
+                     lambda: sphere_measure(self.WIDE, 1),
+                     lambda: field.level_sum(self.WIDE, 1)):
+            with pytest.raises(ResourceError) as exc:
+                call()
+            assert str(exc.value) == ("sphere box radius 10101 holds "
+                                      "8246080905427 points, over budget 200000000")
+
+    def test_box_budget_read_at_call_time(self, monkeypatch):
+        # the max sphere of radius 2 in d = 3 spans a box of 125 points;
+        # one budget governs both enumerations
+        from normwalk.census import count_bruteforce
+
+        spec = make_norm("max", 3)
+        monkeypatch.setattr(norms, "BOX_BUDGET", 124)
+        for what, call in (("sphere", sphere_points), ("brute-force", count_bruteforce)):
+            with pytest.raises(ResourceError, match=f"^{what} box radius 2 holds "
+                                                    "125 points, over budget 124$"):
+                call(spec, 2)
+        monkeypatch.setattr(norms, "BOX_BUDGET", 125)
+        assert sphere_points(spec, 2).shape == (98, 3)
 
     def test_peak_memory_at_k100(self):
         # the 201^3 box comes in slabs of at most SLAB_POINTS points: the
