@@ -13,7 +13,8 @@ serves many query points.  The DP steps one value per orbit of the box
 cells under the axis flips and swaps that keep the step law (a law with
 none has one cell per orbit).  Each step gathers every atom's sources at
 once through one stacked index table and adds them in support order;
-mass stepping out of the box is absorbed as ``leak``.  A field's Green
+mass stepping out of the box is absorbed, and ``leak`` is 1 less the
+mass left in it after the last step.  A field's Green
 values and error bounds form one table over the orbit representatives,
 built at its first query by one vectorised local-CLT tail evaluation;
 ``green``, ``partial_at`` and ``level_sum`` index it, so G is constant on
@@ -117,8 +118,10 @@ class GreenField:
 
     ``partial`` holds sum_{n=1}^{n_max} P(S_n = y, no exit before n) over the
     box of side 2 * box_radius + 1, and ``leak`` the probability mass that
-    stepped out of the box (and was absorbed) by step n_max, clamped at 0:
-    a box that cannot absorb would otherwise read its rounding residue.
+    stepped out of the box (and was absorbed) by step n_max: 1 less the
+    `math.fsum` of the mass left in it after that step, each
+    representative's value times its orbit size, clamped at 0: a box that
+    cannot absorb would otherwise read its rounding residue.
 
     The box and the start at 0 are invariant under the signed permutations
     of the axes, so P(S_n = .) is invariant under those that keep the step
@@ -133,46 +136,41 @@ class GreenField:
     As prob * p[src] == (prob * p)[src], and (0 + a_1) + a_2 + ... ==
     a_1 + a_2 + ... for these nonnegative terms, ``partial`` is bit for bit
     the per-atom slice update over the box with every cell set to its
-    representative's value after each step.  ``leak`` weights each
-    representative by its orbit size.  Atoms of mass 0, and atoms with an
-    offset of at least the box side (no source in the box), are skipped.
+    representative's value after each step.  Atoms of mass 0, and atoms
+    with an offset of at least the box side (no source in the box), are
+    skipped.
 
     When every atom left has an odd coordinate sum (the simple walk is
     such a bipartite law), P(S_n = y) = 0 unless the coordinate sum of y
-    has the parity of n, and orbits keep that sum's parity.  The DP then
-    orders the representatives in two parity classes, even sums first, each
-    in ascending order, and chunks each class's columns apart.  Step n
-    fills the stack from q on the class of parity n - 1, which step n - 1
-    wrote, and gathers, reduces and adds to the sums over the class of
-    parity n, whose sources all lie in the other.  Each step's mass is still
-    summed over all representatives in ascending order, with exact zeros
-    off the class, so ``leak``, like ``partial``, is bit for bit what a
-    step over every representative gives.  A class of fewer than two
-    representatives (only boxes of radius 1 or 2 in d <= 2 have one)
-    is not split.
+    has the parity of n, and orbits keep that sum's parity.  `_orbits` then
+    numbers the representatives in two parity classes, even sums first,
+    each in ascending order, and the DP chunks each class's columns apart.
+    Step n fills the stack from q on the class of parity n - 1, which step
+    n - 1 wrote, and gathers, reduces and adds to the sums over the class
+    of parity n, whose sources all lie in the other; the mass left after
+    step n_max is all on that step's class.  A class of fewer than two
+    representatives (only boxes of radius 1 or 2 in d <= 2 have one) is
+    not split.
 
     FIELD_BUDGET bounds the bytes held, counted before anything large is
     allocated, as the larger of two phases.  The orbit pass holds 4 (d + 1)
     bytes per cell but at least 12, and 8 per representative.  Building
     the table holds ``rep_of`` (4 bytes per cell), the int32 index box
     padded by the largest offset and 48 + 4 atoms bytes per representative
-    (an int32 table row per atom, the orbit sizes and the index
-    arithmetic).  Stepping holds ``rep_of`` and ``reps`` (4 bytes per
-    cell and per representative), q, the sums, the orbit sizes and the
-    stack rows (8 bytes per representative each), and fits the table and
-    the gather buffer in what is left of the larger phase, less the padded
-    box: intp indices where the buffer can be as large as the table, else
-    int32 ones gathered in chunks small enough for the buffer
-    and ``take``'s intp copy of the chunk's indices.  Should not even a
-    chunk of a few columns fit, the scaled copies are dropped, fewest atoms
-    first.  A gather holds about _GATHER_BYTES at most, which keeps a chunk
-    in cache from the ``take`` to the sum.  A bipartite law adds 24 bytes
-    per representative to each phase: the class order (intp) and, in the
-    build, the reordered ``reps`` and the relabelling of the table's
-    entries (int32 each), or, in the steps, the mass of each class in
-    ascending order (float64 each).  The field then keeps ``rep_of`` and
-    the sums; expanding ``partial``, at its first read, holds less than the
-    DP.
+    (an int32 table row per atom and the index arithmetic).  Stepping
+    holds ``rep_of`` and ``reps`` (4 bytes per cell and per
+    representative), q, the sums and the stack rows (8 bytes per
+    representative each), and fits the table and the gather buffer in
+    what is left of the larger phase, less the padded box: intp indices
+    where the buffer can be as large as the table, else int32 ones
+    gathered in chunks small enough for the buffer and ``take``'s intp
+    copy of the chunk's indices.  Should not even a chunk of a few columns
+    fit, the scaled copies are dropped, fewest atoms first.  A gather
+    holds about _GATHER_BYTES at most, which keeps a chunk in cache from
+    the ``take`` to the sum.  The orbit sizes are counted after the last
+    step, when the stack and the table are gone, from an intp copy of
+    ``rep_of``.  The field then keeps ``rep_of`` and the sums; expanding
+    ``partial``, at its first read, holds less than the DP.
 
     Queries read one query table over the representatives: the sums
     ``_g`` and, from the first `green` or `level_sum` call on, value =
@@ -197,7 +195,7 @@ class GreenField:
         n_reps = math.prod(math.comb((box_radius + 1 if c[0] in flips else side)
                                      + len(c) - 1, len(c)) for c in classes)
         orbit = side ** d * 4 * max(d + 1, 3) + 8 * n_reps
-        build = 4 * side ** d + n_reps * (48 + 4 * len(atoms) + 24 * bipartite)
+        build = 4 * side ** d + n_reps * (48 + 4 * len(atoms))
         held = max(orbit, build + 4 * (side + 2 * pad) ** d)
         if held > FIELD_BUDGET:
             raise ResourceError(f"DP box radius {box_radius} needs {held} "
@@ -213,46 +211,25 @@ class GreenField:
         `_orbits` maps: ``_rep_of`` in the shape of the box and ``_reps``.
         See the class docstring."""
         d, r = self.step.dim, self.box_radius
-        rep_of, reps = _orbits(flips, classes, d, r)
+        rep_of, reps, edges = _orbits(flips, classes, d, r, bipartite)
         n = len(reps)
         atoms = [(vec, prob) for vec, prob in atoms if prob > 0]
-        edges, order = [0, n], None
-        if bipartite:
-            # as the side is odd, a flat index has the parity of the
-            # coordinate sum plus d r; even sums first
-            odd = (reps + d * r) & 1
-            even = n - int(np.count_nonzero(odd))
-            if 2 <= even <= n - 2:
-                edges, order = [0, even, n], np.argsort(odd, kind="stable")
         scales, rows, lift, index, bounds = _gather_plan(
-            [prob for _, prob in atoms], edges,
-            room - 4 * (rep_of.size + n) - 24 * n * (order is not None))
-        sizes = np.bincount(rep_of, minlength=n).astype(float)
-        start = int(rep_of[rep_of.size // 2])
-        table = _source_table(rep_of, reps if order is None else reps[order],
-                              [vec for vec, _ in atoms], d, r, pad)
-        if order is not None:
-            # entries in the class order too; n stays the sentinel
-            relabel = np.empty(n + 1, dtype=np.int32)
-            relabel[order] = np.arange(n, dtype=np.int32)
-            relabel[n] = n
-            for row in table:
-                np.take(relabel, row, out=row)
-            sizes, start = sizes[order], int(relabel[start])
+            [prob for _, prob in atoms], edges, room - 4 * (rep_of.size + n))
+        table = _source_table(rep_of, reps, [vec for vec, _ in atoms], d, r, pad)
         table += np.array(rows, dtype=np.int32)[:, None] * (n + 1)
         # per class, contiguous intp copies of each chunk's columns, which
         # take reads without a conversion, or int32 views
         blocks = [[table[:, lo:hi].astype(index, copy=False)
                    for lo, hi in zip(cls, cls[1:])] for cls in bounds]
         del table
-        g, leak = _steps(self.n_max, blocks, bounds, scales, lift, sizes,
-                         start, order)
+        self._g, q = _steps(self.n_max, blocks, bounds, scales, lift,
+                            int(rep_of[rep_of.size // 2]))
         del blocks
-        self._g = g
-        if order is not None:  # back to ascending order
-            self._g = np.empty(n)
-            self._g[order] = g
-        self.leak = max(float(leak), 0.0)
+        # the mass still in the box after step n_max, on the class it wrote
+        lo = bounds[self.n_max % len(bounds)][0]
+        q *= np.bincount(rep_of, minlength=n)[lo:lo + q.size]  # orbit sizes
+        self.leak = max(1.0 - math.fsum(q), 0.0)
         self._rep_of, self._reps = rep_of.reshape((2 * r + 1,) * d), reps
 
     @cached_property
@@ -341,12 +318,16 @@ def _symmetries(step: StepDistribution) -> tuple[list, list]:
     return flips, classes
 
 
-def _orbits(flips: list, classes: list, d: int, radius: int):
-    """(rep_of, reps): the representative index of every box cell (int32,
-    flat C order) and the representatives' flat indices (int32, ascending).
+def _orbits(flips: list, classes: list, d: int, radius: int, bipartite: bool):
+    """(rep_of, reps, edges): the representative index of every box cell
+    (int32, flat C order), the representatives' flat indices (int32) and
+    the edges of their classes.
 
     A cell's representative has |y| on the flippable axes and each class
-    in nonincreasing order; with no symmetry every cell is its own.  Time
+    in nonincreasing order; with no symmetry every cell is its own.  The
+    representatives are in ascending order, one class, edges [0, n]; for a
+    `bipartite` law whose parity classes both have two or more, even
+    coordinate sums first, each class ascending, edges [0, even, n].  Time
     O(cells * d); memory 4 (d + 1) bytes per cell but at least 12.
     """
     side = 2 * radius + 1
@@ -370,9 +351,17 @@ def _orbits(flips: list, classes: list, d: int, radius: int):
     rank = np.zeros(flat.size, dtype=np.int32)
     rank[flat] = 1
     reps = np.flatnonzero(rank).astype(np.int32)
-    np.cumsum(rank, out=rank)
-    rank -= 1
-    return rank[flat], reps
+    n = len(reps)
+    edges = [0, n]
+    if bipartite:
+        # as the side is odd, a flat index has the parity of the
+        # coordinate sum plus d r
+        odd = ((reps + d * radius) & 1).astype(bool)
+        even = n - int(np.count_nonzero(odd))
+        if 2 <= even <= n - 2:
+            reps, edges = np.concatenate((reps[~odd], reps[odd])), [0, even, n]
+    rank[reps] = np.arange(n, dtype=np.int32)
+    return rank[flat], reps, edges
 
 
 def _source_table(rep_of: np.ndarray, reps: np.ndarray, offsets: list,
@@ -399,8 +388,7 @@ def _gather_plan(probs: list, edges: list, room: int):
     """(scales, rows, lift, index, bounds): how a DP step over the
     representatives edges[0]:edges[-1], in classes edges[j]:edges[j + 1] of
     two or more each, gathers atoms of probabilities `probs` in `room` bytes
-    (all but ``rep_of``, ``reps`` and the classes' order and masses); see
-    GreenField.
+    (all but ``rep_of`` and ``reps``); see GreenField.
 
     Row k of the source stack holds scales[k] * p, and atom i reads row
     rows[i].  The gathered rows lo:hi of lift = (lo, hi, factors) are
@@ -415,8 +403,8 @@ def _gather_plan(probs: list, edges: list, room: int):
     while True:
         # row 0 is plain p when some atom's probability is its own
         scales = [1.0] * (not probs or any(p not in shared for p in probs)) + shared
-        # less q, the sums, the orbit sizes, the stack and an int32 table
-        free = room - 8 * (3 * n + len(scales) * (n + 1)) - 4 * a * n
+        # less q, the sums, the stack and an int32 table
+        free = room - 8 * (2 * n + len(scales) * (n + 1)) - 4 * a * n
         if free >= 48 * a or not shared:
             break
         shared.pop()
@@ -437,17 +425,13 @@ def _gather_plan(probs: list, edges: list, room: int):
 
 
 def _steps(n_max: int, blocks: list, bounds: list, scales: list, lift: tuple,
-           sizes: np.ndarray, start: int,
-           order: Optional[np.ndarray]) -> tuple[np.ndarray, float]:
-    """(sums, leak) of n_max DP steps from a unit mass at representative
+           start: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, q) of n_max DP steps from a unit mass at representative
     `start`, gathering through the index blocks of a `_gather_plan`, one
-    list per class.  With one class, a step reads and writes every
-    representative.  With two, `start` is in the first, and step t reads
-    class (t - 1) % 2 and writes class t % 2; the mass of a step is then
-    summed in the original order, ``order`` mapping each representative
-    there, with exact zeros off its class.  So the sum adds the terms the
-    one-class step adds, in the same order."""
-    n, a = sizes.size, blocks[0][0].shape[0]
+    list per class, q on the class step n_max wrote.  With one class, a
+    step reads and writes every representative.  With two, `start` is in
+    the first, and step t reads class (t - 1) % 2 and writes class t % 2."""
+    n, a = bounds[-1][-1], blocks[0][0].shape[0]
     lo_l, hi_l, factors = lift
     stack = np.zeros((len(scales), n + 1))  # column n: the zero sentinel
     flat = stack.reshape(-1)
@@ -461,15 +445,11 @@ def _steps(n_max: int, blocks: list, bounds: list, scales: list, lift: tuple,
         for src, c, b in zip(src_blocks, cls, cls[1:]):
             out = buf[:a * (b - c)].reshape(a, b - c)
             chunks.append((src, out, out[lo_l:hi_l], q[c:b]))
-        # a step's mass goes through stack row 0 after its gathers
-        mass = stack[0, lo:hi]
-        spread, at = (mass, None) if order is None else (np.zeros(n), order[lo:hi])
-        writes.append((chunks, q[lo:hi], g[lo:hi], sizes[lo:hi], mass, spread, at))
+        writes.append((chunks, q[lo:hi], g[lo:hi]))
     q[start] = 1.0
-    p_sum, leak = 1.0, 0.0
     for t in range(1, n_max + 1):
         p, fills = reads[(t - 1) % len(reads)]
-        chunks, q_c, g_c, sizes_c, mass, spread, at = writes[t % len(writes)]
+        chunks, q_c, g_c = writes[t % len(writes)]
         for row, scale in fills:
             np.multiply(p, scale, out=row)
         for src, out, own, sums in chunks:
@@ -478,14 +458,8 @@ def _steps(n_max: int, blocks: list, bounds: list, scales: list, lift: tuple,
             if hi_l:
                 np.multiply(own, factors, out=own)
             np.add.reduce(out, axis=0, out=sums)
-        np.multiply(q_c, sizes_c, out=mass)
-        if at is not None:
-            spread[at] = mass
-        q_sum = spread.sum()
-        leak += p_sum - q_sum
         g_c += q_c
-        p_sum = q_sum
-    return g, leak
+    return g, writes[n_max % len(writes)][1]
 
 
 def default_box_radius(x: Sequence[int], n_max: int) -> int:

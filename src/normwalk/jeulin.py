@@ -414,7 +414,7 @@ class HarnessReport:
 
 def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunction],
                          k_ladder: Sequence[int], replicas: int,
-                         master_seed: int, eps_rel: float = EPS_REL) -> HarnessReport:
+                         master_seed: int) -> HarnessReport:
     """Cross-tabulate symbolic sum f Phi against empirical sum f V.
 
     Only the forward direction is asserted, and route-aware: with a
@@ -426,7 +426,8 @@ def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunct
     series meets growing sums are reported as converse failures, never as
     errors.  The verdict on sum f Phi, Phi(k) = k^p, is the one
     summability._decide_weighted gives with power p; a replica is
-    stabilised by summability.stabilized with eps_abs 1e-9.
+    stabilised by summability.stabilized with eps_abs 1e-9 and
+    summability.EPS_REL.
     """
     if scenario.limit_positive_prob <= 0.0:
         raise UsageError("scenario declares P(X>0) = 0: the lemma needs "
@@ -451,7 +452,7 @@ def limit_jeulin_harness(scenario: JeulinScenario, f_family: Sequence[LevelFunct
 
     rows = []
     for j, (label, f) in enumerate(family.items()):
-        stab = float(stabilized(partials[:, j], 1e-9, eps_rel).mean())
+        stab = float(stabilized(partials[:, j], 1e-9, EPS_REL).mean())
         verdict, _ = _decide_weighted(f, power=scenario.phi_exponent)
         finite_evidence = stab >= stabilized_threshold
         violated = finite_evidence and verdict == Verdict.DIVERGES

@@ -669,7 +669,6 @@ class TestOptionInventory:
         "green.green_dp(n_max)",
         "green.green_mc(k_cut)",
         "jeulin.laplace_check(master_seed)",
-        "jeulin.limit_jeulin_harness(eps_rel)",
         "jeulin.route_a_scenario(phi_exponent)",
         "jeulin.sample_stable(size)",
         "jeulin.shiga3_run(threshold)",

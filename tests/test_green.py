@@ -82,23 +82,16 @@ def representative_map(step, radius):
 def reference_green_field(step, n_max, radius, symmetrize=True, by_orbit=False):
     """(partial, leak) from a fresh q and one strided slice add per atom;
     with `symmetrize`, every cell then takes its representative's value.
-    ``leak`` sums p and q over the whole box or, with `by_orbit` (which
-    needs `symmetrize`), each representative's value times its orbit size
-    in ascending order of the representatives, as the DP does."""
+    ``leak`` is 1 less the `math.fsum` of the last step's mass, clamped at
+    0: that mass is q over the whole box or, with `by_orbit` (which needs
+    `symmetrize`), each representative's value times its orbit size, as
+    the DP weighs it."""
     d = step.dim
     shape = (2 * radius + 1,) * d
     rep = representative_map(step, radius) if symmetrize else None
-    if by_orbit:
-        reps = np.unique(rep)
-        sizes = np.bincount(rep)[reps].astype(float)
-
-    def total(a):
-        return (a.reshape(-1)[reps] * sizes).sum() if by_orbit else a.sum()
-
     p = np.zeros(shape)
     p[(radius,) * d] = 1.0
     g = np.zeros(shape)
-    leak = 0.0
     atoms = list(zip(step.support, step.probabilities))
     for _ in range(n_max):
         q = np.zeros(shape)
@@ -121,10 +114,13 @@ def reference_green_field(step, n_max, radius, symmetrize=True, by_orbit=False):
                 q[tuple(dst)] += prob * p[tuple(src)]
         if rep is not None:
             q = q.reshape(-1)[rep].reshape(shape)
-        leak += total(p) - total(q)
         p = q
         g += p
-    return g, float(leak)
+    mass = p.reshape(-1)
+    if by_orbit:
+        reps = np.unique(rep)
+        mass = mass[reps] * np.bincount(rep)[reps].astype(float)
+    return g, max(1.0 - math.fsum(mass.tolist()), 0.0)
 
 
 def _random_law(d, seed):
@@ -190,16 +186,11 @@ class TestStencilBitIdentity:
     @pytest.mark.parametrize("radius", [2, 6])
     def test_partial_and_leak_equal_reference(self, law, n_max, radius):
         step = STENCIL_LAWS[law]
-        field = GreenField(step, n_max=n_max, box_radius=radius)
-        partial, leak = reference_green_field(step, n_max, radius)
-        assert field.partial.tobytes() == partial.tobytes()
-        if law in SYMMETRIC_LAWS:
-            # the DP weights each orbit's value by its size; the full-box
-            # sums add the same terms in other pairs
-            assert abs(field.leak - leak) <= 4 * n_max * np.spacing(1.0)
-        else:
-            # every cell is its own representative
-            assert field.leak == leak
+        field = self.assert_equals_reference(law, n_max, radius)
+        # the full box adds each orbit's value once per cell, where the DP
+        # rounds its product with the orbit size
+        _, leak = reference_green_field(step, n_max, radius)
+        assert abs(field.leak - leak) <= 4 * n_max * np.spacing(1.0)
 
     @pytest.mark.parametrize("law", SYMMETRIC_LAWS)
     def test_partial_invariant_under_law_symmetries(self, law):
@@ -227,12 +218,10 @@ class TestStencilBitIdentity:
     def assert_equals_reference(law, n_max, radius):
         step = STENCIL_LAWS[law]
         field = GreenField(step, n_max=n_max, box_radius=radius)
-        partial, leak = reference_green_field(step, n_max, radius)
+        partial, leak = reference_green_field(step, n_max, radius, by_orbit=True)
         assert field.partial.tobytes() == partial.tobytes()
-        if law in SYMMETRIC_LAWS:
-            assert abs(field.leak - leak) <= 4 * n_max * np.spacing(1.0)
-        else:
-            assert field.leak == leak
+        assert field.leak == leak
+        return field
 
     @pytest.mark.parametrize("law, radius, reps", [
         ("simple3", 31, 5984), ("lazy3", 29, 4960),
@@ -242,7 +231,9 @@ class TestStencilBitIdentity:
         # columns of the law's atoms, so a step takes several chunks
         step = STENCIL_LAWS[law]
         atoms = int(np.count_nonzero(step.probabilities))
-        assert len(green._orbits(*_symmetries(step), step.dim, radius)[1]) == reps
+        orbits = green._orbits(*_symmetries(step), step.dim, radius,
+                               law in BIPARTITE_LAWS)
+        assert len(orbits[1]) == reps
         assert reps > green._GATHER_BYTES // (8 * atoms)
         self.assert_equals_reference(law, 5, radius)
 
@@ -281,8 +272,15 @@ BIPARTITE_LAWS = ["bipartite3", "mixed3", "simple1", "simple2", "simple3",
 
 
 class TestParityClasses:
-    """A bipartite law steps one parity class of representatives at a time;
-    `_steps` receives the class bounds and the representatives' order."""
+    """A bipartite law steps one parity class of representatives at a time:
+    `_orbits` numbers them in class order, and `_steps` receives the class
+    bounds."""
+
+    @staticmethod
+    def parity(field):
+        r = field.box_radius
+        return (np.stack(np.unravel_index(field._reps, field._rep_of.shape))
+                - r).sum(axis=0) % 2
 
     @pytest.mark.parametrize("law", sorted(STENCIL_LAWS))
     def test_split_taken_for_bipartite_laws(self, monkeypatch, law):
@@ -291,26 +289,28 @@ class TestParityClasses:
         assert sums.all() == (law in BIPARTITE_LAWS)
         calls = spy_steps(monkeypatch)
         field = GreenField(step, n_max=3, box_radius=6)
-        (_, _, bounds, _, _, _, _, order), = calls
+        bounds, reps, n = calls[0][2], field._reps, len(field._reps)
+        # every representative is its own representative's index
+        assert (field._rep_of.reshape(-1)[reps] == np.arange(n)).all()
         if law not in BIPARTITE_LAWS:
-            assert order is None and len(bounds) == 1
+            assert len(bounds) == 1 and (np.diff(reps) > 0).all()
             return
         # even coordinate sums first, each class in ascending order
-        parity = (np.stack(np.unravel_index(field._reps, field._rep_of.shape))
-                  - 6).sum(axis=0) % 2
-        even, n = bounds[0][-1], len(field._reps)
+        even = bounds[0][-1]
         assert [bounds[0][0], bounds[1][0], bounds[1][-1]] == [0, even, n]
-        assert sorted(order.tolist()) == list(range(n))
-        for cls, bit in ((order[:even], 0), (order[even:], 1)):
-            assert (parity[cls] == bit).all() and (np.diff(cls) > 0).all()
+        parity = self.parity(field)
+        for cls, bit in ((slice(0, even), 0), (slice(even, n), 1)):
+            assert (parity[cls] == bit).all() and (np.diff(reps[cls]) > 0).all()
 
     @pytest.mark.parametrize("law, radius", [
         ("simple1", 1), ("simple1", 2), ("simple2", 1)])
     def test_class_of_one_not_split(self, monkeypatch, law, radius):
         # a one-column gather would add its rows pairwise
         calls = spy_steps(monkeypatch)
-        TestStencilBitIdentity.assert_equals_reference(law, 40, radius)
-        assert calls[0][7] is None
+        field = TestStencilBitIdentity.assert_equals_reference(law, 40, radius)
+        assert len(calls[0][2]) == 1
+        assert (np.diff(field._reps) > 0).all()
+        assert min(np.count_nonzero(self.parity(field) == bit) for bit in (0, 1)) == 1
 
     @pytest.mark.parametrize("law", ["simple3", "bipartite3"])
     def test_several_gathers_per_class(self, monkeypatch, law):
@@ -318,19 +318,17 @@ class TestParityClasses:
         # many chunks
         monkeypatch.setattr(green, "_GATHER_BYTES", 8 * 7 * 3)
         calls = spy_steps(monkeypatch)
-        step = STENCIL_LAWS[law]
-        field = GreenField(step, n_max=40, box_radius=6)
+        field = TestStencilBitIdentity.assert_equals_reference(law, 40, 6)
         bounds = calls[0][2]
         assert len(bounds) == 2 and min(map(len, bounds)) > 4
-        partial, leak = reference_green_field(step, 40, 6, by_orbit=True)
-        assert field.partial.tobytes() == partial.tobytes()
-        assert leak > 0 and field.leak == leak
+        assert field.leak > 0
 
 
 class TestLeakNonnegative:
     # a box of radius at least n_max times the largest offset cannot
-    # absorb, so its leak is p_sum - q_sum rounding residue; unclamped,
-    # random3 at n_max 2 and simple d = 4 at n_max 30 read -2.2e-16
+    # absorb, so its leak is 1 less the rounded mass left in it; unclamped,
+    # random3 at n_max 2 reads -2.2e-16 and seed 2 in d = 4 at n_max 3
+    # -4.4e-16
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("n_max", [2, 5, 10])
     def test_simple_walk(self, d, n_max):
@@ -352,8 +350,14 @@ class TestFieldMemory:
         ("simple3", 3.25),   # the orbit pass: 16 B per cell
         ("lazy3", 4.07),
         # every cell its own orbit: rep_of, nine int32 tables, p, q, sums,
-        # gather buffer, sizes and take's intp index copy, 88 B per cell
+        # gather buffer and take's intp index copy, 88 B per cell
         ("random3", 11.1),
+        # every cell its own orbit: the steps fit the build's 4 + 48 + 4 B
+        # per atom of the 8 in the box, 84 B per cell
+        ("bipartite3", 10.5),
+        # 30,256 orbits: the build's 4 B per cell and 48 + 4 B per atom of
+        # the 17 per orbit, and the index box padded by 2
+        ("mixed3", 3.04),
     ])
     def test_peak_in_boxes(self, law, boxes):
         tracemalloc.start()

@@ -384,8 +384,7 @@ class TestHarness:
     def test_shiga3_exhibits_converse_failure(self):
         sc = shiga3_scenario(0.4)
         rep = limit_jeulin_harness(sc, [PowerLaw(2.5)], [100, 10_000],
-                                   replicas=400, master_seed=6,
-                                   eps_rel=0.02)
+                                   replicas=400, master_seed=6)
         assert rep.implication_respected
         assert rep.exhibits_converse_failure
 
