@@ -32,8 +32,7 @@ from .jeulin import (
 )
 from .measures import invariance_surrogate
 from .norms import FAMILIES, NormSpec, make_norm
-from .summability import (DICHOTOMY_BAND, PowerLaw, PowerLog, Verdict,
-                          zero_one_experiment)
+from .summability import PowerLaw, PowerLog, zero_one_experiment
 from .walk import (
     WalkRun,
     lattice_point,
@@ -54,17 +53,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _norm_from_args(args) -> NormSpec:
+    """The spec of the norm flags; a subcommand that takes
+    --allow-degenerate refuses a degenerate spec without it."""
     transform = None
     if args.transform:
         transform = [_parse_int_list(row) for row in args.transform.split(";")]
-    return make_norm(args.norm, args.dim, factor=args.factor, transform=transform)
-
-
-def _guard_degenerate(spec: NormSpec, args) -> None:
-    if spec.degenerate and not args.allow_degenerate:
+    spec = make_norm(args.norm, args.dim, factor=args.factor, transform=transform)
+    if spec.degenerate and not getattr(args, "allow_degenerate", True):
         raise UsageError(
             "scaled_max has empty odd levels (the monotone-census assumption "
             "fails); pass --allow-degenerate to proceed anyway")
+    return spec
 
 
 def _replica_count(text: str) -> int:
@@ -154,7 +153,6 @@ def _write_json(obj: dict, fh) -> None:
 
 def _cmd_census(args, em: Emitter) -> None:
     spec = _norm_from_args(args)
-    _guard_degenerate(spec, args)
     # --verify recounts the printed census by the other method
     method, other_method = ((count_bruteforce, census_for) if args.bruteforce
                             else (census_for, count_bruteforce))
@@ -165,8 +163,8 @@ def _cmd_census(args, em: Emitter) -> None:
                  "method": cen.method}
     if args.verify:
         # up to the largest k <= 15 whose brute-force box fits the budget
-        k_top = max(k for k in range(min(args.kmax, 15) + 1) if norms.BOX_BUDGET
-                    >= (2 * spec.enclosing_box_radius(k) + 1) ** spec.dim)
+        k_top = max(k for k in range(min(args.kmax, 15) + 1)
+                    if norms.box_fits(spec, k))
         other = other_method(spec, k_top)
         mismatches = [(spec.describe(), k, cen[k], other[k])
                       for k in range(other.k_max + 1) if cen[k] != other[k]]
@@ -200,15 +198,14 @@ def _cmd_simulate(args, em: Emitter) -> None:
 def _cmd_green(args, em: Emitter) -> None:
     step = make_simple_walk(args.dim)
     x = lattice_point(_parse_int_list(args.x), args.dim)
-    if args.method == "dp":
-        est = green_dp(step, x, n_max=args.nmax, box_radius=args.box_radius)
-        value, bound = est.value, est.error_bound
-    elif args.method == "mc":
-        est = green_mc(step, _norm_from_args(args), x, replicas=args.replicas,
-                       master_seed=args.seed)
-        value, bound = est.value, est.error_bound
-    else:
+    if args.method == "asymptotic":
         value, bound = spitzer_asymptotic(step.covariance, x), None
+    else:
+        est = (green_dp(step, x, n_max=args.nmax, box_radius=args.box_radius)
+               if args.method == "dp" else
+               green_mc(step, _norm_from_args(args), x, replicas=args.replicas,
+                        master_seed=args.seed))
+        value, bound = est.value, est.error_bound
     em.report = {"x": list(x), "value": value, "error_bound": bound,
                  "method": args.method}
     if args.method == "mc":
@@ -220,7 +217,6 @@ def _cmd_green(args, em: Emitter) -> None:
 
 def _cmd_zero_one(args, em: Emitter) -> None:
     spec = _norm_from_args(args)
-    _guard_degenerate(spec, args)
     step = make_simple_walk(args.dim)
     if args.gamma is not None:
         f = PowerLog(beta=args.beta, gamma=args.gamma)
@@ -242,19 +238,14 @@ def _cmd_zero_one(args, em: Emitter) -> None:
         "eps_abs": rep.eps_abs,
         "eps_rel": rep.eps_rel,
     }
-    if args.verify and rep.criterion_v is not Verdict.UNDECIDABLE:
-        # the fraction must clear the band on the verdict's side
-        lo, hi = DICHOTOMY_BAND
-        frac = rep.stabilized_fraction
-        if not (frac > hi if rep.criterion_v is Verdict.CONVERGES else frac < lo):
-            raise VerificationError(
-                f"stabilized fraction {rep.stabilized_fraction} contradicts "
-                f"the symbolic verdict {rep.criterion_v.value}")
+    if args.verify and not rep.verdict_respected:
+        raise VerificationError(
+            f"stabilized fraction {rep.stabilized_fraction} contradicts "
+            f"the symbolic verdict {rep.criterion_v.value}")
 
 
 def _cmd_invariance(args, em: Emitter) -> None:
     spec = _norm_from_args(args)
-    _guard_degenerate(spec, args)
     rep = invariance_surrogate(make_simple_walk(args.dim), spec,
                                _parse_int_list(args.k_ladder), args.replicas,
                                master_seed=args.seed)

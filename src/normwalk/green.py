@@ -9,16 +9,8 @@ Three routes:
 * the |x| -> infinity asymptotic constant Gamma(d/2-1)/(2 pi^{d/2}).
 
 DP fields hold partial sums for every site of the box at once, so one run
-serves many query points.  The DP steps one value per orbit of the box
-cells under the axis flips and swaps that keep the step law (a law with
-none has one cell per orbit).  Each step gathers every atom's sources at
-once through one stacked index table and adds them in support order;
-mass stepping out of the box is absorbed, and ``leak`` is 1 less the
-mass left in it after the last step.  A field's Green
-values and error bounds form one table over the orbit representatives,
-built at its first query by one vectorised local-CLT tail evaluation;
-``green``, ``partial_at`` and ``level_sum`` index it, so G is constant on
-every orbit.
+serves many query points; `GreenField` describes the DP over orbits of box
+cells, its ``leak`` and its query table, on which G is constant per orbit.
 """
 
 from __future__ import annotations
@@ -136,11 +128,11 @@ class GreenField:
     As prob * p[src] == (prob * p)[src], and (0 + a_1) + a_2 + ... ==
     a_1 + a_2 + ... for these nonnegative terms, ``partial`` is bit for bit
     the per-atom slice update over the box with every cell set to its
-    representative's value after each step.  Atoms of mass 0, and atoms
-    with an offset of at least the box side (no source in the box), are
-    skipped.
+    representative's value after each step.  One list of live atoms, of
+    positive mass and with an offset below the box side (a source in the
+    box), serves the padding, the parity test, the byte count and the steps.
 
-    When every atom left has an odd coordinate sum (the simple walk is
+    When every live atom has an odd coordinate sum (the simple walk is
     such a bipartite law), P(S_n = y) = 0 unless the coordinate sum of y
     has the parity of n, and orbits keep that sum's parity.  `_orbits` then
     numbers the representatives in two parity classes, even sums first,
@@ -157,7 +149,7 @@ class GreenField:
     bytes per cell but at least 12, and 8 per representative.  Building
     the table holds ``rep_of`` (4 bytes per cell), the int32 index box
     padded by the largest offset and 48 + 4 atoms bytes per representative
-    (an int32 table row per atom and the index arithmetic).  Stepping
+    (an int32 table row per live atom and the index arithmetic).  Stepping
     holds ``rep_of`` and ``reps`` (4 bytes per cell and per
     representative), q, the sums and the stack rows (8 bytes per
     representative each), and fits the table and the gather buffer in
@@ -187,50 +179,40 @@ class GreenField:
         d, side = step.dim, 2 * box_radius + 1
         flips, classes = _symmetries(step)
         atoms = [(vec, prob) for vec, prob in zip(step.support, step.probabilities)
-                 if np.abs(vec).max() < side]
+                 if prob > 0 and np.abs(vec).max() < side]
         pad = max((int(np.abs(vec).max()) for vec, _ in atoms), default=0)
         # every live atom changes the parity of the coordinate sum
-        bipartite = all(int(vec.sum()) % 2 for vec, prob in atoms if prob > 0)
-        # nonincreasing runs of |y| (flippable) or of y along each class
-        n_reps = math.prod(math.comb((box_radius + 1 if c[0] in flips else side)
-                                     + len(c) - 1, len(c)) for c in classes)
+        bipartite = all(int(vec.sum()) % 2 for vec, _ in atoms)
+        n_reps = _rep_count(flips, classes, box_radius)
         orbit = side ** d * 4 * max(d + 1, 3) + 8 * n_reps
         build = 4 * side ** d + n_reps * (48 + 4 * len(atoms))
         held = max(orbit, build + 4 * (side + 2 * pad) ** d)
         if held > FIELD_BUDGET:
             raise ResourceError(f"DP box radius {box_radius} needs {held} "
                                 f"bytes, over budget {FIELD_BUDGET}")
-        self.step = step
-        self.n_max = n_max
-        self.box_radius = box_radius
-        self._run(atoms, flips, classes, pad, max(orbit, build), bipartite)
-
-    def _run(self, atoms: list, flips: list, classes: list, pad: int,
-             room: int, bipartite: bool):
-        """Sets ``_g``, the DP sums per representative, ``leak``, and the
-        `_orbits` maps: ``_rep_of`` in the shape of the box and ``_reps``.
-        See the class docstring."""
-        d, r = self.step.dim, self.box_radius
-        rep_of, reps, edges = _orbits(flips, classes, d, r, bipartite)
+        self.step, self.n_max, self.box_radius = step, n_max, box_radius
+        # the DP of the class docstring; ``_rep_of`` takes the box's shape
+        rep_of, reps, edges = _orbits(flips, classes, d, box_radius, bipartite)
         n = len(reps)
-        atoms = [(vec, prob) for vec, prob in atoms if prob > 0]
         scales, rows, lift, index, bounds = _gather_plan(
-            [prob for _, prob in atoms], edges, room - 4 * (rep_of.size + n))
-        table = _source_table(rep_of, reps, [vec for vec, _ in atoms], d, r, pad)
+            [prob for _, prob in atoms], edges,
+            max(orbit, build) - 4 * (rep_of.size + n))
+        table = _source_table(rep_of, reps, [vec for vec, _ in atoms], d,
+                              box_radius, pad)
         table += np.array(rows, dtype=np.int32)[:, None] * (n + 1)
         # per class, contiguous intp copies of each chunk's columns, which
         # take reads without a conversion, or int32 views
         blocks = [[table[:, lo:hi].astype(index, copy=False)
                    for lo, hi in zip(cls, cls[1:])] for cls in bounds]
         del table
-        self._g, q = _steps(self.n_max, blocks, bounds, scales, lift,
+        self._g, q = _steps(n_max, blocks, bounds, scales, lift,
                             int(rep_of[rep_of.size // 2]))
         del blocks
         # the mass still in the box after step n_max, on the class it wrote
-        lo = bounds[self.n_max % len(bounds)][0]
+        lo = bounds[n_max % len(bounds)][0]
         q *= np.bincount(rep_of, minlength=n)[lo:lo + q.size]  # orbit sizes
         self.leak = max(1.0 - math.fsum(q), 0.0)
-        self._rep_of, self._reps = rep_of.reshape((2 * r + 1,) * d), reps
+        self._rep_of, self._reps = rep_of.reshape((side,) * d), reps
 
     @cached_property
     def partial(self) -> np.ndarray:
@@ -244,8 +226,7 @@ class GreenField:
         points, r = np.asarray(points), self.box_radius
         outside = np.abs(points).max(axis=1) > r
         if outside.any():
-            x = tuple(points[outside.argmax()].tolist())
-            raise UsageError(f"point {x} lies outside the DP box")
+            self._point(points[outside.argmax()].tolist())  # refuses it
         return self._rep_of[tuple((points + r).T)]
 
     def _point(self, x: Sequence[int]) -> tuple[tuple, int]:
@@ -316,6 +297,13 @@ def _symmetries(step: StepDistribution) -> tuple[list, list]:
         else:
             classes.append([ax])
     return flips, classes
+
+
+def _rep_count(flips: list, classes: list, radius: int) -> int:
+    """The number of `_orbits` representatives, in closed form: per class,
+    the nonincreasing runs of |y| (flippable) or of y along it."""
+    return math.prod(math.comb((radius + 1 if c[0] in flips else 2 * radius + 1)
+                               + len(c) - 1, len(c)) for c in classes)
 
 
 def _orbits(flips: list, classes: list, d: int, radius: int, bipartite: bool):

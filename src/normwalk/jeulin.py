@@ -119,11 +119,26 @@ def laplace_check(alpha: float, lambdas: Sequence[float], draws: int,
             for lam in lambdas]
 
 
+class _LaplaceRows:
+    """A report with ``laplace_rows`` (see _laplace_row)."""
+
+    @property
+    def laplace_consistent(self) -> bool:
+        """Every row's |z| is at most 3."""
+        return all(abs(r["z"]) <= 3.0 for r in self.laplace_rows)
+
+
 # -- shiga3: converse failure with i.i.d. stable weights ---------------------
 
 
+def _check_shiga3_alpha(alpha: float) -> None:
+    """Refuses alpha outside (0, 1/2), where sum f Phi diverges."""
+    if not (0.0 < alpha < 0.5):
+        raise UsageError("shiga3 needs 0 < alpha < 1/2")
+
+
 @dataclass(frozen=True)
-class Shiga3Report:
+class Shiga3Report(_LaplaceRows):
     alpha: float
     k_ladder: tuple
     replicas: int
@@ -132,10 +147,6 @@ class Shiga3Report:
     laplace_rows: tuple              # per-K: empirical vs exp(-H_K), z
     threshold: float
     divergence_fractions: tuple      # per-K fraction of partial sums > threshold
-
-    @property
-    def laplace_consistent(self) -> bool:
-        return all(abs(r["z"]) <= 3.0 for r in self.laplace_rows)
 
     @property
     def fractions_increasing(self) -> bool:
@@ -168,8 +179,7 @@ def shiga3_run(alpha: float, k_ladder: Sequence[int], replicas: int,
     """
     from scipy.special import zeta
 
-    if not (0.0 < alpha < 0.5):
-        raise UsageError("shiga3 requires 0 < alpha < 1/2")
+    _check_shiga3_alpha(alpha)
     check_replicas(replicas, 2)
     ladder = check_ladder(k_ladder, "K ladder rungs")
     scale = np.array([math.fsum(1.0 / k for k in range(lo + 1, hi + 1))
@@ -213,7 +223,7 @@ def shiga5_phi_integral(alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class Shiga5Report:
+class Shiga5Report(_LaplaceRows):
     alpha: float
     upper: float
     grid: tuple                    # decreasing cell edges, upper = grid[0]
@@ -222,10 +232,6 @@ class Shiga5Report:
     laplace_rows: tuple            # per rung eps: empirical vs exact discrete target, z
     partial_medians: tuple         # per rung eps: median of int_eps^upper X dmu
     mean_trace: tuple              # running means of X(upper): no stabilisation
-
-    @property
-    def laplace_consistent(self) -> bool:
-        return all(abs(r["z"]) <= 3.0 for r in self.laplace_rows)
 
     @property
     def partials_growing(self) -> bool:
@@ -367,8 +373,7 @@ def route_a_scenario(phi_exponent: float = 2.0) -> JeulinScenario:
 
 def shiga3_scenario(alpha: float = 0.4) -> JeulinScenario:
     """V(k) = k + V0(k) with stable V0: V/Phi -> 1 yet converse fails."""
-    if not (0.0 < alpha < 0.5):
-        raise UsageError("the counterexample needs 0 < alpha < 1/2")
+    _check_shiga3_alpha(alpha)
 
     def sampler(rng: Generator, k_top: int) -> np.ndarray:
         ks = np.arange(1, k_top + 1, dtype=float)

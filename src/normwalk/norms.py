@@ -13,9 +13,9 @@ bijection, so sphere counts are preserved.  One exact routine,
 ``_integer_inverse``, decides it and inverts A; a `NormSpec` runs it once,
 at construction, and keeps A and A^{-1} as tuples of int rows.
 
-Scalar evaluation uses exact Python integer arithmetic; the vectorised
-paths use int64, which is exact for the coordinate ranges reachable by
-the walk and census machinery here.
+Scalar evaluation uses exact Python integer arithmetic; `NormSpec.values`
+uses int64 on integer input, exact for the coordinate ranges the walk and
+census machinery reach, and float64 on any other.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ FAMILIES = ("max", "l1", "w1", "scaled_max")
 
 # iter_box_slabs yields at most this many points per slab: 1 MB of int64
 # coordinates in d = 4, so a slab, its norms and their temporaries fit a
-# 2 MB L2 cache (2^14 and 2^15 ran fastest in a sweep from 2^13 to 2^20).
+# 2 MB L2 cache (2^14 and 2^15 ran fastest in a sweep from 2^14 to 2^20).
 SLAB_POINTS = 1 << 15
 
 # sphere_points and census.count_bruteforce refuse boxes of more than this
-# many points; read at call time.
+# many points (see box_fits); read at call time.
 BOX_BUDGET = 200_000_000
 
 
@@ -161,7 +161,8 @@ class NormSpec:
         return sum(w * abs(v) for w, v in zip(self.weights.tolist(), y))
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised norm of an (n, dim) int array; returns int64 array.
+        """Vectorised norm of an (n, dim) array: int64 for integer input,
+        which is exact, float64 for any other.
 
         Works one coordinate column at a time, so it takes a row-major
         (n, dim) array as well as the transposed view of a (dim, n) block,
@@ -172,8 +173,8 @@ class NormSpec:
             pts = pts[None, :]
         if pts.shape[1] != self.dim:
             raise UsageError(f"points have dim {pts.shape[1]}, norm expects {self.dim}")
-        if pts.dtype != np.int64:
-            pts = pts.astype(np.int64)
+        pts = pts.astype(np.int64 if pts.dtype.kind in "iu" else np.float64,
+                         copy=False)
         max_shaped, weights = self.max_shaped, self.weights.tolist()
         out = self._abs_coordinate(pts, 0, None)  # weight 1 in the weighted l1 shape
         a = None  # one temporary, reused by every later coordinate
@@ -191,8 +192,8 @@ class NormSpec:
 
     def _abs_coordinate(self, pts: np.ndarray, i: int,
                         out: Optional[np.ndarray]) -> np.ndarray:
-        """|(A x)^i| for every row x of pts, written into the int64 array
-        out (a new one when out is None)."""
+        """|(A x)^i| for every row x of pts, written into out, an array of
+        pts's dtype (a new one when out is None)."""
         if self.transform is None:
             return np.abs(pts[:, i], out=out)
         acc = None
@@ -209,21 +210,6 @@ class NormSpec:
             else:
                 acc += col * a
         return np.abs(acc, out=acc)
-
-    def values_real(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised real norm of an (n, dim) float array."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.shape[1] != self.dim:
-            raise UsageError(f"points have dim {pts.shape[1]}, norm expects {self.dim}")
-        y = pts
-        if self.transform is not None:
-            y = y @ np.array(self.transform, dtype=float).T
-        a = np.abs(y)
-        if self.max_shaped:
-            return self.factor * a.max(axis=1)
-        return a @ self.weights.astype(float)
 
     # -- geometry ---------------------------------------------------------
 
@@ -316,23 +302,29 @@ def iter_box_slabs(dim: int, radius: int) -> Iterator[np.ndarray]:
             yield block.T
 
 
-def check_box_budget(dim: int, radius: int, what: str) -> None:
-    """Refuses, before any point is made, a box [-radius, radius]^dim of
-    more than BOX_BUDGET points for the enumeration `what`."""
-    n_points = (2 * radius + 1) ** dim
-    if n_points > BOX_BUDGET:
-        raise ResourceError(f"{what} box radius {radius} holds {n_points} "
+def box_fits(spec: NormSpec, k: int) -> bool:
+    """Whether the box [-R, R]^dim around the ball ||x|| <= k, R =
+    spec.enclosing_box_radius(k), holds at most BOX_BUDGET points."""
+    return (2 * spec.enclosing_box_radius(k) + 1) ** spec.dim <= BOX_BUDGET
+
+
+def enclosing_box(spec: NormSpec, k: int, what: str) -> int:
+    """spec.enclosing_box_radius(k) for the box enumeration `what`; refuses a
+    level k < 0 and, before any point is made, a box `box_fits` refuses."""
+    if k < 0:
+        raise UsageError(f"norm level k must be >= 0, got {k}")
+    r = spec.enclosing_box_radius(k)
+    if not box_fits(spec, k):
+        raise ResourceError(f"{what} box radius {r} holds {(2 * r + 1) ** spec.dim} "
                             f"points, over budget {BOX_BUDGET}")
+    return r
 
 
 def sphere_points(spec: NormSpec, k: int) -> np.ndarray:
     """All lattice points with exact norm k >= 0, in lexicographic order:
     the box-slab enumeration that `census.count_bruteforce` bins, for every
-    norm, within the same BOX_BUDGET."""
-    if k < 0:
-        raise UsageError(f"norm level k must be >= 0, got {k}")
-    radius = spec.enclosing_box_radius(k)
-    check_box_budget(spec.dim, radius, "sphere")
+    norm, within the same `box_fits`."""
+    radius = enclosing_box(spec, k, "sphere")
     hits = [np.zeros((0, spec.dim), dtype=np.int64)]
     for slab in iter_box_slabs(spec.dim, radius):
         hits.append(slab[spec.values(slab) == k])

@@ -79,11 +79,14 @@ class LevelFunction:
         return float(self.values(np.arange(0, ALLOWANCE_SUM_CAP + 1)).sum())
 
 
-def _check_finite(**params) -> None:
-    """Refuse a nan or infinite parameter: it would get a symbolic verdict."""
+def _check_params(**params) -> None:
+    """Refuse a nan or infinite parameter, which would get a symbolic
+    verdict, and a shift below 1: the shift regularises k = 0."""
     for name, value in params.items():
         if not math.isfinite(value):
             raise UsageError(f"{name} must be finite, got {value}")
+    if params.get("shift", 1.0) < 1:
+        raise UsageError("shift must be >= 1 (regularises k = 0)")
 
 
 @dataclass(frozen=True)
@@ -94,9 +97,7 @@ class PowerLaw(LevelFunction):
     shift: float = 1.0
 
     def __post_init__(self):
-        _check_finite(beta=self.beta, shift=self.shift)
-        if self.shift < 1:
-            raise UsageError("shift must be >= 1 (regularises k = 0)")
+        _check_params(beta=self.beta, shift=self.shift)
 
     @property
     def label(self) -> str:
@@ -115,9 +116,7 @@ class PowerLog(LevelFunction):
     shift: float = 1.0
 
     def __post_init__(self):
-        _check_finite(beta=self.beta, gamma=self.gamma, shift=self.shift)
-        if self.shift < 1:
-            raise UsageError("shift must be >= 1")
+        _check_params(beta=self.beta, gamma=self.gamma, shift=self.shift)
 
     @property
     def label(self) -> str:
@@ -142,7 +141,7 @@ class TableFunction(LevelFunction):
     tail: object = None
 
     def __post_init__(self):
-        _check_finite(**{f"table[{i}]": v for i, v in enumerate(self.table)})
+        _check_params(**{f"table[{i}]": v for i, v in enumerate(self.table)})
         if any(v < 0 for v in self.table):
             raise UsageError("level functions must be nonnegative")
         if not self.table:
@@ -300,6 +299,14 @@ class ZeroOneReport:
         lo, hi = DICHOTOMY_BAND
         return not (lo <= self.stabilized_fraction <= hi)
 
+    @property
+    def verdict_respected(self) -> bool:
+        """The fraction clears DICHOTOMY_BAND on criterion V's side, if any."""
+        lo, hi = DICHOTOMY_BAND
+        frac = self.stabilized_fraction
+        return {Verdict.CONVERGES: frac > hi, Verdict.DIVERGES: frac < lo
+                }.get(self.criterion_v, True)
+
 
 def excursion_allowance(f: LevelFunction) -> float:
     """Absolute stabilisation allowance: EXCURSION_ALLOWANCE_FACTOR * sum_k f(k).
@@ -323,6 +330,13 @@ def stabilized(partials: np.ndarray, eps_abs: float, eps_rel: float) -> np.ndarr
 _last_walks: dict = {}
 
 
+def _check_census(norm: NormSpec, census: Optional[SphereCensus]) -> None:
+    """Refuses a census of another norm than the walks'."""
+    if census is not None and census.spec != norm:
+        raise UsageError(f"the census is of {census.spec.describe()}, the "
+                         f"walks' norm is {norm.describe()}")
+
+
 def _replica_partials(step: StepDistribution, norm: NormSpec,
                       f: LevelFunction, horizons: list, replicas: int,
                       master_seed: int) -> np.ndarray:
@@ -332,8 +346,7 @@ def _replica_partials(step: StepDistribution, norm: NormSpec,
     counts at the horizons.  The last walk set's counts are kept, read-only,
     so a call for another f on the same walks runs no replica.
     """
-    key = (step.support.tobytes(), step.probabilities.tobytes(), norm,
-           tuple(horizons), replicas, master_seed)
+    key = (step, norm, tuple(horizons), replicas, master_seed)
     if key not in _last_walks:
         rows = map_replicas(lambda i: level_counts(WalkRun(
             step=step, master_seed=master_seed, replica_index=i,
@@ -358,7 +371,8 @@ def zero_one_experiment(step: StepDistribution, norm: NormSpec,
     should sit near 0 or near 1, never in between, for structured f with a
     definite symbolic verdict (given horizons that clear the k f(k)
     criticality; boundary exponents need longer ladders).  A step law
-    that fails check_a0 (zero mean, isotropic covariance) is refused.
+    that fails check_a0 (zero mean, isotropic covariance) is refused, and
+    so is a census of another norm, before any walk.
     """
     check_transient(norm.dim, "the zero-one experiment")
     if not check_a0(step):
@@ -367,6 +381,7 @@ def zero_one_experiment(step: StepDistribution, norm: NormSpec,
                          "refuses it")
     horizons = check_ladder(horizons, "horizons", rungs=2)
     check_replicas(replicas, 1)
+    _check_census(norm, census)
     eps_abs = excursion_allowance(f)
     rows = _replica_partials(step, norm, f, horizons, replicas, master_seed)
     stab = stabilized(rows, eps_abs, EPS_REL)
@@ -405,11 +420,13 @@ def expectation_vs_criterion(step: StepDistribution, norm: NormSpec,
     for each horizon N, so convergent cases give a flat ratio trajectory
     and divergent cases show both sides growing together.  A row whose
     census_cutoff equals census.k_max compares against the whole census
-    range, f(0) + sum_{k<=k_max} k^{2-d} N(k) f(k).
+    range, f(0) + sum_{k<=k_max} k^{2-d} N(k) f(k).  A census of another
+    norm is refused before any walk.
     """
     d = norm.dim
     horizons = check_ladder(horizons, "horizons")
     check_replicas(replicas, 2)
+    _check_census(norm, census)
     ks = np.arange(1, census.k_max + 1)
     f_ks = np.asarray(f(ks), dtype=float)
     f0 = float(np.asarray(f(np.zeros(1, dtype=np.int64)))[0])

@@ -241,13 +241,15 @@ def _child(one: Callable[[int], T], indices: range, write: int) -> None:
         os._exit(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepDistribution:
     """Finite-support increment law with moment certificates.
 
     The support, the probabilities and the moments (``mean``, the
     covariance matrix ``covariance`` and sigma2 = trace / dim) are fixed at
     construction with the sampler's table; the arrays are read-only.
+    Laws are equal, and hash alike, by dim, support rows and probabilities
+    in the order the sampler reads them (-0.0 and 0.0 alike: p + 0.0).
     """
 
     dim: int
@@ -270,6 +272,7 @@ class StepDistribution:
         sup.flags.writeable = p.flags.writeable = False
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "_law", (self.dim, sup.tobytes(), (p + 0.0).tobytes()))
         # the index sampler's table, fixed here: None for a uniform law
         cum = None
         if not np.all(p == p[0]):
@@ -284,6 +287,12 @@ class StepDistribution:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "sigma2", float(np.trace(cov) / self.dim))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, StepDistribution) and self._law == other._law
+
+    def __hash__(self) -> int:
+        return hash(self._law)
 
     @property
     def isotropy_deviation(self) -> float:

@@ -182,6 +182,16 @@ class TestStencilBitIdentity:
             assert _symmetries(step) == (flips, classes)
 
     @pytest.mark.parametrize("law", sorted(STENCIL_LAWS))
+    def test_closed_form_rep_count(self, law):
+        # the count FIELD_BUDGET reads before the orbit pass, against the
+        # representatives the pass finds
+        step = STENCIL_LAWS[law]
+        flips, classes = _symmetries(step)
+        for radius in range(1, 7):
+            field = GreenField(step, n_max=1, box_radius=radius)
+            assert green._rep_count(flips, classes, radius) == len(field._reps)
+
+    @pytest.mark.parametrize("law", sorted(STENCIL_LAWS))
     @pytest.mark.parametrize("n_max", [1, 40])
     @pytest.mark.parametrize("radius", [2, 6])
     def test_partial_and_leak_equal_reference(self, law, n_max, radius):

@@ -43,7 +43,7 @@ class TestMuK:
 
     def test_points_have_unit_norm(self):
         mu = sphere_measure(MAX3, 6)
-        assert np.allclose(MAX3.values_real(mu.points), 1.0, atol=1e-12)
+        assert np.allclose(MAX3.values(mu.points), 1.0, atol=1e-12)
 
     def test_empty_level_rejected(self):
         spec = make_norm("scaled_max", 3, factor=2)

@@ -51,19 +51,19 @@ class TestNormValues:
         assert spec.value([1, 1, 1]) == 1
 
     def test_l1_real(self):
-        assert make_norm("l1", 3).values_real([[0.5, -0.5, 0.0]])[0] == 1.0
+        assert make_norm("l1", 3).values([[0.5, -0.5, 0.0]])[0] == 1.0
 
     def test_max_real_zero(self):
-        assert make_norm("max", 3).values_real([[0.0, 0.0, 0.0]])[0] == 0.0
+        assert make_norm("max", 3).values([[0.0, 0.0, 0.0]])[0] == 0.0
 
     def test_scaled_max_real(self):
-        assert make_norm("scaled_max", 3, factor=2).values_real([[1.0, 0, 0]])[0] == 2.0
+        assert make_norm("scaled_max", 3, factor=2).values([[1.0, 0, 0]])[0] == 2.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
             make_norm("max", 3).value([1, 2])
         with pytest.raises(UsageError):
-            make_norm("max", 3).values_real([[1.0, 2.0]])
+            make_norm("max", 3).values([[1.0, 2.0]])
 
     def test_zero_iff_origin(self):
         spec = make_norm("w1", 4)
@@ -71,13 +71,17 @@ class TestNormValues:
         assert spec.value([0, 0, 0, 1]) == 4
 
 
-@pytest.mark.parametrize("spec", [
+EVALUATED_SPECS = [
     make_norm("max", 3), make_norm("l1", 3), make_norm("w1", 4),
     make_norm("scaled_max", 3, factor=2),
     make_norm("l1", 3, transform=UNIMODULAR),
     make_norm("w1", 3, transform=UNIMODULAR),
     make_norm("max", 3, transform=SHEAR),
-], ids=lambda s: json.dumps(s.describe()))
+]
+
+
+@pytest.mark.parametrize("spec", EVALUATED_SPECS,
+                         ids=lambda s: json.dumps(s.describe()))
 def test_values_equal_value_in_both_layouts(spec):
     rng = np.random.default_rng(4)
     rows = rng.integers(-50, 51, size=(300, spec.dim))
@@ -88,6 +92,24 @@ def test_values_equal_value_in_both_layouts(spec):
         assert got.dtype == np.int64
         assert got.tolist() == exact
     assert spec.values(rows[0]).tolist() == [exact[0]]
+
+
+@pytest.mark.parametrize("spec", EVALUATED_SPECS,
+                         ids=lambda s: json.dumps(s.describe()))
+def test_values_of_real_points_are_float64(spec):
+    # integer dtypes are evaluated in int64; every other dtype in float64,
+    # so a real point is not truncated to a lattice point first
+    rng = np.random.default_rng(5)
+    rows = rng.integers(-50, 51, size=(300, spec.dim))
+    exact = [spec.value(p) for p in rows.tolist()]
+    for dtype in (np.float64, np.float32):
+        got = spec.values(rows.astype(dtype))
+        assert got.dtype == np.float64
+        assert got.tolist() == exact
+    half = np.zeros((1, spec.dim))
+    half[0, 0] = 0.5
+    assert spec.values(half)[0] == pytest.approx(spec.value([1] + [0] * (spec.dim - 1)) / 2,
+                                                 rel=1e-15)
 
 
 class TestUnimodular:
@@ -191,7 +213,7 @@ def test_transformed_axioms(x):
 def test_real_matches_exact_on_lattice(x):
     spec = make_norm("w1", 4)
     exact = spec.value(x)
-    real = spec.values_real([[float(v) for v in x]])[0]
+    real = spec.values([[float(v) for v in x]])[0]
     assert abs(real - exact) <= 1e-9 * max(1, exact)
 
 
@@ -199,8 +221,8 @@ def test_positive_homogeneity_real():
     spec = make_norm("l1", 3, transform=UNIMODULAR)
     v = np.array([0.3, -1.2, 0.7])
     for lam in (0.0, 0.5, 2.5):
-        got = spec.values_real([lam * v])[0]
-        want = lam * spec.values_real([v])[0]
+        got = spec.values([lam * v])[0]
+        want = lam * spec.values([v])[0]
         assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
@@ -358,7 +380,7 @@ class TestEuclidRange:
         assert got_hi == pytest.approx(hi, rel=1e-12)
         u = np.random.default_rng(6).normal(size=(200_000, spec.dim))
         u /= np.linalg.norm(u, axis=1)[:, None]
-        r = 1.0 / spec.values_real(u)  # Euclidean length of u / ||u||
+        r = 1.0 / spec.values(u)  # Euclidean length of u / ||u||
         assert r.min() >= lo * (1 - 1e-12) and r.max() <= hi * (1 + 1e-12)
         assert r.min() <= lo * 1.001 and r.max() >= hi * 0.98
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -31,6 +32,9 @@ from normwalk.walk import StepDistribution, make_lazy_walk, make_simple_walk
 
 MAX3 = make_norm("max", 3)
 SW3 = make_simple_walk(3)
+# norms other than MAX3; the transformed max norm has MAX3's census counts
+OTHER_NORMS = [make_norm("l1", 3), make_norm("max", 4),
+               make_norm("max", 3, transform=[[1, 1, 0], [0, 1, 0], [0, 0, 1]])]
 
 STRUCTURED_BATTERY = (
     [PowerLaw(b) for b in (0.5, 1.0, 1.5, 2.0, 2.2, 2.5, 3.0, 4.0, 5.0)]
@@ -196,6 +200,26 @@ class TestZeroOneExperiment:
             with pytest.raises(UsageError, match="distinct"):
                 zero_one_experiment(SW3, MAX3, PowerLaw(1.5), 20, horizons, 1)
 
+    @pytest.mark.parametrize("spec", OTHER_NORMS, ids=lambda s: str(s.describe()))
+    def test_census_of_another_norm_refused(self, monkeypatch, spec):
+        monkeypatch.setattr(summability, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        with pytest.raises(UsageError, match="the census is of"):
+            zero_one_experiment(SW3, MAX3, PowerLaw(3), 4, [10, 100], 0,
+                                census=census_for(spec, 16))
+
+    @pytest.mark.parametrize("verdict, fraction, respected", [
+        (Verdict.CONVERGES, 0.81, True), (Verdict.CONVERGES, 0.8, False),
+        (Verdict.CONVERGES, 0.1, False), (Verdict.DIVERGES, 0.19, True),
+        (Verdict.DIVERGES, 0.2, False), (Verdict.DIVERGES, 0.9, False),
+        (Verdict.UNDECIDABLE, 0.5, True)])
+    def test_verdict_respected_reads_the_band_side(self, verdict, fraction,
+                                                   respected):
+        rep = zero_one_experiment(SW3, MAX3, PowerLaw(3), 4, [10, 100], 0)
+        rep = dataclasses.replace(rep, criterion_v=verdict,
+                                  stabilized_fraction=fraction)
+        assert rep.verdict_respected is respected
+
 
 # (law, norm, horizons, replicas, master seed): a base walk set and, after
 # it, one variant per key part
@@ -277,6 +301,21 @@ class TestKeptWalkSet:
         assert calls == [base[3], variant[3]]
         assert got.tobytes().hex() == fresh_process_partials[part]
 
+    def test_an_equal_law_built_apart_reads_the_kept_set(self, monkeypatch):
+        # a -0.0 mass has other bytes than 0.0 but the same law
+        sup = make_lazy_walk(3).support
+        probs = np.concatenate([[0.5], np.full(6, 0.5 / 6), [0.0]])
+        sup = np.vstack([sup, [[2, 0, 0]]])
+        pos = StepDistribution(3, sup, probs)
+        neg = StepDistribution(3, sup, probs * np.where(probs == 0, -1.0, 1.0))
+        assert np.signbit(neg.probabilities[-1])
+        summability._last_walks.clear()
+        want = zero_one_experiment(pos, MAX3, PowerLaw(3.0), 6, [100, 1000], 31)
+        monkeypatch.setattr(summability, "map_replicas", lambda *a: pytest.fail(
+            "a replica ran for a kept walk set"))
+        got = zero_one_experiment(neg, MAX3, PowerLaw(3.0), 6, [100, 1000], 31)
+        assert got.partials.tobytes() == want.partials.tobytes()
+
     def test_kept_counts_are_read_only(self):
         summability._last_walks.clear()
         kept_partials(*KEPT_BASE)
@@ -328,6 +367,14 @@ class TestExpectationVsCriterion:
         with pytest.raises(UsageError, match="replicas must be >= 2"):
             expectation_vs_criterion(SW3, MAX3, PowerLaw(4), census_for(MAX3, 16),
                                      replicas=1, horizons=[100], master_seed=0)
+
+    @pytest.mark.parametrize("spec", OTHER_NORMS, ids=lambda s: str(s.describe()))
+    def test_census_of_another_norm_refused(self, monkeypatch, spec):
+        monkeypatch.setattr(summability, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        with pytest.raises(UsageError, match="the census is of"):
+            expectation_vs_criterion(SW3, MAX3, PowerLaw(4), census_for(spec, 16),
+                                     replicas=4, horizons=[100], master_seed=0)
 
     def test_vanishing_f_rejected(self):
         cen = census_for(MAX3, 16)

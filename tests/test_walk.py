@@ -160,6 +160,31 @@ class TestStepDistribution:
             StepDistribution(dim=1, support=np.array([[1], [-1]]),
                              probabilities=np.array([bad, 1.0]))
 
+    def test_equal_laws_compare_and_hash_alike(self):
+        # built apart, from a list or an array: equal by dim, support and
+        # probabilities, in order
+        a, b = make_simple_walk(3), make_simple_walk(3)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        listed = StepDistribution(3, a.support.tolist(), a.probabilities.tolist())
+        assert listed == a and hash(listed) == hash(a)
+        assert a != make_simple_walk(4) and a != make_lazy_walk(3)
+        assert a != "simple"
+
+    def test_order_and_mass_tell_laws_apart(self):
+        law = make_lazy_walk(3)
+        flipped = StepDistribution(3, law.support[::-1], law.probabilities[::-1])
+        assert flipped != law
+        moved = StepDistribution(3, law.support, np.concatenate(
+            [[0.25], np.full(6, 0.75 / 6)]))
+        assert moved != law
+
+    def test_negative_zero_mass_is_zero_mass(self):
+        sup = np.array([[1], [-1], [2]])
+        neg = StepDistribution(1, sup, np.array([0.5, 0.5, -0.0]))
+        pos = StepDistribution(1, sup, np.array([0.5, 0.5, 0.0]))
+        assert np.signbit(neg.probabilities[2])
+        assert neg == pos and hash(neg) == hash(pos)
+
 
 ASYMMETRIC = StepDistribution(dim=2,
                               support=np.array([[1, 0], [0, 1], [-1, -2]]),
