@@ -476,7 +476,7 @@ def green_mc(step: StepDistribution, norm: NormSpec, x: Sequence[int],
     the exit of k_cut exceeds the standard error (error_bound / 3), which
     needs at least 2 replicas."""
     x, _, visits, bias = _site_statistic(step, norm, x, replicas, master_seed,
-                                         k_cut)
+                                         k_cut, False)
     mean = float(visits.mean())
     se = float(visits.std(ddof=1) / math.sqrt(replicas))
     return GreenEstimate(x=x, value=mean, method="mc", error_bound=3 * se,

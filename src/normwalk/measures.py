@@ -199,7 +199,8 @@ def scaled_samples(step: StepDistribution, spec: NormSpec, k: int,
     if n_level == 0:
         raise UsageError(f"norm level {k} is empty; scaling undefined")
     counts = _exit_counts(step, spec, k_cut, replicas, master_seed,
-                          lambda cols, norms: int(np.count_nonzero(norms == k)))
+                          lambda cols, norms: int(np.count_nonzero(norms == k)),
+                          False)
     scale = float(k) ** (2 - spec.dim) * n_level
     return ScaledLocalTimeSample(spec=spec, k=k, k_cut=k_cut, n_level=n_level,
                                  counts=counts,

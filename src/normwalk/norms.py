@@ -173,8 +173,13 @@ class NormSpec:
             pts = pts[None, :]
         if pts.shape[1] != self.dim:
             raise UsageError(f"points have dim {pts.shape[1]}, norm expects {self.dim}")
-        pts = pts.astype(np.int64 if pts.dtype.kind in "iu" else np.float64,
-                         copy=False)
+        return self._values(pts.astype(
+            np.int64 if pts.dtype.kind in "iu" else np.float64, copy=False))
+
+    def _values(self, pts: np.ndarray) -> np.ndarray:
+        """The row evaluator behind `values`, unchecked: the norm of every
+        row of an (n, dim) int64 or float64 array, in its dtype.  The walk
+        kernel calls it on each block, which is int64 of the right width."""
         max_shaped, weights = self.max_shaped, self.weights.tolist()
         out = self._abs_coordinate(pts, 0, None)  # weight 1 in the weighted l1 shape
         a = None  # one temporary, reused by every later coordinate

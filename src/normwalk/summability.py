@@ -37,9 +37,9 @@ import numpy as np
 from .census import SphereCensus, growth_bounds
 from .errors import UsageError
 from .norms import NormSpec
-from .walk import (StepDistribution, WalkRun, check_a0, check_ladder,
-                   check_replicas, check_transient, f_sums, level_counts,
-                   map_replicas)
+from .walk import (StepDistribution, WalkRun, _stack_levels, check_a0,
+                   check_ladder, check_replicas, check_transient, f_sums,
+                   level_counts, map_replicas)
 
 EXCURSION_ALLOWANCE_FACTOR = 5.0
 ALLOWANCE_SUM_CAP = 10_000
@@ -330,6 +330,16 @@ def stabilized(partials: np.ndarray, eps_abs: float, eps_rel: float) -> np.ndarr
 _last_walks: dict = {}
 
 
+def _check_walks(step: StepDistribution, norm: NormSpec, what: str) -> None:
+    """Refuses the walks an experiment's series does not describe: d <= 2
+    (recurrent) and a step law that fails check_a0 (zero mean, covariance
+    sigma^2 I)."""
+    check_transient(norm.dim, what)
+    if not check_a0(step):
+        raise UsageError(f"step law violates the isotropy assumption (zero "
+                         f"mean, covariance sigma^2 I); {what} refuses it")
+
+
 def _check_census(norm: NormSpec, census: Optional[SphereCensus]) -> None:
     """Refuses a census of another norm than the walks'."""
     if census is not None and census.spec != norm:
@@ -351,8 +361,7 @@ def _replica_partials(step: StepDistribution, norm: NormSpec,
         rows = map_replicas(lambda i: level_counts(WalkRun(
             step=step, master_seed=master_seed, replica_index=i,
             horizon=horizons[-1]), norm, horizons), replicas)
-        top = max(r.shape[1] for r in rows)
-        counts = np.array([np.pad(r, ((0, 0), (0, top - r.shape[1]))) for r in rows])
+        counts = _stack_levels(rows)
         counts.flags.writeable = False
         _last_walks.clear()
         _last_walks[key] = counts
@@ -374,11 +383,7 @@ def zero_one_experiment(step: StepDistribution, norm: NormSpec,
     that fails check_a0 (zero mean, isotropic covariance) is refused, and
     so is a census of another norm, before any walk.
     """
-    check_transient(norm.dim, "the zero-one experiment")
-    if not check_a0(step):
-        raise UsageError("step law violates the isotropy assumption "
-                         "(zero mean, covariance sigma^2 I); the experiment "
-                         "refuses it")
+    _check_walks(step, norm, "the zero-one experiment")
     horizons = check_ladder(horizons, "horizons", rungs=2)
     check_replicas(replicas, 1)
     _check_census(norm, census)
@@ -420,9 +425,11 @@ def expectation_vs_criterion(step: StepDistribution, norm: NormSpec,
     for each horizon N, so convergent cases give a flat ratio trajectory
     and divergent cases show both sides growing together.  A row whose
     census_cutoff equals census.k_max compares against the whole census
-    range, f(0) + sum_{k<=k_max} k^{2-d} N(k) f(k).  A census of another
-    norm is refused before any walk.
+    range, f(0) + sum_{k<=k_max} k^{2-d} N(k) f(k).  What
+    zero_one_experiment refuses (d <= 2, a law that fails check_a0) and a
+    census of another norm are refused before any walk.
     """
+    _check_walks(step, norm, "the expectation check")
     d = norm.dim
     horizons = check_ladder(horizons, "horizons")
     check_replicas(replicas, 2)

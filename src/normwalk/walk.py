@@ -15,15 +15,20 @@ Every walk is stepped by one kernel, `_blocks`, in structure-of-arrays
 layout: a block holds the positions S_{n0}, ..., S_{n0+m-1} as a (d, m)
 int64 array, one contiguous row per coordinate, so norm evaluation and
 site matching run along contiguous rows.
-A block is drawn with one call of the replica's generator and cut at the
-first step whose norm reaches the stop radius; nothing past the stopping
-time is emitted.  Chunking never changes the stream: the draws are
-chunk-invariant, so any chunk size gives the same path, bit for bit.
+A block is drawn with one call of the replica's generator, gathered as
+support rows padded to a power-of-two width (32 bytes in d = 3, which
+numpy's take copies fastest), summed over their first d columns, and cut
+at the first step whose norm reaches the stop radius; nothing past the
+stopping time is emitted.  Chunking never changes the stream: the draws
+are chunk-invariant, so any chunk size gives the same path, bit for bit.
 The block size therefore follows from one rule, `_block_size`: about the
 exit time k_cut^2 of a stop radius, capped at BLOCK_CAP to stay in L2.
 
 Every estimator here reads the (n0, cols, norms, exited) blocks of
-`_blocks` directly.  A horizon run observes its integer level counts
+`_blocks` directly.  Site counts compare positions with the site only at
+the steps on its norm level, and a statistic that reads only whether a
+replica hits the site (`hitting_probability`) ends the replica after the
+first block that does.  A horizon run observes its integer level counts
 L_N(k) (`level_counts`); a partial sum of f(||S_n||) is the math.fsum of
 f(k) L_N(k) (`f_sums`), so it does not depend on the block size either.
 """
@@ -43,7 +48,8 @@ from numpy.random import Generator, Philox
 from .errors import UsageError
 from .norms import NormSpec
 
-# the most steps a block holds; its temporaries take about 0.85 MB
+# the most steps a block holds; in d = 3 its temporaries, padded rows
+# included, take about 0.86 MB (tracemalloc peak of a horizon run)
 BLOCK_CAP = 8192
 # the steps a run without a horizon may take before it ends unexited
 MAX_STEPS = 10 ** 8
@@ -247,7 +253,10 @@ class StepDistribution:
 
     The support, the probabilities and the moments (``mean``, the
     covariance matrix ``covariance`` and sigma2 = trace / dim) are fixed at
-    construction with the sampler's table; the arrays are read-only.
+    construction with the sampler's tables; the arrays are read-only.
+    The sampler gathers from a copy of the support padded with zero columns
+    to a power-of-two row width (4 for d = 3: 32-byte rows), which numpy's
+    take copies fastest.
     Laws are equal, and hash alike, by dim, support rows and probabilities
     in the order the sampler reads them (-0.0 and 0.0 alike: p + 0.0).
     """
@@ -273,7 +282,13 @@ class StepDistribution:
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "_law", (self.dim, sup.tobytes(), (p + 0.0).tobytes()))
-        # the index sampler's table, fixed here: None for a uniform law
+        # the sampler's tables, fixed here: the padded support, and the
+        # cumulative probabilities (None for a uniform law)
+        rows = np.zeros((sup.shape[0], 1 << (self.dim - 1).bit_length()),
+                        dtype=np.int64)
+        rows[:, :self.dim] = sup
+        rows.flags.writeable = False
+        object.__setattr__(self, "_rows", rows)
         cum = None
         if not np.all(p == p[0]):
             cum = np.cumsum(p)
@@ -304,14 +319,22 @@ class StepDistribution:
         return self._cum is None
 
     def sampler(self, rng: Generator) -> Callable[[int], np.ndarray]:
-        """Returns a function n -> (n, dim) int64 increments, a new array
-        per call: n support indices from rng, gathered."""
-        sup, cum = self.support, self._cum
+        """Returns a function n -> (n, dim) int64 increments: n support
+        indices from rng, gathered; each call's array is the first dim
+        columns of new padded rows from `_row_sampler`."""
+        draw, d = self._row_sampler(rng), self.dim
+        return lambda n: draw(n)[:, :d]
+
+    def _row_sampler(self, rng: Generator) -> Callable[[int], np.ndarray]:
+        """n -> (n, width) int64 padded support rows, a new array per call:
+        n support indices from rng (bounded integers for a uniform law, the
+        cumulative table inverted for any other), gathered."""
+        rows, cum = self._rows, self._cum
         if cum is None:
-            m = sup.shape[0]
-            return lambda n: np.take(sup, rng.integers(0, m, size=n), axis=0)
-        return lambda n: np.take(
-            sup, np.searchsorted(cum, rng.random(n), side="right"), axis=0)
+            m = rows.shape[0]
+            return lambda n: rows.take(rng.integers(0, m, size=n), axis=0)
+        return lambda n: rows.take(
+            cum.searchsorted(rng.random(n), side="right"), axis=0)
 
 
 def make_simple_walk(d: int) -> StepDistribution:
@@ -398,29 +421,27 @@ def _blocks(run: WalkRun, norm: NormSpec, chunk: Optional[int] = None
         raise UsageError("norm and step distribution dimensions differ")
     if chunk is None:
         chunk = _block_size(run.stop_radius)
-    step = run.step
+    d, stop = run.step.dim, run.stop_radius
     limit = run.horizon if run.horizon is not None else MAX_STEPS
-    last = np.zeros(step.dim, dtype=np.int64)
+    evaluate = norm._values
+    last = np.zeros(d, dtype=np.int64)
     n_done = 0
     with replica_stream(run.master_seed, run.replica_index) as rng:
-        draw = step.sampler(rng)
+        draw = run.step._row_sampler(rng)
         while n_done < limit:
-            steps = draw(min(chunk, limit - n_done))
-            steps[0] += last
+            rows = draw(min(chunk, limit - n_done))
+            rows[0, :d] += last
             # numpy (2.4) accumulates int64 about 3x faster along a strided
             # axis than along a contiguous one, so the running sum reads the
-            # row-major steps and writes the (d, m) block through its
-            # transpose.
-            cols = np.empty((step.dim, len(steps)), dtype=np.int64)
-            np.cumsum(steps, axis=0, out=cols.T)
-            norms = norm.values(cols.T)
-            exited = False
-            if run.stop_radius is not None:
-                over = norms >= run.stop_radius
-                stop = int(over.argmax())
-                if over[stop]:
-                    cols, norms = cols[:, :stop + 1], norms[:stop + 1]
-                    exited = True
+            # first d columns of the padded rows and writes the (d, m) block
+            # through its transpose.
+            cols = np.empty((d, len(rows)), dtype=np.int64)
+            rows[:, :d].cumsum(axis=0, out=cols.T)
+            norms = evaluate(cols.T)
+            exited = stop is not None and bool(norms.max() >= stop)
+            if exited:
+                cut = int((norms >= stop).argmax()) + 1
+                cols, norms = cols[:, :cut], norms[:cut]
             yield n_done + 1, cols, norms, exited
             if exited:
                 return
@@ -449,7 +470,17 @@ def level_counts(run: WalkRun, norm: NormSpec,
             rows.append(_plus_levels(counts, norms[:c - n0 + 1]))
         counts = _plus_levels(counts, norms)
     rows += [counts] * (len(checkpoints) - len(rows))
-    return np.array([np.pad(r, (0, len(counts) - len(r))) for r in rows])
+    return _stack_levels(rows)
+
+
+def _stack_levels(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Level-count arrays of one shape but their last (level) axis, stacked
+    along a new first axis, each zero-padded to the most levels."""
+    top = max(r.shape[-1] for r in rows)
+    out = np.zeros((len(rows),) + rows[0].shape[:-1] + (top,), dtype=np.int64)
+    for o, r in zip(out, rows):
+        o[..., :r.shape[-1]] = r
+    return out
 
 
 def simulate(run: WalkRun, norm: NormSpec, track_sites: bool = False,
@@ -505,9 +536,13 @@ def truncation_bias_bound(norm: NormSpec, k: int, k_cut: int) -> float:
 
 def _exit_counts(step: StepDistribution, norm: NormSpec, k_cut: int,
                  replicas: int, master_seed: int,
-                 count: Callable[[np.ndarray, np.ndarray], int]) -> np.ndarray:
+                 count: Callable[[np.ndarray, np.ndarray], int],
+                 first_hit: bool) -> np.ndarray:
     """Per replica, the sum of count(cols, norms) over its blocks up to and
-    including the step that exits norm-radius k_cut."""
+    including the step that exits norm-radius k_cut.  With first_hit, a
+    replica ends after the first block that counts anything instead: its
+    sum is then positive exactly when the full one is, for a reader of
+    `sum >= 1` only."""
 
     def one(i: int) -> int:
         run = WalkRun(step=step, master_seed=master_seed, replica_index=i,
@@ -515,7 +550,7 @@ def _exit_counts(step: StepDistribution, norm: NormSpec, k_cut: int,
         total = 0
         for _, cols, norms, exited in _blocks(run, norm):
             total += count(cols, norms)
-            if exited:
+            if exited or (first_hit and total):
                 return total
         raise UsageError("walk failed to exit k_cut within the step budget")
 
@@ -526,20 +561,35 @@ def site_visit_samples(step: StepDistribution, norm: NormSpec,
                        x: Sequence[int], replicas: int, master_seed: int,
                        k_cut: int) -> np.ndarray:
     """Per-replica visit counts to the site x before exiting k_cut."""
+    return _site_visits(step, norm, x, replicas, master_seed, k_cut, False)
+
+
+def _site_visits(step: StepDistribution, norm: NormSpec, x: Sequence[int],
+                 replicas: int, master_seed: int, k_cut: int,
+                 first_hit: bool) -> np.ndarray:
+    """site_visit_samples; with first_hit, each count is kept only up to the
+    end of the first block that visits x (see _exit_counts).
+
+    A block is matched level first: only the steps at x's norm level are
+    compared with x coordinate by coordinate.
+    """
     check_transient(norm.dim, "site visit counts")
     target = lattice_point(x, step.dim)
     check_replicas(replicas, 1)
-    if norm.value(target) >= k_cut:
+    level = norm.value(target)
+    if level >= k_cut:
         # a site at or past the cut is never reached before the exit
         return np.zeros(replicas, dtype=np.int64)
+    column = np.array(target, dtype=np.int64)[:, None]
 
     def visits(cols: np.ndarray, norms: np.ndarray) -> int:
-        hit = cols[0] == target[0]
-        for row, v in zip(cols[1:], target[1:]):
-            hit &= row == v
-        return int(np.count_nonzero(hit))
+        at = (norms == level).nonzero()[0]
+        if not at.size:
+            return 0
+        return int(np.count_nonzero((cols[:, at] == column).all(axis=0)))
 
-    return _exit_counts(step, norm, k_cut, replicas, master_seed, visits)
+    return _exit_counts(step, norm, k_cut, replicas, master_seed, visits,
+                        first_hit)
 
 
 def spitzer_constant_isotropic(d: int, sigma2: float) -> float:
@@ -549,12 +599,14 @@ def spitzer_constant_isotropic(d: int, sigma2: float) -> float:
 
 
 def _site_statistic(step: StepDistribution, norm: NormSpec, x: Sequence[int],
-                    replicas: int, master_seed: int, k_cut: Optional[int]
+                    replicas: int, master_seed: int, k_cut: Optional[int],
+                    first_hit: bool
                     ) -> tuple[tuple[int, ...], int, np.ndarray, float]:
     """(x, k_cut, visits, bias) behind a site statistic with a standard
     error (so at least 2 replicas): the lattice point x, k_cut (default
     max(4||x|| + 4, 16)), the per-replica visit counts to x before the exit
-    of k_cut, and the estimated bias of stopping there.
+    of k_cut (kept only up to the first block that visits x with
+    first_hit, see _site_visits), and the estimated bias of stopping there.
 
     The exit point lies at Euclidean distance at least
     gap = k_cut * lo - |x|_2 from x (lo the shortest Euclidean length on the
@@ -567,8 +619,8 @@ def _site_statistic(step: StepDistribution, norm: NormSpec, x: Sequence[int],
     x = lattice_point(x, step.dim)
     if k_cut is None:
         k_cut = max(4 * norm.value(x) + 4, 16)
-    visits = site_visit_samples(step, norm, x, replicas, master_seed,
-                                k_cut=k_cut)
+    visits = _site_visits(step, norm, x, replicas, master_seed, k_cut,
+                          first_hit)
     gap = k_cut * norm.euclid_range_on_unit_sphere()[0] - math.hypot(*x)
     bias = (spitzer_constant_isotropic(step.dim, step.sigma2) * gap ** (2 - step.dim)
             if gap > 0 else math.inf)
@@ -594,13 +646,21 @@ def hitting_probability(step: StepDistribution, norm: NormSpec,
     The estimate misses the walks that reach x only after exiting k_cut;
     ``undercovered`` is set when `_site_statistic`'s bias estimate for
     them exceeds the standard error.  That standard error needs at least 2 replicas.
+    Only whether a replica hits x is read, so each replica ends after the
+    first block that visits x.
     """
     target, k_cut, visits, bias = _site_statistic(step, norm, x, replicas,
-                                                  master_seed, k_cut)
+                                                  master_seed, k_cut, True)
     p = float((visits >= 1).mean())
-    se = float(np.sqrt(max(p * (1 - p), 1e-12) / replicas))
+    se = _binomial_se(p, replicas)
     return HittingEstimate(x=target, k_cut=k_cut, replicas=replicas,
                            p_hat=p, std_error=se, undercovered=bool(bias > se))
+
+
+def _binomial_se(p: float, n: int) -> float:
+    """Standard error of a binomial proportion p over n trials, floored
+    away from 0 at p = 0 or 1: sqrt(max(p (1 - p), 1e-12) / n)."""
+    return float(np.sqrt(max(p * (1 - p), 1e-12) / n))
 
 
 def geometric_tail_report(visits: np.ndarray, n_max: int = 5) -> list[dict]:
@@ -617,7 +677,7 @@ def geometric_tail_report(visits: np.ndarray, n_max: int = 5) -> list[dict]:
         tail = c_n / r
         if c_n > 0:
             ratio = c_next / c_n
-            ratio_se = float(np.sqrt(max(ratio * (1 - ratio), 1e-12) / c_n))
+            ratio_se = _binomial_se(ratio, c_n)
         else:
             ratio, ratio_se = float("nan"), float("inf")
         out.append({"n": n, "tail": tail, "count": c_n,

@@ -158,14 +158,22 @@ class TestZeroOneExperiment:
             zero_one_experiment(make_simple_walk(2), make_norm("max", 2),
                                 PowerLaw(3), 4, [10, 100], 0)
 
-    def test_non_a0_law_refused_without_override(self):
+    @pytest.mark.parametrize("experiment", [
+        lambda step: zero_one_experiment(step, MAX3, PowerLaw(3), 4, [10, 100], 0),
+        lambda step: expectation_vs_criterion(step, MAX3, PowerLaw(3),
+                                              census_for(MAX3, 16), 4, [100], 1),
+    ], ids=["zero_one_experiment", "expectation_vs_criterion"])
+    def test_non_a0_law_refused_before_any_walk(self, monkeypatch, experiment):
+        # the census-side series assumes zero mean and covariance sigma^2 I
         skew = StepDistribution(
             dim=3,
             support=np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                               [0, 0, 1], [0, 0, -1]]),
             probabilities=np.array([0.3, 0.3, 0.1, 0.1, 0.1, 0.1]))
+        monkeypatch.setattr(summability, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
         with pytest.raises(UsageError, match="isotropy"):
-            zero_one_experiment(skew, MAX3, PowerLaw(3), 4, [10, 100], 0)
+            experiment(skew)
 
     def test_dichotomy_small_budget(self):
         conv = zero_one_experiment(SW3, MAX3, PowerLaw(3), replicas=40,

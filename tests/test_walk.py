@@ -14,12 +14,14 @@ from normwalk.census import census_for
 from normwalk.errors import UsageError
 from normwalk.norms import make_norm
 from normwalk.summability import PowerLaw, PowerLog, zero_one_experiment
+from test_green import STENCIL_LAWS
 from normwalk.walk import (
     BLOCK_CAP,
     StepDistribution,
     WalkRun,
     _block_size,
     _blocks,
+    _site_visits,
     check_a0,
     check_ladder,
     f_sums,
@@ -45,12 +47,25 @@ POLYA_P0 = 0.3405373  # return probability of the simple walk on Z^3
 
 # -- reference: the row-major stepping loop the kernel replaced ---------------
 
-def reference_simulate(run, norm, chunk):
-    """(level counts, site counts, n, truncated) from an (n, d) loop."""
-    draw = run.step.sampler(replica_rng(run.master_seed, run.replica_index))
+def reference_draw(step, rng):
+    """n -> (n, d) increments by the index formula, from the unpadded
+    support: bounded ints for a uniform law, else the cumulative table,
+    its last entry pinned to 1, inverted."""
+    sup = step.support
+    if step.uniform:
+        return lambda n: sup[rng.integers(0, len(sup), size=n)]
+    cum = np.cumsum(step.probabilities)
+    cum[-1] = 1.0
+    return lambda n: sup[np.searchsorted(cum, rng.random(n), side="right")]
+
+
+def reference_path(run, norm, chunk):
+    """(positions, norms, truncated) from an (n, d) loop: S_1, ..., S_n as
+    rows and their exact norms, up to the horizon or the stopping step."""
+    draw = reference_draw(run.step, replica_rng(run.master_seed,
+                                                run.replica_index))
     limit = run.horizon if run.horizon is not None else walk.MAX_STEPS
-    levels = np.zeros(64, dtype=np.int64)
-    sites = {}
+    blocks, levels = [], []
     pos = np.zeros(run.step.dim, dtype=np.int64)
     n_done, truncated = 0, False
     while n_done < limit:
@@ -62,19 +77,22 @@ def reference_simulate(run, norm, chunk):
             over = np.nonzero(norms >= run.stop_radius)[0]
             if over.size:
                 stop, truncated = int(over[0]) + 1, True
-        block, norms = block[:stop], norms[:stop]
-        top = int(norms.max())
-        if top >= len(levels):
-            levels = np.concatenate([levels, np.zeros(
-                max(top + 1, 2 * len(levels)) - len(levels), dtype=np.int64)])
-        levels += np.bincount(norms, minlength=len(levels))
-        for row in map(tuple, block.tolist()):
-            sites[row] = sites.get(row, 0) + 1
-        pos = block[-1]
+        blocks.append(block[:stop])
+        levels.append(norms[:stop])
+        pos = block[stop - 1]
         n_done += stop
         if truncated:
             break
-    return levels, sites, n_done, truncated
+    return np.concatenate(blocks), np.concatenate(levels), truncated
+
+
+def reference_simulate(run, norm, chunk):
+    """(level counts, site counts, n, truncated) from an (n, d) loop."""
+    path, norms, truncated = reference_path(run, norm, chunk)
+    sites = {}
+    for row in map(tuple, path.tolist()):
+        sites[row] = sites.get(row, 0) + 1
+    return np.bincount(norms), sites, len(path), truncated
 
 
 def reference_f_sum(run, norm, f, checkpoints):
@@ -467,6 +485,139 @@ class TestFSums:
         got = walk.f_sums(counts, inf_at_zero)
         assert got.shape == (2, 1)
         assert got[0, 0] == 2.5 and got[1, 0] == math.inf
+
+
+# every Green stencil law, and uniform and non-uniform laws in d = 2, 4, 5,
+# whose padded rows are 2, 4 and 8 wide
+PADDED_LAWS = {**STENCIL_LAWS, "lazy2": make_lazy_walk(2),
+               "lazy4": make_lazy_walk(4), "simple5": make_simple_walk(5),
+               "lazy5": make_lazy_walk(5)}
+PADDED_WIDTH = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8}
+
+
+@pytest.mark.parametrize("law", PADDED_LAWS)
+class TestPaddedRows:
+    """The kernel gathers power-of-two-wide support rows and reads the first
+    d columns: every path, block and draw is the unpadded one."""
+
+    def test_padded_table(self, law):
+        step = PADDED_LAWS[law]
+        rows = step._rows
+        assert rows.shape == (len(step.support), PADDED_WIDTH[step.dim])
+        assert rows.dtype == np.int64 and not rows.flags.writeable
+        assert np.array_equal(rows[:, :step.dim], step.support)
+        assert not rows[:, step.dim:].any()
+
+    def test_sampler_returns_the_unpadded_increments(self, law):
+        step = PADDED_LAWS[law]
+        want = reference_draw(step, replica_rng(8, 1))
+        draw = step.sampler(replica_rng(8, 1))
+        for n in (999, 37, 1):
+            got = draw(n)
+            assert got.shape == (n, step.dim) and got.dtype == np.int64
+            assert got.tobytes() == want(n).tobytes()
+
+    @pytest.mark.parametrize("stopping", [{"stop_radius": 9},
+                                          {"horizon": 700, "stop_radius": 12}])
+    def test_blocks_and_simulate_equal_the_reference(self, law, stopping):
+        step = PADDED_LAWS[law]
+        norm = make_norm("max", step.dim)
+        run = WalkRun(step=step, master_seed=29, replica_index=3, **stopping)
+        derived = _block_size(run.stop_radius)
+        for chunk, ref_chunk in ((17, 17), (None, derived)):
+            path, norms, truncated = reference_path(run, norm, ref_chunk)
+            blocks = list(_blocks(run, norm, chunk))
+            assert [n0 for n0, _, _, _ in blocks] == list(
+                range(1, len(path) + 1, ref_chunk))
+            assert [e for _, _, _, e in blocks] == \
+                [False] * (len(blocks) - 1) + [truncated]
+            cols = np.concatenate([c for _, c, _, _ in blocks], axis=1)
+            assert np.array_equal(cols.T, path)
+            assert np.array_equal(np.concatenate([nm for _, _, nm, _ in blocks]),
+                                  norms)
+            levels, sites, n, _ = reference_simulate(run, norm, ref_chunk)
+            rec = simulate(run, norm, track_sites=True, chunk=chunk)
+            assert np.array_equal(rec.level_counts, levels)
+            assert rec.site_counts == sites
+            assert (rec.n_effective, rec.truncated) == (n, truncated)
+
+
+class TestSiteMatching:
+    """site_visit_samples compares coordinates only at the steps on x's
+    level; hitting_probability stops a replica at its first block with a hit."""
+
+    @pytest.mark.parametrize("norm", KERNEL_NORMS)
+    @pytest.mark.parametrize("x", [(0, 0, 0), (3, -2, 1), (-1, 2, 2), (0, 4, -4)])
+    def test_on_a_crowded_level(self, norm, x):
+        # levels 3-8 hold dozens to hundreds of points, so most steps on x's
+        # level are elsewhere on it
+        spec = KERNEL_NORMS[norm]
+        k_cut = spec.value(x) + 2
+        want = reference_site_visits(SW3, spec, x, 40, 13, k_cut=k_cut,
+                                     chunk=300)
+        got = site_visit_samples(SW3, spec, x, replicas=40, master_seed=13,
+                                 k_cut=k_cut)
+        assert np.array_equal(got, want)
+
+    def test_crowded_level_visits_are_counted(self):
+        # at x = (1, 1, 0), on a 26-point max level, about a third of the
+        # replicas visit, some more than once
+        got = site_visit_samples(SW3, MAX3, (1, 1, 0), replicas=40,
+                                 master_seed=13, k_cut=6)
+        assert np.array_equal(got, reference_site_visits(
+            SW3, MAX3, (1, 1, 0), 40, 13, k_cut=6, chunk=300))
+        assert 0 < np.count_nonzero(got) < 40 and got.max() >= 2
+
+    @pytest.mark.parametrize("x, an_exit_lands_on_x", [
+        ((3, 0, 0), True), ((2, -3, 1), False), ((9, 9, 9), False)])
+    def test_site_at_or_past_the_cut_is_never_counted(self, x, an_exit_lands_on_x,
+                                                      monkeypatch):
+        # a visit before the exit has ||S_n|| < k_cut; the stopping step
+        # itself may land on a site of level k_cut but does not count
+        k_cut = 3
+        paths = [reference_path(WalkRun(step=SW3, master_seed=5, replica_index=i,
+                                        stop_radius=k_cut), MAX3, 300)[0]
+                 for i in range(60)]
+        assert any(p[-1].tolist() == list(x) for p in paths) == an_exit_lands_on_x
+        assert not any((p[:-1] == x).all(axis=1).any() for p in paths)
+        monkeypatch.setattr(walk, "map_replicas",
+                            lambda *a: pytest.fail("replicas ran"))
+        got = site_visit_samples(SW3, MAX3, x, replicas=60, master_seed=5,
+                                 k_cut=k_cut)
+        assert got.dtype == np.int64 and got.tolist() == [0] * 60
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("x", [(0, 0, 0), (1, 0, 0), (2, 1, 0)])
+    def test_hitting_equals_the_indicator_of_full_counts(self, x, seed, cpus,
+                                                         monkeypatch):
+        # the exit-hitting workload's points and cut, at fewer replicas, in
+        # this process, so that every block is counted
+        cpus(1)
+        blocks = {"full": 0, "first_hit": 0}
+        kernel = walk._blocks
+
+        def counted(run, norm, chunk=None):
+            for block in kernel(run, norm, chunk):
+                blocks[mode] += 1
+                yield block
+
+        monkeypatch.setattr(walk, "_blocks", counted)
+        mode = "full"
+        full = site_visit_samples(SW3, MAX3, x, replicas=60, master_seed=seed,
+                                  k_cut=64)
+        mode = "first_hit"
+        est = hitting_probability(SW3, MAX3, x, replicas=60, master_seed=seed,
+                                  k_cut=64)
+        # replicas with a hit stop early, so fewer blocks are walked
+        assert 0 < blocks["first_hit"] < blocks["full"]
+        p = float((full >= 1).mean())
+        assert est.p_hat == p
+        assert est.std_error == float(np.sqrt(max(p * (1 - p), 1e-12) / 60))
+        bias = walk._site_statistic(SW3, MAX3, x, 60, seed, 64, False)[3]
+        assert est.undercovered == (bias > est.std_error)
+        first = _site_visits(SW3, MAX3, x, 60, seed, 64, True)
+        assert np.array_equal(first >= 1, full >= 1)
+        assert (first <= full).all()
 
 
 class TestLevelCounts:
@@ -954,6 +1105,8 @@ TRANSIENT_ONLY = {
     "hitting_probability": lambda: hitting_probability(SW2, MAX2, (1, 0), 4, 0),
     "zero_one_experiment": lambda: zero_one_experiment(
         SW2, MAX2, PowerLaw(3), 4, [10, 100], 0),
+    "expectation_vs_criterion": lambda: summability.expectation_vs_criterion(
+        SW2, MAX2, PowerLaw(3), census_for(MAX2, 16), 4, [100], 1),
     "spitzer_constant_isotropic": lambda: walk.spitzer_constant_isotropic(2, 0.5),
 }
 
